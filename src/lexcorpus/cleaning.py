@@ -218,14 +218,6 @@ def mine_ngrams(docs: Iterable[Document], tok: Tokenizer, n: int, top_k: int) ->
     return NgramTable(n=n, entries=entries, total=sum(entries.values()))
 
 
-def merge_ngram_counts(tables: Sequence[Counter]) -> Counter:
-    """Associative merge of partial count tables (pointwise addition)."""
-    merged: Counter = Counter()
-    for table in tables:
-        merged.update(table)
-    return merged
-
-
 def write_ngram_report(table: NgramTable, path: str | Path) -> None:
     """Tab-separated `count<TAB>ngram`, descending by count."""
     rows = sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -3,11 +3,13 @@
 Subcommands map 1:1 to module operations; `pipeline` chains the offline
 data path (normalize, rule filtering, LM training, perplexity filtering,
 dedup, mix) and writes a run manifest with the config hash, seed, and
-per-stage document/token counts. Instruction generation and evaluation take
-a chat endpoint and therefore stay outside `pipeline`.
+per-stage document/token counts. Each offline stage has one body that both
+its subcommand and `pipeline` call. Instruction generation and evaluation
+take a chat endpoint and therefore stay outside `pipeline`.
 
 Exit codes: 0 success, 1 validation failure (bad config, flags, or input
-files), 2 runtime failure mid-run.
+files), 2 runtime failure mid-run. A failed `pipeline` stage exits with the
+code its cause gets from the stage's own subcommand.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cleaning, dedup, evaluation, instruct, lm, mix
 from .corpus import (
@@ -55,7 +57,6 @@ _VALIDATION_ERRORS = (
     FileNotFoundError,
     NotADirectoryError,
     ValueError,
-    json.JSONDecodeError,
 )
 
 
@@ -81,7 +82,6 @@ class PipelineConfig:
         self.path = path
         try:
             self.seed = int(payload["seed"])
-            self.workers = int(payload.get("workers", 4))
             paths = payload["paths"]
             self.corpus = self._resolve(paths["corpus"])
             self.seed_corpus = self._resolve(paths["seed_corpus"])
@@ -101,17 +101,6 @@ class PipelineConfig:
             entries = [(e["source"], float(e["fraction"])) for e in mix_cfg.get("entries", [])]
             self.mix_entries = entries
             self.mix_budget = int(mix_cfg.get("token_budget", 0))
-            inst = payload.get("instruct", {})
-            self.instruct_endpoint = inst.get("endpoint")
-            self.instruct_model = inst.get("model", "stub")
-            self.instruct_turn_pairs = int(inst.get("extra_turn_pairs", 2))
-            examples = inst.get("examples")
-            self.examples_path = self._resolve(examples) if examples else None
-            eval_cfg = payload.get("eval", {})
-            task_dir = eval_cfg.get("task_dir")
-            self.task_dir = self._resolve(task_dir) if task_dir else None
-            self.eval_endpoint = eval_cfg.get("endpoint")
-            self.eval_model = eval_cfg.get("model", "stub")
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -125,9 +114,8 @@ class PipelineConfig:
                 raise ConfigError(f"config path {label} does not resolve: {p}")
         if self.ruleset_path and not self.ruleset_path.exists():
             raise ConfigError(f"ruleset file missing: {self.ruleset_path}")
-        if self.mix_entries:
-            # constructing the spec runs the fraction/source checks
-            self.mix_spec()
+        # constructing the spec runs the fraction/source checks
+        self.mix_spec()
 
     def mix_spec(self) -> mix.MixSpec:
         if not self.mix_entries or self.mix_budget <= 0:
@@ -152,45 +140,42 @@ def load_config(path: str | Path) -> PipelineConfig:
     return PipelineConfig(payload, base_dir=path.parent.resolve(), path=path)
 
 
-def _maybe_config(args) -> Optional[PipelineConfig]:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "workers", None) is not None:
-            cfg.workers = args.workers
-        return cfg
-    return None
-
-
 # -- shared helpers -------------------------------------------------------------
 
 
 def _read_corpus(path: str | Path, strict: bool) -> List[Document]:
-    return list(read_documents(path, strict=strict))
+    reader = read_documents(path, strict=strict)
+    docs = list(reader)
+    if reader.skipped:
+        sys.stderr.write(f"lexcorpus: skipped {reader.skipped} malformed records in {path}\n")
+    return docs
 
 
-def _token_total(docs: Sequence[Document]) -> int:
-    return sum(len(doc.text.split()) for doc in docs)
+def _write_report(path: str | Path, report) -> None:
+    Path(path).write_text(report.to_json() + "\n", encoding="utf-8")
 
 
-def _rewrite(doc: Document, text: str) -> Document:
-    return Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta))
+def _name_path(value: str) -> Tuple[str, str]:
+    """argparse type for repeatable NAME=PATH options."""
+    name, sep, path = value.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {value!r}")
+    return name, path
 
 
-def _apply_cleaning(docs: Sequence[Document], rules: cleaning.RuleSet, normalize_only: bool = False):
+def _apply_cleaning(
+    docs: Sequence[Document], rules: Optional[cleaning.RuleSet]
+) -> Tuple[List[Document], int]:
+    """Normalize (rules None) or rule-clean each text; emptied documents drop out."""
     out: List[Document] = []
-    emptied = 0
     for doc in docs:
-        if normalize_only:
+        if rules is None:
             text = cleaning.normalize_text(doc.text)
         else:
             text = cleaning.clean_text(doc.text, rules)
         if text:
-            out.append(_rewrite(doc, text))
-        else:
-            emptied += 1
-    return out, emptied
+            out.append(Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta)))
+    return out, len(docs) - len(out)
 
 
 def _load_ruleset(path: Optional[str | Path]) -> cleaning.RuleSet:
@@ -205,14 +190,78 @@ def _chat_backend(endpoint: Optional[str], model: str) -> instruct.ChatBackend:
     return instruct.StubChatBackend()
 
 
+# -- stage bodies: each offline subcommand and run_pipeline call these -----------
+
+
+def _clean(
+    docs: Sequence[Document], rules: Optional[cleaning.RuleSet], output: Path | str
+) -> Tuple[List[Document], int]:
+    """normalize (rules None) or filter-rules: returns (docs, emptied)."""
+    docs, emptied = _apply_cleaning(docs, rules)
+    write_documents(docs, output)
+    return docs, emptied
+
+
+def _train_lm(
+    docs: Sequence[Document], order: int, output: Path | str, discount: Optional[float] = None
+) -> lm.NGramLM:
+    model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount)
+    lm.save_lm(model, output)
+    return model
+
+
+def _filter_ppl(
+    docs: Sequence[Document],
+    model: lm.NGramLM,
+    threshold: float,
+    granularity: str,
+    output: Path | str,
+    dropped: Optional[Path | str] = None,
+    report: Optional[Path | str] = None,
+) -> Tuple[List[Document], lm.FilterReport]:
+    kept, dropped_docs, filter_report = lm.filter_by_perplexity(
+        docs, model, TOKENIZER, threshold=threshold, granularity=granularity
+    )
+    write_documents(kept, output)
+    if dropped:
+        write_documents(dropped_docs, dropped)
+    if report:
+        _write_report(report, filter_report)
+    return kept, filter_report
+
+
+def _dedup(
+    docs: Sequence[Document],
+    output: Path | str,
+    report: Optional[Path | str] = None,
+    clusters: Optional[Path | str] = None,
+    **params,
+) -> Tuple[List[Document], dedup.DedupReport]:
+    """Exact then near dedup; `params` are dedup.dedup_corpus's knobs."""
+    docs, dedup_report = dedup.dedup_corpus(docs, tok=TOKENIZER, **params)
+    write_documents(docs, output)
+    if report:
+        _write_report(report, dedup_report)
+    if clusters:
+        dedup.write_cluster_dump(dedup_report, clusters)
+    return docs, dedup_report
+
+
+def _mix(
+    sources: Dict[str, List[Document]], spec: mix.MixSpec, output: Path | str, manifest: Path | str
+) -> Tuple[List[Document], mix.MixManifest]:
+    mixed, mix_manifest = mix.assemble_mix(sources, spec, TOKENIZER)
+    write_documents(mixed, output)
+    _write_report(manifest, mix_manifest)
+    return mixed, mix_manifest
+
+
 # -- subcommand implementations ---------------------------------------------------
 
 
 def cmd_normalize(args) -> int:
-    docs = _read_corpus(args.input, args.strict)
-    out, emptied = _apply_cleaning(docs, cleaning.build_default_ruleset(), normalize_only=True)
-    count = write_documents(out, args.output)
-    print(f"normalized {count} documents ({emptied} emptied) -> {args.output}")
+    docs, emptied = _clean(_read_corpus(args.input, args.strict), None, args.output)
+    print(f"normalized {len(docs)} documents ({emptied} emptied) -> {args.output}")
     return 0
 
 
@@ -226,17 +275,14 @@ def cmd_mine_ngrams(args) -> int:
 
 def cmd_filter_rules(args) -> int:
     rules = _load_ruleset(args.ruleset)
-    docs = _read_corpus(args.input, args.strict)
-    out, emptied = _apply_cleaning(docs, rules)
-    count = write_documents(out, args.output)
-    print(f"rule-filtered {count} documents kept, {emptied} emptied -> {args.output}")
+    docs, emptied = _clean(_read_corpus(args.input, args.strict), rules, args.output)
+    print(f"rule-filtered {len(docs)} documents kept, {emptied} emptied -> {args.output}")
     return 0
 
 
 def cmd_train_lm(args) -> int:
     docs = _read_corpus(args.input, args.strict)
-    model = lm.train_lm(docs, TOKENIZER, order=args.order, discount=args.discount)
-    lm.save_lm(model, args.output)
+    model = _train_lm(docs, args.order, args.output, discount=args.discount)
     print(f"trained order-{model.order} model on {len(docs)} documents -> {args.output}")
     return 0
 
@@ -251,14 +297,9 @@ def cmd_filter_ppl(args) -> int:
             raise ValueError("need --threshold or --calibration-corpus with --percentile")
         calib = _read_corpus(args.calibration_corpus, args.strict)
         threshold = lm.calibrate_threshold(model, calib, TOKENIZER, percentile=args.percentile)
-    kept, dropped, report = lm.filter_by_perplexity(
-        docs, model, TOKENIZER, threshold=threshold, granularity=args.granularity
+    _, report = _filter_ppl(
+        docs, model, threshold, args.granularity, args.output, args.dropped, args.report
     )
-    write_documents(kept, args.output)
-    if args.dropped:
-        write_documents(dropped, args.dropped)
-    if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
     print(
         f"perplexity filter at {threshold:.4f}: kept {report.kept_docs} docs, "
         f"dropped {report.dropped_docs} entirely -> {args.output}"
@@ -267,39 +308,19 @@ def cmd_filter_ppl(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    docs = _read_corpus(args.input, args.strict)
-    unique, exact_report = dedup.exact_dedup(docs, TOKENIZER)
-    if args.exact_only:
-        final, near_report = unique, None
-    else:
-        final, near_report = dedup.near_dedup(
-            unique,
-            shingle_n=args.shingle_n,
-            permutations=args.permutations,
-            threshold=args.threshold,
-            seed=args.seed if args.seed is not None else 0,
-            tok=TOKENIZER,
-        )
-    write_documents(final, args.output)
-    if args.report:
-        combined = dedup.DedupReport(
-            clusters=exact_report.clusters + (near_report.clusters if near_report else []),
-            exact_removed=exact_report.exact_removed,
-            near_removed=near_report.near_removed if near_report else 0,
-            tokens_before=exact_report.tokens_before,
-            tokens_after=(near_report or exact_report).tokens_after,
-        )
-        Path(args.report).write_text(combined.to_json() + "\n", encoding="utf-8")
-        if args.clusters:
-            dedup.write_cluster_dump(combined, args.clusters)
-    elif args.clusters:
-        combined = dedup.DedupReport(
-            clusters=exact_report.clusters + (near_report.clusters if near_report else [])
-        )
-        dedup.write_cluster_dump(combined, args.clusters)
-    near_removed = near_report.near_removed if near_report else 0
+    final, report = _dedup(
+        _read_corpus(args.input, args.strict),
+        args.output,
+        args.report,
+        args.clusters,
+        shingle_n=args.shingle_n,
+        permutations=args.permutations,
+        threshold=args.threshold,
+        seed=args.seed,
+        exact_only=args.exact_only,
+    )
     print(
-        f"dedup removed {exact_report.exact_removed} exact + {near_removed} near "
+        f"dedup removed {report.exact_removed} exact + {report.near_removed} near "
         f"duplicates, {len(final)} documents remain -> {args.output}"
     )
     return 0
@@ -309,15 +330,8 @@ def cmd_mix(args) -> int:
     spec = mix.load_mix_spec(args.spec)
     if args.seed is not None:
         spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
-    sources: Dict[str, List[Document]] = {}
-    for pair in args.input:
-        if "=" not in pair:
-            raise ValueError(f"--input expects name=path, got {pair!r}")
-        name, path = pair.split("=", 1)
-        sources[name] = _read_corpus(path, args.strict)
-    mixed, manifest = mix.assemble_mix(sources, spec, TOKENIZER)
-    write_documents(mixed, args.output)
-    Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    sources = {name: _read_corpus(path, args.strict) for name, path in args.input}
+    mixed, manifest = _mix(sources, spec, args.output, args.manifest)
     print(f"mixed {len(mixed)} documents, {manifest.total_tokens} tokens -> {args.output}")
     if args.tolerance is not None:
         validation = mix.validate_mix(manifest, spec, tolerance=args.tolerance)
@@ -385,10 +399,10 @@ def cmd_eval(args) -> int:
         tasks.extend(evaluation.load_mmlu_legal(args.mmlu_dir))
     backend = _chat_backend(args.endpoint, args.model)
     report, records = evaluation.run_benchmark(
-        tasks, backend, concurrency=args.concurrency, seed=args.seed if args.seed is not None else 0
+        tasks, backend, concurrency=args.concurrency, seed=args.seed
     )
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_report(args.report, report)
     if args.dump:
         evaluation.write_prediction_dump(records, args.dump)
     print(report.render_table())
@@ -402,15 +416,10 @@ def cmd_ppl_report(args) -> int:
         baseline = evaluation.NgramScorer(
             lm.load_lm(args.baseline_model), TOKENIZER, name=Path(args.baseline_model).stem
         )
-    docs_by_category: Dict[str, List[Document]] = {}
-    for pair in args.category:
-        if "=" not in pair:
-            raise ValueError(f"--category expects name=path, got {pair!r}")
-        name, path = pair.split("=", 1)
-        docs_by_category[name] = _read_corpus(path, args.strict)
+    docs_by_category = {name: _read_corpus(path, args.strict) for name, path in args.category}
     report = evaluation.perplexity_report(docs_by_category, scorer, baseline)
     if args.output:
-        Path(args.output).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_report(args.output, report)
     print(report.render_table())
     return 0
 
@@ -426,105 +435,77 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     manifest is deterministic: same config bytes + seed give identical JSON.
     """
     cfg.validate()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     rules = _load_ruleset(cfg.ruleset_path)
-    manifest: dict = {
-        "config_sha256": cfg.config_digest(),
-        "seed": cfg.seed,
-        "stages": [],
-    }
+    stages: List[dict] = []
+    manifest: dict = {"config_sha256": cfg.config_digest(), "seed": cfg.seed, "stages": stages}
 
     def record(stage: str, docs: Sequence[Document], **extra) -> None:
-        entry = {"stage": stage, "documents": len(docs), "tokens": _token_total(docs)}
-        entry.update(extra)
-        manifest["stages"].append(entry)
+        # after the stage's write: counting caches token_count on the documents
+        tokens = lm.corpus_token_total(docs, TOKENIZER)
+        stages.append({"stage": stage, "documents": len(docs), "tokens": tokens, **extra})
 
     stage = "normalize"
     try:
-        docs = _read_corpus(cfg.corpus, strict)
-        docs, _ = _apply_cleaning(docs, rules, normalize_only=True)
-        write_documents(docs, cfg.out_dir / "01_normalized.jsonl")
+        docs, _ = _clean(_read_corpus(cfg.corpus, strict), None, out / "01_normalized.jsonl")
         record(stage, docs)
 
         stage = "filter-rules"
-        docs, emptied = _apply_cleaning(docs, rules)
-        write_documents(docs, cfg.out_dir / "02_rulefiltered.jsonl")
+        docs, emptied = _clean(docs, rules, out / "02_rulefiltered.jsonl")
         record(stage, docs, emptied=emptied)
 
         stage = "train-lm"
-        seed_docs = _read_corpus(cfg.seed_corpus, strict)
-        seed_docs, _ = _apply_cleaning(seed_docs, rules)
-        model = lm.train_lm(seed_docs, TOKENIZER, order=cfg.lm_order)
-        lm.save_lm(model, cfg.out_dir / "lm.json")
-        manifest["stages"].append(
-            {
-                "stage": stage,
-                "documents": len(seed_docs),
-                "tokens": _token_total(seed_docs),
-                "order": cfg.lm_order,
-            }
-        )
+        seed_docs, _ = _apply_cleaning(_read_corpus(cfg.seed_corpus, strict), rules)
+        model = _train_lm(seed_docs, cfg.lm_order, out / "lm.json")
+        record(stage, seed_docs, order=cfg.lm_order)
 
         stage = "filter-ppl"
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
-        docs, dropped, report = lm.filter_by_perplexity(
-            docs, model, TOKENIZER, threshold=threshold, granularity=cfg.lm_granularity
+        docs, _ = _filter_ppl(
+            docs,
+            model,
+            threshold,
+            cfg.lm_granularity,
+            out / "03_pplfiltered.jsonl",
+            out / "03_dropped.jsonl",
+            out / "filter_report.json",
         )
-        write_documents(docs, cfg.out_dir / "03_pplfiltered.jsonl")
-        write_documents(dropped, cfg.out_dir / "03_dropped.jsonl")
-        (cfg.out_dir / "filter_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
         record(stage, docs, threshold=threshold)
 
         stage = "dedup"
-        docs, exact_report = dedup.exact_dedup(docs, TOKENIZER)
-        docs, near_report = dedup.near_dedup(
+        docs, report = _dedup(
             docs,
+            out / "04_deduped.jsonl",
+            out / "dedup_report.json",
             shingle_n=cfg.dedup_shingle_n,
             permutations=cfg.dedup_permutations,
             threshold=cfg.dedup_threshold,
             seed=cfg.seed,
-            tok=TOKENIZER,
         )
-        combined = dedup.DedupReport(
-            clusters=exact_report.clusters + near_report.clusters,
-            exact_removed=exact_report.exact_removed,
-            near_removed=near_report.near_removed,
-            tokens_before=exact_report.tokens_before,
-            tokens_after=near_report.tokens_after,
-        )
-        write_documents(docs, cfg.out_dir / "04_deduped.jsonl")
-        (cfg.out_dir / "dedup_report.json").write_text(combined.to_json() + "\n", encoding="utf-8")
-        record(
-            stage,
-            docs,
-            exact_removed=exact_report.exact_removed,
-            near_removed=near_report.near_removed,
-        )
+        record(stage, docs, exact_removed=report.exact_removed, near_removed=report.near_removed)
 
         stage = "mix"
         spec = cfg.mix_spec()
-        sources: Dict[str, List[Document]] = {}
+        # a spec source with no surviving documents is short of tokens, not unknown
+        sources: Dict[str, List[Document]] = {name: [] for name, _ in spec.entries}
         for doc in docs:
             sources.setdefault(doc.source.name, []).append(doc)
-        for name, _ in spec.entries:
-            sources.setdefault(name, [])
-        mixed, mix_manifest = mix.assemble_mix(sources, spec, TOKENIZER)
-        write_documents(mixed, cfg.out_dir / "05_mix.jsonl")
-        (cfg.out_dir / "mix_manifest.json").write_text(mix_manifest.to_json() + "\n", encoding="utf-8")
+        mixed, mix_manifest = _mix(sources, spec, out / "05_mix.jsonl", out / "mix_manifest.json")
         record(stage, mixed, total_tokens=mix_manifest.total_tokens)
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 
-    (cfg.out_dir / "run_manifest.json").write_text(
+    (out / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return manifest
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _maybe_config(args)
-    if cfg is None:
-        raise ConfigError("pipeline requires --config")
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
     manifest = run_pipeline(cfg, strict=args.strict)
     print(f"pipeline complete: {len(manifest['stages'])} stages -> {cfg.out_dir}")
     return 0
@@ -535,39 +516,36 @@ def cmd_pipeline(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lexcorpus", description=__doc__.split("\n\n")[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="pipeline config JSON")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--workers", type=int, default=None, help="worker/concurrency cap")
-    common.add_argument("--strict", action="store_true", help="fail on malformed corpus records")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="fail on malformed corpus records")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    p = sub.add_parser("normalize", parents=[common], help="NFKC-normalize corpus text")
+    p = sub.add_parser("normalize", parents=[strict], help="NFKC-normalize corpus text")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("mine-ngrams", parents=[common], help="exact top-k n-gram counts")
+    p = sub.add_parser("mine-ngrams", parents=[strict], help="exact top-k n-gram counts")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True, help="TSV report path")
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--top-k", type=int, default=20)
     p.set_defaults(func=cmd_mine_ngrams)
 
-    p = sub.add_parser("filter-rules", parents=[common], help="apply the regex ruleset")
+    p = sub.add_parser("filter-rules", parents=[strict], help="apply the regex ruleset")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--ruleset", help="ruleset JSON (default: shipped rules)")
     p.set_defaults(func=cmd_filter_rules)
 
-    p = sub.add_parser("train-lm", parents=[common], help="train the Kneser-Ney model")
+    p = sub.add_parser("train-lm", parents=[strict], help="train the Kneser-Ney model")
     p.add_argument("-i", "--input", required=True, help="seed corpus")
     p.add_argument("-o", "--output", required=True, help="model JSON path")
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--discount", type=float, default=None, help="fixed discount (testing aid)")
     p.set_defaults(func=cmd_train_lm)
 
-    p = sub.add_parser("filter-ppl", parents=[common], help="drop high-perplexity paragraphs")
+    p = sub.add_parser("filter-ppl", parents=[strict], help="drop high-perplexity paragraphs")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--model", required=True)
@@ -579,29 +557,31 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="write the filter report JSON here")
     p.set_defaults(func=cmd_filter_ppl)
 
-    p = sub.add_parser("dedup", parents=[common], help="exact then near deduplication")
+    p = sub.add_parser("dedup", parents=[strict], help="exact then near deduplication")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--shingle-n", type=int, default=dedup.DEFAULT_SHINGLE_N)
     p.add_argument("--permutations", type=int, default=dedup.DEFAULT_PERMUTATIONS)
     p.add_argument("--threshold", type=float, default=dedup.DEFAULT_THRESHOLD)
+    p.add_argument("--seed", type=int, default=0, help="MinHash permutation seed")
     p.add_argument("--exact-only", action="store_true")
     p.add_argument("--report", help="write the dedup report JSON here")
     p.add_argument("--clusters", help="write kept_id<TAB>removed_id dump here")
     p.set_defaults(func=cmd_dedup)
 
-    p = sub.add_parser("mix", parents=[common], help="assemble the training mix")
+    p = sub.add_parser("mix", parents=[strict], help="assemble the training mix")
     p.add_argument("--spec", required=True, help="mix spec JSON")
     p.add_argument(
-        "-i", "--input", action="append", required=True, metavar="NAME=PATH",
+        "-i", "--input", action="append", required=True, type=_name_path, metavar="NAME=PATH",
         help="source corpus, repeatable",
     )
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--manifest", required=True)
+    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--tolerance", type=float, default=None, help="also validate realized fractions")
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("gen-instructions", parents=[common], help="synthesize conversations")
+    p = sub.add_parser("gen-instructions", help="synthesize conversations")
     p.add_argument("--examples", required=True, help="labeled examples JSONL")
     p.add_argument("-o", "--output", required=True, help="conversations JSONL")
     p.add_argument("--corpus-out", help="also write conversations as corpus documents")
@@ -611,7 +591,7 @@ def build_parser() -> _Parser:
     p.add_argument("--concurrency", type=int, default=4)
     p.set_defaults(func=cmd_gen_instructions)
 
-    p = sub.add_parser("decontaminate", parents=[common], help="drop benchmark-overlapping conversations")
+    p = sub.add_parser("decontaminate", help="drop benchmark-overlapping conversations")
     p.add_argument("-i", "--input", required=True, help="conversations JSONL")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--benchmark-file", help="one benchmark input text per line")
@@ -619,33 +599,36 @@ def build_parser() -> _Parser:
     p.add_argument("--shingle-n", type=int, default=instruct.DECONTAMINATION_SHINGLE_N)
     p.set_defaults(func=cmd_decontaminate)
 
-    p = sub.add_parser("curate-prompts", parents=[common], help="rewrite a few-shot prompt")
+    p = sub.add_parser("curate-prompts", help="rewrite a few-shot prompt")
     p.add_argument("-i", "--input", required=True, help="original prompt text file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--labels", nargs="+", required=True)
     p.set_defaults(func=cmd_curate_prompts)
 
-    p = sub.add_parser("eval", parents=[common], help="run the benchmark harness")
+    p = sub.add_parser("eval", help="run the benchmark harness")
     p.add_argument("--task-dir", required=True)
     p.add_argument("--mmlu-dir", help="directory of <subject>_test.csv files")
     p.add_argument("--endpoint", default=None, help="chat endpoint URL (default: offline stub)")
     p.add_argument("--model", default="stub")
     p.add_argument("--concurrency", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0, help="harness seed")
     p.add_argument("--report", help="write the report JSON here")
     p.add_argument("--dump", help="write the prediction dump here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ppl-report", parents=[common], help="perplexity by document category")
+    p = sub.add_parser("ppl-report", parents=[strict], help="perplexity by document category")
     p.add_argument("--model", required=True, help="scorer model JSON")
     p.add_argument("--baseline-model", help="baseline model JSON for the reduction column")
     p.add_argument(
-        "--category", action="append", required=True, metavar="NAME=PATH",
+        "--category", action="append", required=True, type=_name_path, metavar="NAME=PATH",
         help="category corpus, repeatable",
     )
     p.add_argument("-o", "--output", help="write the report JSON here")
     p.set_defaults(func=cmd_ppl_report)
 
-    p = sub.add_parser("pipeline", parents=[common], help="run the offline data path end to end")
+    p = sub.add_parser("pipeline", parents=[strict], help="run the offline data path end to end")
+    p.add_argument("--config", required=True, help="pipeline config JSON")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -661,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except PipelineStageError as exc:
         sys.stderr.write(f"lexcorpus: {exc}\n")
-        return 2
+        return 1 if isinstance(exc.cause, _VALIDATION_ERRORS) else 2
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"lexcorpus: {exc}\n")
         return 1

@@ -11,6 +11,9 @@ Every stage of the toolkit reads and writes this format.
 from __future__ import annotations
 
 import json
+import os
+import stat
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional
@@ -122,12 +125,6 @@ class WhitespaceTokenizer(Tokenizer):
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()
-
-
-def get_tokenizer(name: str) -> Tokenizer:
-    if name == "whitespace":
-        return WhitespaceTokenizer()
-    raise ValueError(f"unknown tokenizer {name!r}")
 
 
 def count_tokens(doc: Document, tok: Tokenizer) -> int:
@@ -244,17 +241,46 @@ def document_to_json(doc: Document) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
+def _write_records(docs: Iterable[Document], fh) -> int:
+    count = 0
+    for doc in docs:
+        _check_unicode_clean(doc.text)
+        fh.write(document_to_json(doc))
+        fh.write("\n")
+        count += 1
+    return count
+
+
 def write_documents(docs: Iterable[Document], path: str | Path) -> int:
     """Write documents as corpus JSONL; returns the record count.
 
     Round-trip contract: read_documents() on the output reproduces the
-    input field for field.
+    input field for field. When `path` is absent or a regular file, records
+    go to a sibling temp file that replaces `path` only after the last one,
+    so a failed write leaves `path` as it was instead of a shorter corpus;
+    an existing file's permission bits are kept. A symlink, device or FIFO
+    (e.g. /dev/stdout) is written straight through instead, never replaced.
     """
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            _check_unicode_clean(doc.text)
-            fh.write(document_to_json(doc))
-            fh.write("\n")
-            count += 1
+    path = Path(path)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            return _write_records(docs, fh)
+    if mode is None:
+        # mkstemp creates 0600; give a new file the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            count = _write_records(docs, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return count

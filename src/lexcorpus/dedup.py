@@ -181,12 +181,6 @@ class DedupReport:
     tokens_before: int = 0
     tokens_after: int = 0
 
-    def removed_ids(self) -> List[str]:
-        out: List[str] = []
-        for _, removed in self.clusters:
-            out.extend(removed)
-        return out
-
     def to_json(self) -> str:
         payload = {
             "clusters": [{"kept": kept, "removed": removed} for kept, removed in self.clusters],
@@ -238,15 +232,12 @@ def near_dedup(
     threshold: float = DEFAULT_THRESHOLD,
     seed: int = 0,
     tok: Optional[Tokenizer] = None,
-    shard_size: int = 10_000,
 ) -> Tuple[List[Document], DedupReport]:
     """Remove near-duplicates via MinHash/LSH.
 
     Candidate pairs come from LSH band collisions, are verified with
     estimate_jaccard >= threshold, and verified pairs are merged into
     connected components; the first document per component survives.
-    Signatures are computed in shards of `shard_size` documents so peak
-    memory stays bounded by the signature matrix, not by raw text.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -261,23 +252,21 @@ def near_dedup(
 
     signatures: List[MinHashSignature] = []
     buckets: List[Dict[bytes, List[int]]] = [dict() for _ in range(bands)]
-    for shard_start in range(0, len(doc_list), shard_size):
-        for idx in range(shard_start, min(shard_start + shard_size, len(doc_list))):
-            doc = doc_list[idx]
-            report.tokens_before += count_tokens(doc, tok)
-            sig = minhash_signature(
-                doc.text,
-                tok,
-                shingle_n=shingle_n,
-                permutations=permutations,
-                seed=seed,
-                doc_id=doc.id,
-                _params=params,
-            )
-            signatures.append(sig)
-            for band in range(bands):
-                key = sig.values[band * rows : (band + 1) * rows].tobytes()
-                buckets[band].setdefault(key, []).append(idx)
+    for idx, doc in enumerate(doc_list):
+        report.tokens_before += count_tokens(doc, tok)
+        sig = minhash_signature(
+            doc.text,
+            tok,
+            shingle_n=shingle_n,
+            permutations=permutations,
+            seed=seed,
+            doc_id=doc.id,
+            _params=params,
+        )
+        signatures.append(sig)
+        for band in range(bands):
+            key = sig.values[band * rows : (band + 1) * rows].tobytes()
+            buckets[band].setdefault(key, []).append(idx)
 
     uf = _UnionFind(len(doc_list))
     checked: set = set()
@@ -313,3 +302,29 @@ def near_dedup(
     unique = [doc for idx, doc in enumerate(doc_list) if idx not in removed]
     report.tokens_after = sum(count_tokens(doc, tok) for doc in unique)
     return unique, report
+
+
+def dedup_corpus(
+    docs: Iterable[Document],
+    shingle_n: int = DEFAULT_SHINGLE_N,
+    permutations: int = DEFAULT_PERMUTATIONS,
+    threshold: float = DEFAULT_THRESHOLD,
+    seed: int = 0,
+    tok: Optional[Tokenizer] = None,
+    exact_only: bool = False,
+) -> Tuple[List[Document], DedupReport]:
+    """Exact dedup, then near dedup of the survivors unless `exact_only`;
+    one report covers both passes, exact clusters first."""
+    unique, exact = exact_dedup(docs, tok)
+    if exact_only:
+        return unique, exact
+    final, near = near_dedup(
+        unique, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed, tok=tok
+    )
+    return final, DedupReport(
+        clusters=exact.clusters + near.clusters,
+        exact_removed=exact.exact_removed,
+        near_removed=near.near_removed,
+        tokens_before=exact.tokens_before,
+        tokens_after=near.tokens_after,
+    )

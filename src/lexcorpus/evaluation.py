@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import requests
-
 from .corpus import Document
 from .instruct import BackendError, ChatBackend
 
@@ -40,8 +38,6 @@ ABSTAIN = "ABSTAIN"
 PLACEHOLDER = "{text}"
 
 MMLU_LEGAL_SUBJECTS = ("international_law", "professional_law", "jurisprudence")
-
-PERPLEXITY_CATEGORIES = ("contracts", "decisions", "legislation", "party_submissions")
 
 
 class CurationError(Exception):
@@ -400,41 +396,6 @@ class UniformScorer(LogProbScorer):
     def token_log_probs(self, text: str) -> List[float]:
         lp = -math.log(self.vocab_size)
         return [lp for _ in text.split()]
-
-
-class RemoteLogProbScorer(LogProbScorer):
-    """Remote model exposing per-token log-probs over the chat protocol:
-    POST {"model", "messages", "log_probs": true} -> {"log_probs": [...]}."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        timeout: float = 30.0,
-        session: Optional[requests.Session] = None,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.timeout = timeout
-        self.session = session or requests.Session()
-        self.name = f"http:{model}"
-
-    def token_log_probs(self, text: str) -> List[float]:
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": text}],
-            "log_probs": True,
-        }
-        try:
-            resp = self.session.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise BackendError(f"log-prob endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendError(f"log-prob endpoint returned {resp.status_code}")
-        body = resp.json()
-        if "log_probs" not in body:
-            raise BackendError("scorer response lacks log_probs; endpoint has no log-prob support")
-        return [float(x) for x in body["log_probs"]]
 
 
 def _doc_perplexity(scorer: LogProbScorer, text: str) -> float:

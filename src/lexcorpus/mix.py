@@ -115,15 +115,6 @@ class MixManifest:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MixManifest":
-        payload = json.loads(text)
-        return cls(
-            seed=payload["seed"],
-            total_tokens=payload["total_tokens"],
-            per_source=payload["per_source"],
-        )
-
 
 def _ids_digest(ids: List[str]) -> str:
     return hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()

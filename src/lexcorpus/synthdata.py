@@ -553,7 +553,6 @@ def write_pipeline_inputs(out_dir: str | Path, seed: int = 7, n_docs: int = 1000
 
     config = {
         "seed": seed,
-        "workers": 4,
         "paths": {
             "corpus": "corpus.jsonl",
             "seed_corpus": "seed.jsonl",
@@ -570,13 +569,6 @@ def write_pipeline_inputs(out_dir: str | Path, seed: int = 7, n_docs: int = 1000
             ],
             "token_budget": 30_000,
         },
-        "instruct": {
-            "endpoint": None,
-            "model": "stub",
-            "extra_turn_pairs": 2,
-            "examples": "examples.jsonl",
-        },
-        "eval": {"task_dir": "tasks", "endpoint": None, "model": "stub"},
     }
     paths["config"] = out_dir / "config.json"
     with open(paths["config"], "w", encoding="utf-8") as fh:

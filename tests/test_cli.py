@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from lexcorpus import cli
 from lexcorpus.synthdata import write_pipeline_inputs
 
 
@@ -95,6 +96,7 @@ def test_strict_flag_rejects_malformed_lines(tmp_path):
     out = tmp_path / "out.jsonl"
     lenient = run_cli("normalize", "-i", str(src), "-o", str(out))
     assert lenient.returncode == 0
+    assert f"lexcorpus: skipped 1 malformed records in {src}" in lenient.stderr
     strict = run_cli("normalize", "--strict", "-i", str(src), "-o", str(out))
     assert strict.returncode == 1
 
@@ -180,21 +182,112 @@ def test_pipeline_rerun_is_byte_identical(pipeline_inputs):
     assert before == after
 
 
-def test_seed_override_changes_mix(pipeline_inputs, tmp_path):
-    config = pipeline_inputs / "config.json"
-    base = json.loads((pipeline_inputs / "out" / "mix_manifest.json").read_text())
-    override_dir = tmp_path / "override"
-    cfg = json.loads(config.read_text())
-    cfg["paths"]["out_dir"] = str(override_dir)
-    moved = tmp_path / "config.json"
-    # path fields resolve relative to the config file, so keep inputs absolute
+def _moved_config(pipeline_inputs, tmp_path, **edits):
+    """The fixture config with absolute input paths, out_dir under tmp_path,
+    and top-level sections replaced (None deletes one). Path fields resolve
+    relative to the config file, so the inputs are made absolute."""
+    cfg = json.loads((pipeline_inputs / "config.json").read_text())
     for key in ("corpus", "seed_corpus"):
         cfg["paths"][key] = str(pipeline_inputs / cfg["paths"][key])
-    cfg["instruct"]["examples"] = str(pipeline_inputs / cfg["instruct"]["examples"])
-    cfg["eval"]["task_dir"] = str(pipeline_inputs / cfg["eval"]["task_dir"])
-    moved.write_text(json.dumps(cfg))
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    for key, value in edits.items():
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_seed_override_changes_mix(pipeline_inputs, tmp_path):
+    base = json.loads((pipeline_inputs / "out" / "mix_manifest.json").read_text())
+    moved = _moved_config(pipeline_inputs, tmp_path)
     result = run_cli("pipeline", "--config", str(moved), "--seed", "99")
     assert result.returncode == 0, result.stderr
-    overridden = json.loads((override_dir / "mix_manifest.json").read_text())
+    overridden = json.loads((tmp_path / "out" / "mix_manifest.json").read_text())
     assert overridden["seed"] == 99
     assert overridden != base
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--seed", "1", "-i", "in.jsonl", "-o", "out.jsonl"],
+        ["normalize", "--config", "c.json", "-i", "in.jsonl", "-o", "out.jsonl"],
+        ["pipeline", "--config", "c.json", "--workers", "2"],
+        ["curate-prompts", "--strict", "-i", "p.txt", "-o", "q.txt", "--labels", "Yes"],
+        ["pipeline"],
+    ],
+)
+def test_removed_or_missing_flags_exit_1(argv):
+    # argparse rejects bad usage by raising SystemExit; main returns other codes
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+
+
+def test_subcommands_reproduce_pipeline_outputs(pipeline_inputs, tmp_path):
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "pipeline"
+    cli.run_pipeline(cfg)
+    o = tmp_path / "steps"
+    o.mkdir()
+    steps = [
+        ["normalize", "-i", pipeline_inputs / "corpus.jsonl", "-o", o / "01_normalized.jsonl"],
+        ["filter-rules", "-i", o / "01_normalized.jsonl", "-o", o / "02_rulefiltered.jsonl"],
+        ["filter-rules", "-i", pipeline_inputs / "seed.jsonl", "-o", o / "seed_clean.jsonl"],
+        ["train-lm", "-i", o / "seed_clean.jsonl", "-o", o / "lm.json", "--order", "3"],
+        [
+            "filter-ppl", "-i", o / "02_rulefiltered.jsonl", "-o", o / "03_pplfiltered.jsonl",
+            "--model", o / "lm.json", "--calibration-corpus", o / "seed_clean.jsonl",
+            "--dropped", o / "03_dropped.jsonl", "--report", o / "filter_report.json",
+        ],
+        [
+            "dedup", "-i", o / "03_pplfiltered.jsonl", "-o", o / "04_deduped.jsonl",
+            "--seed", "7", "--report", o / "dedup_report.json",
+        ],
+    ]
+    for argv in steps:
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    for name in (
+        "01_normalized.jsonl",
+        "02_rulefiltered.jsonl",
+        "lm.json",
+        "03_pplfiltered.jsonl",
+        "03_dropped.jsonl",
+        "filter_report.json",
+        "04_deduped.jsonl",
+        "dedup_report.json",
+    ):
+        assert (o / name).read_bytes() == (cfg.out_dir / name).read_bytes(), name
+
+
+def test_insufficient_tokens_exit_1_from_mix_and_pipeline(pipeline_inputs, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 10**9, "seed": 7}
+    ))
+    result = run_cli(
+        "mix", "--spec", str(spec), "-i", f"freelaw={pipeline_inputs / 'corpus.jsonl'}",
+        "-o", str(tmp_path / "mix.jsonl"), "--manifest", str(tmp_path / "manifest.json"),
+    )
+    assert result.returncode == 1, result.stderr
+    assert "exhausted" in result.stderr
+
+    cfg = json.loads((pipeline_inputs / "config.json").read_text())
+    config = _moved_config(pipeline_inputs, tmp_path, mix=dict(cfg["mix"], token_budget=10**9))
+    result = run_cli("pipeline", "--config", str(config))
+    assert result.returncode == 1, result.stderr
+    assert "stage 'mix' failed" in result.stderr
+    assert "exhausted" in result.stderr
+
+
+def test_config_without_mix_section_exits_1_before_any_stage(pipeline_inputs, tmp_path):
+    config = _moved_config(pipeline_inputs, tmp_path, mix=None)
+    result = run_cli("pipeline", "--config", str(config))
+    assert result.returncode == 1
+    assert "mix section" in result.stderr
+    assert not (tmp_path / "out" / "01_normalized.jsonl").exists()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,3 +111,48 @@ def test_token_counts_additive_under_concat(texts):
     tok = WhitespaceTokenizer()
     total = sum(len(tok.tokenize(t)) for t in texts)
     assert len(tok.tokenize(" ".join(texts))) == total
+
+
+def test_failed_write_leaves_path_untouched(tmp_path, make_doc):
+    ok = make_doc("fine text", doc_id="ok")
+    bad = make_doc("lone \ud800 surrogate", doc_id="bad")
+    path = tmp_path / "x.jsonl"
+    with pytest.raises(CorpusError):
+        write_documents([ok, bad], path)
+    assert list(tmp_path.iterdir()) == []
+
+    write_documents([ok], path)
+    before = path.read_bytes()
+    with pytest.raises(CorpusError):
+        write_documents([make_doc("other", doc_id="new"), bad], path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_through_symlink_updates_target(tmp_path, make_doc):
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n")
+    os.chmod(target, 0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    (tmp_path / "link.jsonl.tmp").write_text("unrelated")
+    write_documents([make_doc("via link", doc_id="a")], link)
+    assert link.is_symlink()
+    assert [d.id for d in read_documents(target)] == ["a"]
+    assert (tmp_path / "link.jsonl.tmp").read_text() == "unrelated"
+
+    write_documents([make_doc("in place", doc_id="b")], target)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "link.jsonl.tmp", "target.jsonl"]
+
+
+def test_write_to_fifo_streams_without_replacing(tmp_path, make_doc):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_documents([make_doc("streamed", doc_id="s")], fifo)
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(received[0])["id"] == "s"

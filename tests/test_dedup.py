@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from lexcorpus.dedup import (
+    dedup_corpus,
     estimate_jaccard,
     exact_dedup,
     minhash_signature,
@@ -169,3 +170,25 @@ def test_cluster_dump_format(tmp_path, make_doc):
     path = tmp_path / "clusters.tsv"
     write_cluster_dump(report, path)
     assert path.read_text().splitlines() == ["keep\tdrop"]
+
+
+def test_dedup_corpus_combines_exact_then_near(make_doc):
+    text = " ".join(f"w{i}" for i in range(30))
+    docs = [
+        make_doc(text, doc_id="orig"),
+        make_doc(text, doc_id="copy"),
+        # same tokens, different bytes: only near dedup catches it
+        make_doc(text.replace(" ", "  "), doc_id="spaced"),
+        make_doc(" ".join(f"v{i}" for i in range(30)), doc_id="other"),
+    ]
+    kept, report = dedup_corpus(docs, threshold=1.0)
+    assert [d.id for d in kept] == ["orig", "other"]
+    assert report.clusters == [("orig", ["copy"]), ("orig", ["spaced"])]
+    assert (report.exact_removed, report.near_removed) == (1, 1)
+    assert (report.tokens_before, report.tokens_after) == (120, 60)
+
+    kept, report = dedup_corpus(docs, threshold=1.0, exact_only=True)
+    assert [d.id for d in kept] == ["orig", "spaced", "other"]
+    assert report.clusters == [("orig", ["copy"])]
+    assert (report.exact_removed, report.near_removed) == (1, 0)
+    assert (report.tokens_before, report.tokens_after) == (120, 90)
