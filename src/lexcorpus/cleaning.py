@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .corpus import Document, Tokenizer
+from .corpus import Document, Tokenizer, atomic_write
 
 RULE_ACTIONS = ("delete_match", "collapse_whitespace", "strip_html")
 
@@ -221,6 +221,6 @@ def mine_ngrams(docs: Iterable[Document], tok: Tokenizer, n: int, top_k: int) ->
 def write_ngram_report(table: NgramTable, path: str | Path) -> None:
     """Tab-separated `count<TAB>ngram`, descending by count."""
     rows = sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ngram, count in rows:
             fh.write(f"{count}\t{' '.join(ngram)}\n")

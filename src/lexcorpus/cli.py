@@ -26,6 +26,7 @@ from .corpus import (
     CorpusError,
     Document,
     WhitespaceTokenizer,
+    atomic_write,
     read_documents,
     write_documents,
 )
@@ -152,7 +153,8 @@ def _read_corpus(path: str | Path, strict: bool) -> List[Document]:
 
 
 def _write_report(path: str | Path, report) -> None:
-    Path(path).write_text(report.to_json() + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(report.to_json() + "\n")
 
 
 def _name_path(value: str) -> Tuple[str, str]:
@@ -388,7 +390,8 @@ def cmd_decontaminate(args) -> int:
 def cmd_curate_prompts(args) -> int:
     original = Path(args.input).read_text(encoding="utf-8")
     curated = evaluation.curate_prompt(original, args.labels)
-    Path(args.output).write_text(curated + "\n", encoding="utf-8")
+    with atomic_write(args.output) as fh:
+        fh.write(curated + "\n")
     print(f"curated prompt -> {args.output}")
     return 0
 
@@ -496,9 +499,8 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out / "run_manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -14,9 +14,10 @@ import json
 import os
 import stat
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, TextIO
 
 
 class CorpusError(Exception):
@@ -241,25 +242,16 @@ def document_to_json(doc: Document) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def _write_records(docs: Iterable[Document], fh) -> int:
-    count = 0
-    for doc in docs:
-        _check_unicode_clean(doc.text)
-        fh.write(document_to_json(doc))
-        fh.write("\n")
-        count += 1
-    return count
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open `path` for writing UTF-8 text so that a failed write leaves it
+    as it was.
 
-
-def write_documents(docs: Iterable[Document], path: str | Path) -> int:
-    """Write documents as corpus JSONL; returns the record count.
-
-    Round-trip contract: read_documents() on the output reproduces the
-    input field for field. When `path` is absent or a regular file, records
-    go to a sibling temp file that replaces `path` only after the last one,
-    so a failed write leaves `path` as it was instead of a shorter corpus;
-    an existing file's permission bits are kept. A symlink, device or FIFO
-    (e.g. /dev/stdout) is written straight through instead, never replaced.
+    When `path` is absent or a regular file, the text goes to a sibling temp
+    file that replaces `path` only when the block ends without an exception,
+    so a failed write never leaves a shorter file behind; an existing file's
+    permission bits are kept. A symlink, device or FIFO (e.g. /dev/stdout)
+    is written straight through instead, never replaced.
     """
     path = Path(path)
     try:
@@ -268,7 +260,8 @@ def write_documents(docs: Iterable[Document], path: str | Path) -> int:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
-            return _write_records(docs, fh)
+            yield fh
+        return
     if mode is None:
         # mkstemp creates 0600; give a new file the mode open() would
         umask = os.umask(0)
@@ -278,9 +271,26 @@ def write_documents(docs: Iterable[Document], path: str | Path) -> int:
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fd, stat.S_IMODE(mode))
-            count = _write_records(docs, fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_documents(docs: Iterable[Document], path: str | Path) -> int:
+    """Write documents as corpus JSONL through atomic_write; returns the
+    record count.
+
+    Round-trip contract: read_documents() on the output reproduces the
+    input field for field. A failed write leaves a regular-file `path` as it
+    was instead of a shorter corpus.
+    """
+    count = 0
+    with atomic_write(path) as fh:
+        for doc in docs:
+            _check_unicode_clean(doc.text)
+            fh.write(document_to_json(doc))
+            fh.write("\n")
+            count += 1
     return count

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cleaning import normalize_text
-from .corpus import Document, Tokenizer, WhitespaceTokenizer, count_tokens
+from .corpus import Document, Tokenizer, WhitespaceTokenizer, atomic_write, count_tokens
 
 DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
@@ -193,7 +193,7 @@ class DedupReport:
 
 
 def write_cluster_dump(report: DedupReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for kept, removed in report.clusters:
             for rid in removed:
                 fh.write(f"{kept}\t{rid}\n")

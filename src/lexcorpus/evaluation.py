@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .corpus import Document
-from .instruct import BackendError, ChatBackend
+from .corpus import Document, atomic_write
+from .instruct import BackendError, ChatBackend, MalformedResponseError
 
 CATEGORIES = (
     "issue_spotting",
@@ -273,9 +273,10 @@ def run_benchmark(
         try:
             raw = backend.complete([{"role": "user", "content": prompt}], role_hint="assistant")
         except BackendError as exc:
+            reason = "malformed_response" if isinstance(exc, MalformedResponseError) else "backend"
             return PredictionRecord(
                 task=task.name, index=idx, raw_output="", parsed=ABSTAIN, gold=gold,
-                failure=f"backend: {exc}",
+                failure=f"{reason}: {exc}",
             )
         return PredictionRecord(
             task=task.name, index=idx, raw_output=raw,
@@ -310,7 +311,7 @@ def run_benchmark(
 
 
 def write_prediction_dump(records: Iterable[PredictionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(record.to_json())
             fh.write("\n")

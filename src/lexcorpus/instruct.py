@@ -14,6 +14,7 @@ any benchmark input, so instruction data can never leak test questions.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import requests
 
 from .cleaning import normalize_text
-from .corpus import Document, resolve_source
+from .corpus import Document, atomic_write, resolve_source
 
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
@@ -37,6 +38,10 @@ class TemplateError(Exception):
 
 class BackendError(Exception):
     """Chat backend transport failure."""
+
+
+class MalformedResponseError(BackendError):
+    """A 200 response whose body is not a JSON object with a string completion."""
 
 
 class ExtensionError(Exception):
@@ -211,10 +216,13 @@ class HttpChatBackend(ChatBackend):
     """Remote chat endpoint.
 
     Protocol: POST JSON {"model", "messages": [{role, content}], "temperature",
-    "max_tokens"}; the response body is JSON with the completion under
-    "completion". The bearer token is read from the LEXCORPUS_CHAT_TOKEN
-    environment variable when present. Transient transport errors and 5xx
-    responses are retried with backoff; persistent failure raises BackendError.
+    "max_tokens"}; the response body is a JSON object with the completion, a
+    string, under "completion". The bearer token is read from the
+    LEXCORPUS_CHAT_TOKEN environment variable when present. Transport
+    errors, 429 and 5xx responses are retried with exponential backoff, or
+    after the number of seconds in a numeric Retry-After header; persistent
+    failure and any other status raise BackendError. A 200 response with
+    any other body raises MalformedResponseError at once.
     """
 
     def __init__(
@@ -251,22 +259,46 @@ class HttpChatBackend(ChatBackend):
             headers["Authorization"] = f"Bearer {token}"
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries):
+            delay = self.backoff * (2**attempt)
             try:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
-                if resp.status_code >= 500:
-                    last_error = BackendError(f"server error {resp.status_code}")
-                elif resp.status_code != 200:
-                    raise BackendError(f"unexpected status {resp.status_code}")
-                else:
-                    body = resp.json()
-                    return str(body.get("completion", ""))
             except requests.RequestException as exc:
                 last_error = exc
+            else:
+                if resp.status_code == 200:
+                    return _completion(resp)
+                if resp.status_code != 429 and resp.status_code < 500:
+                    raise BackendError(f"unexpected status {resp.status_code}")
+                kind = "rate limited" if resp.status_code == 429 else "server error"
+                last_error = BackendError(f"{kind} {resp.status_code}")
+                delay = _retry_after(resp, delay)
             if attempt + 1 < self.max_retries:
-                time.sleep(self.backoff * (2**attempt))
+                time.sleep(delay)
         raise BackendError(f"chat endpoint unreachable after {self.max_retries} attempts: {last_error}")
+
+
+def _completion(resp) -> str:
+    try:
+        body = resp.json()
+    except ValueError as exc:
+        raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise MalformedResponseError(f"response body is {type(body).__name__}, not a JSON object")
+    completion = body.get("completion")
+    if not isinstance(completion, str):
+        raise MalformedResponseError(f'"completion" is {completion!r:.60}, not a string')
+    return completion
+
+
+def _retry_after(resp, default: float) -> float:
+    """Seconds from a numeric Retry-After header, else `default`."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return default
+    return seconds if 0.0 <= seconds < math.inf else default
 
 
 # -- extension ---------------------------------------------------------------
@@ -283,9 +315,9 @@ def extend_conversation(
     then each further pair adds (user, assistant). Total turns are therefore
     3 + 2*extra_turn_pairs - 1.
 
-    Backend failures raise ExtensionError with reason "transport" or
-    "empty_completion"; the input conversation is never mutated, so a failed
-    extension leaves no partial transcript behind.
+    Backend failures raise ExtensionError with reason "transport",
+    "malformed_response" or "empty_completion"; the input conversation is
+    never mutated, so a failed extension leaves no partial transcript behind.
     """
     if len(conv.turns) != 3:
         raise ValueError("extension expects the 3-turn scaffold")
@@ -298,6 +330,8 @@ def extend_conversation(
         messages = [{"role": t.role, "content": t.text} for t in turns]
         try:
             text = backend.complete(messages, role_hint=role)
+        except MalformedResponseError as exc:
+            raise ExtensionError("malformed_response", str(exc)) from exc
         except BackendError as exc:
             raise ExtensionError("transport", str(exc)) from exc
         if not text or not text.strip():
@@ -398,7 +432,7 @@ def conversation_to_json(conv: Conversation) -> str:
 
 def write_conversations(conversations: Iterable[Conversation], path: str | Path) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for conv in conversations:
             fh.write(conversation_to_json(conv))
             fh.write("\n")

@@ -13,6 +13,17 @@ is strictly positive and every conditional distribution sums to one.
 Paragraphs are the sentence unit: each paragraph is padded with order-1
 begin markers and one end marker before counting (no padding at order 1,
 where markers carry no information).
+
+Scoring does not recurse. The first call that scores compiles the counts
+into integer-keyed tables, the ARPA/KenLM layout: each seen context gets a
+node id keyed by its parent node (the context one token shorter on the
+left) and its leftmost token, and stores its leftover mass; each seen
+n-gram stores its discounted weight; order 1 is one list indexed by token
+id. A token's probability is then built bottom-up, p = alpha + gamma * p
+from the unigram to the longest context training saw, which is the same
+floating-point arithmetic, in the same order, as the textbook recursion,
+so log-probs are bit-identical to it. Training and loading do not pay for
+the tables; only the counts are saved.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cleaning import split_paragraphs
-from .corpus import Document, Tokenizer, count_tokens
+from .corpus import Document, Tokenizer, atomic_write, count_tokens
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -37,6 +48,15 @@ MODEL_FORMAT = "lexcorpus-knlm"
 MODEL_VERSION = 1
 
 NGram = Tuple[int, ...]
+
+# Scoring tables, built from the counts on first use by NGramLM._compile.
+# A node is a context seen in training; node 0 is the empty context, whose
+# n-grams are the unigrams. With V the vocabulary size:
+#   child[node * V + t]    node of the context t + (node's context)
+#   gamma[node]            leftover mass d * distinct / total of the context
+#   alpha[node * V + w]    discounted weight max(c - d, 0) / total of context + w
+#   uni[w]                 p(w) at order 1: alpha[w] + gamma[0] * uniform
+_Tables = Tuple[List[float], Dict[int, int], List[float], Dict[int, float]]
 
 
 class TrainingError(Exception):
@@ -67,7 +87,8 @@ class PerplexityScore:
 
 class NGramLM:
     """Trained model state; immutable after training and safe to share
-    between scoring threads."""
+    between scoring threads (threads that score first may each build the
+    tables, identically; the last one built is kept)."""
 
     def __init__(
         self,
@@ -84,79 +105,110 @@ class NGramLM:
         # counts[k-1] maps k-gram id tuples to adjusted counts
         self.counts = counts
         self.discounts = discounts
-        self._finalize()
-
-    def _finalize(self) -> None:
-        # Per-context totals and distinct-successor counts for each order,
-        # plus the unigram aggregates used at the bottom of the recursion.
-        self.context_totals: List[Dict[NGram, Tuple[int, int]]] = []
-        for k in range(1, self.order + 1):
-            totals: Dict[NGram, Tuple[int, int]] = {}
-            for gram, c in self.counts[k - 1].items():
-                ctx = gram[:-1]
-                total, distinct = totals.get(ctx, (0, 0))
-                totals[ctx] = (total + c, distinct + 1)
-            self.context_totals.append(totals)
-        self.unigram_total, self.unigram_types = self.context_totals[0].get((), (0, 0))
-        # Predictable vocabulary: everything except the begin marker.
-        self.uniform_size = len(self.vocab) - 1
+        self._tables: Optional[_Tables] = None
 
     # -- probabilities ----------------------------------------------------
 
-    def _prob_ids(self, order: int, context: NGram, word: int) -> float:
-        if order == 1:
-            d = self.discounts[0]
-            c = self.counts[0].get((word,), 0)
-            base = 1.0 / self.uniform_size
-            if self.unigram_total == 0:
-                return base
-            reserved = d * self.unigram_types / self.unigram_total
-            return max(c - d, 0.0) / self.unigram_total + reserved * base
-        entry = self.context_totals[order - 1].get(context)
-        if entry is None:
-            return self._prob_ids(order - 1, context[1:], word)
-        total, distinct = entry
-        d = self.discounts[order - 1]
-        c = self.counts[order - 1].get(context + (word,), 0)
-        lower = self._prob_ids(order - 1, context[1:], word)
-        return max(c - d, 0.0) / total + (d * distinct / total) * lower
+    def _compile(self) -> _Tables:
+        """Build the scoring tables from the counts (see _Tables)."""
+        V = len(self.vocab)
+        child: Dict[int, int] = {}
+        gamma: List[float] = []
+        alpha: Dict[int, float] = {}
+        shared: Dict[float, float] = {}  # equal weights share one float object
+        totals: List[int] = []  # per node: count total and distinct successors
+        distinct: List[int] = []
+        parents: Dict[NGram, int] = {}
+        for k in range(1, self.order + 1):
+            d = self.discounts[k - 1]
+            first = len(gamma)
+            nodes: Dict[NGram, int] = {}
+            gram_nodes: List[int] = []
+            for gram, c in self.counts[k - 1].items():
+                ctx = gram[:-1]
+                node = nodes.get(ctx)
+                if node is None:
+                    node = nodes[ctx] = len(gamma)
+                    if ctx:
+                        parent = parents.get(ctx[1:])
+                        if parent is None:
+                            # train_lm's lower orders are continuation counts of the
+                            # higher ones, so every context's suffix is a context too
+                            raise ValueError(f"order-{k} context {ctx} has no order-{k - 1} suffix context")
+                        child[parent * V + ctx[0]] = node
+                    gamma.append(0.0)
+                    totals.append(0)
+                    distinct.append(0)
+                totals[node] += c
+                distinct[node] += 1
+                gram_nodes.append(node)
+            for (gram, c), node in zip(self.counts[k - 1].items(), gram_nodes):
+                weight = max(c - d, 0.0) / totals[node]
+                alpha[node * V + gram[-1]] = shared.setdefault(weight, weight)
+            for node in range(first, len(gamma)):
+                gamma[node] = d * distinct[node] / totals[node]
+            parents = nodes
+        # Order 1 is the empty context, node 0, over the uniform distribution
+        # on every token but the begin marker; with no counts, just uniform.
+        base = 1.0 / (V - 1)
+        reserved = gamma[0] if gamma else 1.0
+        uni = [alpha.get(w, 0.0) + reserved * base for w in range(V)]
+        self._tables = (uni, child, gamma, alpha)
+        return self._tables
+
+    def _probs(self, context: List[int], words: Sequence[int]) -> List[float]:
+        """p(w | the order-1 ids before it) for each id in `words`, where
+        `context` holds the order-1 ids before words[0].
+
+        Walks each context from the unigram up, one token further left per
+        order, and stops at the first context training never saw: no longer
+        context can have been seen either, because every count below the top
+        order is a continuation count of a longer n-gram."""
+        uni, child, gamma, alpha = self._tables or self._compile()
+        V = len(uni)
+        n = len(context)
+        rev = (context + list(words))[::-1]
+        end = len(rev)
+        out: List[float] = []
+        for w in words:
+            p = uni[w]
+            node = 0
+            for t in rev[end - n : end]:
+                node = child.get(node * V + t)
+                if node is None:
+                    break
+                p = alpha.get(node * V + w, 0.0) + gamma[node] * p
+            out.append(p)
+            end -= 1
+        return out
 
     def token_id(self, token: str) -> int:
         return self.vocab.get(token, UNK_ID)
 
     def probability(self, context: Sequence[str], token: str) -> float:
         """p(token | context), context truncated to order-1 most recent tokens."""
-        ctx_ids = tuple(self.token_id(t) for t in context)[-(self.order - 1) :] if self.order > 1 else ()
-        if self.order > 1 and len(ctx_ids) < self.order - 1:
-            ctx_ids = (BOS_ID,) * (self.order - 1 - len(ctx_ids)) + ctx_ids
-        return self._prob_ids(self.order, ctx_ids, self.token_id(token))
+        n = self.order - 1
+        ctx_ids = [BOS_ID] * n + [self.token_id(t) for t in context]
+        return self._probs(ctx_ids[len(ctx_ids) - n :], [self.token_id(token)])[0]
 
     def predictable_tokens(self) -> List[str]:
         """All tokens a conditional distribution ranges over (begin marker excluded)."""
         return [t for t in self.id_to_token if t != BOS]
 
     def observed_contexts(self, order: Optional[int] = None) -> List[Tuple[str, ...]]:
+        """Every context seen at `order` (default: the model's), in the order
+        the counts first show it."""
         k = order or self.order
-        return [
-            tuple(self.id_to_token[i] for i in ctx) for ctx in self.context_totals[k - 1]
-        ]
+        contexts = dict.fromkeys(gram[:-1] for gram in self.counts[k - 1])
+        return [tuple(self.id_to_token[i] for i in ctx) for ctx in contexts]
 
     # -- scoring -----------------------------------------------------------
 
     def paragraph_log_probs(self, tokens: Sequence[str]) -> List[float]:
         """Per-token log probabilities for one paragraph. End markers are
         used in training counts but not scored, so len(result) == len(tokens)."""
-        ids = [self.token_id(t) for t in tokens]
-        out: List[float] = []
-        if self.order == 1:
-            for w in ids:
-                out.append(_safe_log(self._prob_ids(1, (), w)))
-            return out
-        context: NGram = (BOS_ID,) * (self.order - 1)
-        for w in ids:
-            out.append(_safe_log(self._prob_ids(self.order, context, w)))
-            context = context[1:] + (w,)
-        return out
+        probs = self._probs([BOS_ID] * (self.order - 1), [self.token_id(t) for t in tokens])
+        return [math.log(p) if p > 0.0 else -math.inf for p in probs]
 
     def token_log_probs(self, text: str, tok: Tokenizer) -> List[float]:
         log_probs: List[float] = []
@@ -165,10 +217,6 @@ class NGramLM:
             if tokens:
                 log_probs.extend(self.paragraph_log_probs(tokens))
         return log_probs
-
-
-def _safe_log(p: float) -> float:
-    return math.log(p) if p > 0.0 else float("-inf")
 
 
 def _estimate_discount(count_values: Iterable[int]) -> float:
@@ -377,7 +425,8 @@ def calibrate_threshold(
 def save_lm(lm: NGramLM, path: str | Path) -> None:
     """Write the documented model format: JSON with order, per-order
     discounts, vocab in id order, and adjusted counts keyed by space-joined
-    token ids. Stable byte-for-byte for identical models."""
+    token ids. Stable byte-for-byte for identical models; a failed write
+    leaves an existing file as it was (corpus.atomic_write)."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -389,7 +438,7 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
             for table in lm.counts
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
         fh.write("\n")
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from lexcorpus import instruct
 from lexcorpus.corpus import Document, WhitespaceTokenizer, resolve_source
 
 
@@ -25,3 +28,39 @@ def make_doc():
         )
 
     return _make
+
+
+class _FakeResponse:
+    def __init__(self, status_code: int, text: str = "", headers: dict | None = None):
+        self.status_code = status_code
+        self.text = text
+        self.headers = headers or {}
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class _FakeSession:
+    def __init__(self, replies):
+        self.responses = [_FakeResponse(*reply) for reply in replies]
+        self.calls = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        return self.responses[min(self.calls, len(self.responses)) - 1]
+
+
+@pytest.fixture()
+def fake_session():
+    """Factory for a stand-in requests.Session that answers each post with
+    the next (status, body text[, headers]) reply, repeating the last one
+    once they run out; `.calls` counts the posts."""
+    return lambda *replies: _FakeSession(replies)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Records the chat backend's retry sleeps instead of sleeping."""
+    slept: list = []
+    monkeypatch.setattr(instruct.time, "sleep", slept.append)
+    return slept

@@ -291,3 +291,23 @@ def test_config_without_mix_section_exits_1_before_any_stage(pipeline_inputs, tm
     assert result.returncode == 1
     assert "mix section" in result.stderr
     assert not (tmp_path / "out" / "01_normalized.jsonl").exists()
+
+
+class _TextReport:
+    def __init__(self, text):
+        self.text = text
+
+    def to_json(self):
+        return self.text
+
+
+def test_failed_report_write_leaves_old_report(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_report(path, _TextReport('{"kept": 1}'))
+    before = path.read_bytes()
+    assert before == b'{"kept": 1}\n'
+    # the lone surrogate cannot be encoded, so the write fails after it began
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_report(path, _TextReport('{"kept": 2, "note": "\ud800"}'))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

@@ -23,6 +23,7 @@ from lexcorpus.evaluation import (
     run_benchmark,
     save_task,
 )
+from lexcorpus.instruct import HttpChatBackend
 from lexcorpus.synthdata import (
     build_task_suite,
     generate_seed_corpus,
@@ -273,3 +274,14 @@ def test_perplexity_report_reduction_against_baseline(tok):
         (stats["baseline_median"] - stats["median"]) / stats["baseline_median"]
     )
     assert stats["median"] < stats["baseline_median"]
+
+
+@pytest.mark.parametrize("body", ['["not", "an", "object"]', '{"completion": null}', "{}"])
+def test_run_benchmark_records_malformed_responses(fake_session, sleeps, body):
+    suite = build_task_suite(seed=11)[:2]
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=fake_session((200, body)))
+    report, records = run_benchmark(suite, backend, concurrency=2)
+    assert records and all(r.parsed == ABSTAIN for r in records)
+    assert all(r.failure.startswith("malformed_response: ") for r in records)
+    assert all(r.raw_output == "" for r in records)
+    assert report.abstain_rate == 1.0

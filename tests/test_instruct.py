@@ -282,3 +282,52 @@ def test_empty_completion_failure_reason():
     convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
     assert convs == []
     assert failures[0].reason == "empty_completion"
+
+
+MALFORMED_BODIES = [
+    '["a list", "not an object"]',
+    "null",
+    "not json at all",
+    '{"completion": null}',
+    '{"text": "completion under the wrong key"}',
+    '{"completion": 42}',
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_malformed_response_is_a_recorded_failure(fake_session, sleeps, body):
+    session = fake_session((200, body))
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    assert convs == []
+    assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
+    assert session.calls == 1 and sleeps == []
+
+
+@pytest.mark.parametrize(
+    "retry_after, expected_sleep",
+    [("2", 2.0), ("0.25", 0.25), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5), (None, 0.5)],
+)
+def test_http_backend_retries_429_honouring_retry_after(fake_session, sleeps, retry_after, expected_sleep):
+    headers = {"Retry-After": retry_after} if retry_after is not None else {}
+    session = fake_session((429, "", headers), (200, '{"completion": "after the wait"}'))
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", backoff=0.5, session=session)
+    assert backend.complete([{"role": "user", "content": "x"}], role_hint="assistant") == "after the wait"
+    assert session.calls == 2
+    assert sleeps == [expected_sleep]
+
+
+def test_http_backend_persistent_429_is_a_transport_failure(fake_session, sleeps):
+    session = fake_session((429, "", {"Retry-After": "1"}))
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", max_retries=3, session=session)
+    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    assert convs == [] and failures[0].reason == "transport"
+    assert session.calls == 3 and sleeps == [1.0, 1.0]
+
+
+def test_http_backend_other_4xx_fails_at_once(fake_session, sleeps):
+    session = fake_session((404, "not found"))
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+    with pytest.raises(BackendError, match="unexpected status 404"):
+        backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
+    assert session.calls == 1 and sleeps == []

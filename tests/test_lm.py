@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexcorpus
 from lexcorpus.lm import (
+    BOS_ID,
+    UNK,
     NGramLM,
     ScoreError,
     TrainingError,
@@ -125,6 +132,21 @@ def test_serialization_roundtrip(tmp_path, tok):
         )
 
 
+def test_failed_save_leaves_old_model(tmp_path, tok):
+    model = train_lm(generate_seed_corpus(seed=9, docs=5), tok, order=2)
+    path = tmp_path / "lm.json"
+    save_lm(model, path)
+    before = path.read_bytes()
+    # the vocab comes last in the file and a lone surrogate cannot be
+    # encoded, so the write fails after the counts are out
+    vocab = {**model.vocab, "\ud800": len(model.vocab)}
+    broken = NGramLM(order=2, vocab=vocab, counts=model.counts, discounts=model.discounts)
+    with pytest.raises(UnicodeEncodeError):
+        save_lm(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_filter_partition_is_exact(tok):
     docs = generate_seed_corpus(seed=13, docs=25)
     model = train_lm(docs[:10], tok, order=2)
@@ -168,3 +190,122 @@ def test_document_granularity(make_doc, tok):
     assert (kept_d, [d.id for d in dropped_d]) == ([], [mixed.id]) or (
         len(kept_d) == 1 and kept_d[0].text == mixed.text
     )
+
+
+# --- compiled tables against the recursion ----------------------------------
+
+
+def _context_totals(model):
+    """Per order, context ids -> (total count, distinct successors)."""
+    out = []
+    for table in model.counts:
+        totals = {}
+        for gram, c in table.items():
+            total, distinct = totals.get(gram[:-1], (0, 0))
+            totals[gram[:-1]] = (total + c, distinct + 1)
+        out.append(totals)
+    return out
+
+
+def _reference_prob(model, totals, order, context, word):
+    """Interpolated Kneser-Ney as the textbook recursion, top order down: an
+    unseen context backs off to its suffix, a seen one mixes its discounted
+    count with its leftover mass times the lower order."""
+    if order == 1:
+        d = model.discounts[0]
+        c = model.counts[0].get((word,), 0)
+        base = 1.0 / (len(model.vocab) - 1)
+        total, types = totals[0].get((), (0, 0))
+        if total == 0:
+            return base
+        reserved = d * types / total
+        return max(c - d, 0.0) / total + reserved * base
+    entry = totals[order - 1].get(context)
+    if entry is None:
+        return _reference_prob(model, totals, order - 1, context[1:], word)
+    total, distinct = entry
+    d = model.discounts[order - 1]
+    c = model.counts[order - 1].get(context + (word,), 0)
+    lower = _reference_prob(model, totals, order - 1, context[1:], word)
+    return max(c - d, 0.0) / total + (d * distinct / total) * lower
+
+
+def _reference_log_probs(model, totals, tokens):
+    context = (BOS_ID,) * (model.order - 1)
+    out = []
+    for token in tokens:
+        w = model.token_id(token)
+        p = _reference_prob(model, totals, model.order, context, w)
+        out.append(math.log(p) if p > 0.0 else float("-inf"))
+        context = (context + (w,))[1:]
+    return out
+
+
+@pytest.mark.parametrize("discount", [None, 0.0, 0.5])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_compiled_scoring_equals_recursion_exactly(tok, order, discount):
+    docs = generate_seed_corpus(seed=3, docs=30)
+    model = train_lm(docs, tok, order=order, discount=discount)
+    totals = _context_totals(model)
+
+    paragraphs = [tok.tokenize(p) for d in docs[:6] for p in d.text.split("\n\n")]
+    shuffled = [t for p in paragraphs for t in p]
+    random.Random(order).shuffle(shuffled)
+    paragraphs += [
+        shuffled[:60],
+        ["never-seen", "the", "court", "zzqx", "held", "that", "never-seen"],
+        ["zzqx"],
+        ["the"],
+    ]
+    for tokens in paragraphs:
+        assert model.paragraph_log_probs(tokens) == _reference_log_probs(model, totals, tokens)
+
+    rng = random.Random(order)
+    vocab = model.predictable_tokens()
+    for k in range(1, order + 1):
+        for ctx in model.observed_contexts(k):
+            # contexts below the top order are shorter than order - 1, so
+            # probability() pads them with begin markers on the left
+            ids = (BOS_ID,) * (order - 1 - len(ctx)) + tuple(model.token_id(t) for t in ctx)
+            for word in (UNK, "never-seen", rng.choice(vocab), rng.choice(vocab)):
+                expected = _reference_prob(model, totals, order, ids, model.token_id(word))
+                assert model.probability(ctx, word) == expected, (k, ctx, word)
+
+    # longer contexts are cut to the order - 1 most recent tokens, unknown ones map to <unk>
+    long_ctx = ("zzqx", "the", "court", "held", "that", "never-seen")
+    ids = tuple(model.token_id(t) for t in long_ctx)[len(long_ctx) - (order - 1) :]
+    for word in ("the", "court", UNK):
+        expected = _reference_prob(model, totals, order, ids, model.token_id(word))
+        assert model.probability(long_ctx, word) == expected
+
+
+def test_counts_without_suffix_contexts_are_rejected():
+    # context (3, 4) at order 3 needs the context (4,) at order 2; only (3,) is there
+    vocab = {t: i for i, t in enumerate(["<unk>", "<s>", "</s>", "a", "b", "c"])}
+    counts = [{(3,): 1, (4,): 1, (5,): 1}, {(3, 5): 1}, {(3, 4, 5): 1}]
+    model = NGramLM(order=3, vocab=vocab, counts=counts, discounts=[0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="suffix"):
+        model.paragraph_log_probs(["a", "b", "c"])
+
+
+def test_observed_contexts_follow_count_order(tok):
+    model = train_lm(generate_seed_corpus(seed=3, docs=10), tok, order=3)
+    for k in (1, 2, 3):
+        seen = []
+        for gram in model.counts[k - 1]:
+            ctx = tuple(model.id_to_token[i] for i in gram[:-1])
+            if ctx not in seen:
+                seen.append(ctx)
+        assert model.observed_contexts(k) == seen
+
+
+def test_lm_module_does_not_import_numpy():
+    # Measured when the scoring tables were designed: importing numpy into the
+    # ppl-order5 benchmark's process raised its VmHWM from 15.0 to 28.2 MiB
+    # (+13 MiB, a quarter of that workload's 49.5 MiB peak) and its raw set-up
+    # from 0.55 to 0.69 s (+0.14 s). The tables are plain dicts and lists.
+    src = str(Path(lexcorpus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lexcorpus.lm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
