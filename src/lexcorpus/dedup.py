@@ -1,10 +1,15 @@
 """Exact and near-duplicate removal for document corpora.
 
 Exact dedup collapses byte-identical normalized text via content hashing.
-Near dedup sketches each document with MinHash over token shingles, finds
-candidate pairs through LSH band collisions, verifies candidates with the
-signature-level Jaccard estimate, and resolves connected components so the
-first document in stream order survives per cluster.
+Near dedup sketches each document with MinHash over token shingles (Broder
+1997): each distinct token is hashed once per run with blake2b, a document's
+shingle hashes are a numpy rolling combine over its token hashes, and the
+signatures of all documents form one (docs x permutations) matrix. Banded
+LSH (Leskovec et al., *Mining of Massive Datasets*, ch. 3) groups documents
+by band key with a sort; the new pairs of each band are verified in batches
+against the threshold on the signature-level Jaccard estimate. Connected
+components of the verified pairs are resolved so the first document in
+stream order survives per cluster.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +28,15 @@ DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
 DEFAULT_THRESHOLD = 0.7
 
-_SHINGLE_SEP = b"\x1f"
-_HASH_CHUNK = 4096
+# Rows per (rows x permutations) temporary in signing and verification.
+_CHUNK = 4096
+# Odd multiplier of the rolling shingle combine, then the murmur3 64-bit
+# finalizer constants, so every bit of a shingle hash depends on every bit
+# of its token hashes.
+_ROLL = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
+_SHIFT = np.uint64(33)
 
 
 @dataclass
@@ -44,20 +56,38 @@ class MinHashSignature:
         )
 
 
-def _shingle_hashes(tokens: Sequence[str], shingle_n: int) -> np.ndarray:
-    """64-bit hash per distinct shingle. Texts shorter than one shingle get
-    a single degenerate shingle spanning the whole token sequence."""
-    if len(tokens) < shingle_n:
-        windows = [tuple(tokens)]
-    else:
-        windows = [tuple(tokens[i : i + shingle_n]) for i in range(len(tokens) - shingle_n + 1)]
-    hashes = set()
-    for window in windows:
-        digest = hashlib.blake2b(
-            _SHINGLE_SEP.join(t.encode("utf-8") for t in window), digest_size=8
-        ).digest()
-        hashes.add(int.from_bytes(digest, "big"))
-    return np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
+class _TokenHashes(dict):
+    """Token -> 64-bit blake2b hash, computed on the token's first lookup."""
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        value = self[token] = int.from_bytes(digest, "big")
+        return value
+
+
+def _shingle_hashes(token_hashes: np.ndarray, shingle_n: int) -> np.ndarray:
+    """Sorted distinct 64-bit hashes of the shingles over `token_hashes`.
+
+    Each window folds its token hashes as `acc = acc * _ROLL + h` in
+    wrapping uint64 arithmetic, starting from the window width, then goes
+    through the finalizer mix. Texts shorter than one shingle get a single
+    degenerate shingle spanning the whole token sequence; its fold starts
+    from its own, shorter width."""
+    width = min(shingle_n, len(token_hashes))
+    count = len(token_hashes) - width + 1
+    acc = np.full(count, width, dtype=np.uint64)
+    for k in range(width):
+        acc *= _ROLL
+        acc += token_hashes[k : k + count]
+    acc ^= acc >> _SHIFT
+    acc *= _MIX_1
+    acc ^= acc >> _SHIFT
+    acc *= _MIX_2
+    acc ^= acc >> _SHIFT
+    acc.sort()
+    distinct = np.ones(count, dtype=bool)
+    np.not_equal(acc[1:], acc[:-1], out=distinct[1:])
+    return acc[distinct]
 
 
 def _permutation_params(permutations: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -75,23 +105,30 @@ def minhash_signature(
     seed: int = 0,
     doc_id: str = "",
     _params: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    _token_hashes: Optional[_TokenHashes] = None,
 ) -> MinHashSignature:
     """MinHash sketch of the text's shingle set.
 
-    Each of the `permutations` hash functions is a random odd-multiplier
-    affine map over the 64-bit shingle hashes (wraparound arithmetic); the
-    signature stores the per-function minimum. Deterministic in
-    (text, shingle_n, permutations, seed).
+    Tokens are hashed with blake2b, through `_token_hashes` when a caller
+    shares one cache across documents (near_dedup does, per run). Shingle
+    hashes are a rolling multiply-add over the token hashes with a 64-bit
+    finalizer mix. Each of the `permutations` hash functions is a random
+    odd-multiplier affine map over the shingle hashes (wraparound
+    arithmetic); the signature stores the per-function minimum.
+    Deterministic in (text, shingle_n, permutations, seed).
     """
     if shingle_n < 1:
         raise ValueError("shingle_n must be >= 1")
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     a, b = _params if _params is not None else _permutation_params(permutations, seed)
-    hashes = _shingle_hashes(tok.tokenize(text), shingle_n)
+    cache = _token_hashes if _token_hashes is not None else _TokenHashes()
+    tokens = tok.tokenize(text)
+    token_hashes = np.fromiter(map(cache.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
+    hashes = _shingle_hashes(token_hashes, shingle_n)
     mins = np.full(permutations, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for start in range(0, len(hashes), _HASH_CHUNK):
-        chunk = hashes[start : start + _HASH_CHUNK]
+    for start in range(0, len(hashes), _CHUNK):
+        chunk = hashes[start : start + _CHUNK]
         # uint64 arithmetic wraps modulo 2**64, as intended
         projected = chunk[:, None] * a[None, :] + b[None, :]
         np.minimum(mins, projected.min(axis=0), out=mins)
@@ -180,6 +217,8 @@ class DedupReport:
     near_removed: int = 0
     tokens_before: int = 0
     tokens_after: int = 0
+    candidate_pairs: int = 0  # distinct LSH candidate pairs verified
+    verified_pairs: int = 0  # candidate pairs at or above the threshold
 
     def to_json(self) -> str:
         payload = {
@@ -188,6 +227,8 @@ class DedupReport:
             "near_removed": self.near_removed,
             "tokens_before": self.tokens_before,
             "tokens_after": self.tokens_after,
+            "candidate_pairs": self.candidate_pairs,
+            "verified_pairs": self.verified_pairs,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -225,6 +266,25 @@ def exact_dedup(
     return unique, report
 
 
+def _band_pairs(keys: np.ndarray) -> np.ndarray:
+    """Sorted keys `a * docs + b`, a < b, of the document pairs whose rows
+    of `keys` (one band of the signature matrix) are equal."""
+    docs = len(keys)
+    # lexsort is stable, so each bucket lists its documents in stream order
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    starts_bucket = np.ones(docs, dtype=bool)
+    starts_bucket[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(starts_bucket)
+    sizes = np.diff(np.append(starts, docs))
+    position = np.arange(docs)
+    later = np.repeat(starts + sizes, sizes) - position - 1  # bucket members after each position
+    left = np.repeat(position, later)
+    first_of_left = np.repeat(np.cumsum(later) - later, later)
+    right = left + 1 + np.arange(len(left)) - first_of_left
+    return np.sort(order[left] * docs + order[right])
+
+
 def near_dedup(
     docs: Iterable[Document],
     shingle_n: int = DEFAULT_SHINGLE_N,
@@ -235,9 +295,12 @@ def near_dedup(
 ) -> Tuple[List[Document], DedupReport]:
     """Remove near-duplicates via MinHash/LSH.
 
-    Candidate pairs come from LSH band collisions, are verified with
-    estimate_jaccard >= threshold, and verified pairs are merged into
-    connected components; the first document per component survives.
+    Candidate pairs come from LSH band collisions: per band, documents are
+    grouped by band key with a sort, and each pair not seen in an earlier
+    band is verified once, in batches, by the fraction of equal signature
+    positions >= threshold (estimate_jaccard's value). Verified pairs are
+    merged into connected components; the first document per component
+    survives.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -248,13 +311,13 @@ def near_dedup(
         return [], report
 
     params = _permutation_params(permutations, seed)
+    token_hashes = _TokenHashes()
     bands, rows = optimal_band_split(permutations, threshold)
 
-    signatures: List[MinHashSignature] = []
-    buckets: List[Dict[bytes, List[int]]] = [dict() for _ in range(bands)]
+    sigs = np.empty((len(doc_list), permutations), dtype=np.uint64)
     for idx, doc in enumerate(doc_list):
         report.tokens_before += count_tokens(doc, tok)
-        sig = minhash_signature(
+        sigs[idx] = minhash_signature(
             doc.text,
             tok,
             shingle_n=shingle_n,
@@ -262,26 +325,27 @@ def near_dedup(
             seed=seed,
             doc_id=doc.id,
             _params=params,
-        )
-        signatures.append(sig)
-        for band in range(bands):
-            key = sig.values[band * rows : (band + 1) * rows].tobytes()
-            buckets[band].setdefault(key, []).append(idx)
+            _token_hashes=token_hashes,
+        ).values
 
     uf = _UnionFind(len(doc_list))
-    checked: set = set()
-    for band_map in buckets:
-        for members in band_map.values():
-            if len(members) < 2:
-                continue
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pair = (members[i], members[j])
-                    if pair in checked:
-                        continue
-                    checked.add(pair)
-                    if estimate_jaccard(signatures[pair[0]], signatures[pair[1]]) >= threshold:
-                        uf.union(pair[0], pair[1])
+    # Sorted keys of the pairs verified so far, ending in a sentinel above
+    # every key so that each searchsorted position can be dereferenced.
+    seen = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+    for band in range(bands):
+        pairs = _band_pairs(sigs[:, band * rows : (band + 1) * rows])
+        pos = np.searchsorted(seen, pairs)
+        fresh = seen[pos] != pairs
+        pairs = pairs[fresh]
+        seen = np.insert(seen, pos[fresh], pairs)
+        for start in range(0, len(pairs), _CHUNK):
+            left, right = np.divmod(pairs[start : start + _CHUNK], len(doc_list))
+            matches = np.count_nonzero(sigs[left] == sigs[right], axis=1)
+            verified = matches / permutations >= threshold
+            report.verified_pairs += int(np.count_nonzero(verified))
+            for x, y in zip(left[verified].tolist(), right[verified].tolist()):
+                uf.union(x, y)
+    report.candidate_pairs = len(seen) - 1
 
     members_by_root: Dict[int, List[int]] = {}
     for idx in range(len(doc_list)):
@@ -327,4 +391,6 @@ def dedup_corpus(
         near_removed=near.near_removed,
         tokens_before=exact.tokens_before,
         tokens_after=near.tokens_after,
+        candidate_pairs=near.candidate_pairs,
+        verified_pairs=near.verified_pairs,
     )

@@ -258,6 +258,7 @@ class HttpChatBackend(ChatBackend):
         if token:
             headers["Authorization"] = f"Bearer {token}"
         last_error: Optional[Exception] = None
+        answered = False
         for attempt in range(self.max_retries):
             delay = self.backoff * (2**attempt)
             try:
@@ -273,10 +274,12 @@ class HttpChatBackend(ChatBackend):
                     raise BackendError(f"unexpected status {resp.status_code}")
                 kind = "rate limited" if resp.status_code == 429 else "server error"
                 last_error = BackendError(f"{kind} {resp.status_code}")
+                answered = True
                 delay = _retry_after(resp, delay)
             if attempt + 1 < self.max_retries:
                 time.sleep(delay)
-        raise BackendError(f"chat endpoint unreachable after {self.max_retries} attempts: {last_error}")
+        cause = "refused" if answered else "unreachable after"
+        raise BackendError(f"chat endpoint {cause} {self.max_retries} attempts: {last_error}")
 
 
 def _completion(resp) -> str:

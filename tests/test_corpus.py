@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import os
 import stat
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexcorpus.corpus import (
     CorpusError,
@@ -62,6 +64,67 @@ def test_lenient_skips_malformed_strict_raises(tmp_path):
     assert [d.id for d in kept] == ["ok", "ok2"]
     with pytest.raises(CorpusError):
         list(read_documents(path, strict=True))
+
+
+MALFORMED_LINES = [
+    b"{not json",
+    b"[1, 2]",
+    b'"a bare string"',
+    b"\xff\xfe not utf-8",
+    b'{"id": "m", "source": "freelaw"}',
+    b'{"id": 7, "source": "freelaw", "text": "t"}',
+    b'{"id": "", "source": "freelaw", "text": "t"}',
+    b'{"id": "m", "source": "nowhere", "text": "t"}',
+    b'{"id": "m", "source": "freelaw", "text": "\\ud800"}',
+    b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": 1}}',
+    b'{"id": "m", "source": "freelaw", "text": "t", "token_count": -1}',
+]
+
+# Each entry is a valid record's text or, as bytes, a malformed line.
+_MIXED_LINES = st.lists(st.one_of(st.text(max_size=20), st.sampled_from(MALFORMED_LINES)), max_size=25)
+
+
+def _write_mixed(path: Path, entries) -> list:
+    """Write one line per entry; returns the (id, text) of the valid records."""
+    valid, lines = [], []
+    for lineno, entry in enumerate(entries, start=1):
+        if isinstance(entry, bytes):
+            lines.append(entry)
+        else:
+            valid.append((f"doc-{lineno}", entry))
+            lines.append(json.dumps({"id": f"doc-{lineno}", "source": "freelaw", "text": entry}).encode())
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MIXED_LINES)
+def test_lenient_reader_skips_exactly_the_malformed_lines(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mixed.jsonl"
+        valid = _write_mixed(path, entries)
+        reader = read_documents(path, strict=False)
+        assert [(d.id, d.text) for d in reader] == valid
+        assert reader.skipped == sum(isinstance(e, bytes) for e in entries)
+        assert reader.count == len(valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MIXED_LINES)
+def test_strict_reader_raises_at_the_first_malformed_line(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mixed.jsonl"
+        valid = _write_mixed(path, entries)
+        first_bad = next((i for i, e in enumerate(entries) if isinstance(e, bytes)), None)
+        yielded = []
+        if first_bad is None:
+            yielded.extend(read_documents(path, strict=True))
+            assert [(d.id, d.text) for d in yielded] == valid
+            return
+        with pytest.raises(CorpusError):
+            for doc in read_documents(path, strict=True):
+                yielded.append(doc)
+        assert [(d.id, d.text) for d in yielded] == valid[: sum(not isinstance(e, bytes) for e in entries[:first_bad])]
 
 
 def test_missing_required_field_rejected(tmp_path):

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import os
+import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexcorpus
+from lexcorpus.corpus import count_tokens
 from lexcorpus.dedup import (
     dedup_corpus,
     estimate_jaccard,
@@ -186,9 +193,134 @@ def test_dedup_corpus_combines_exact_then_near(make_doc):
     assert report.clusters == [("orig", ["copy"]), ("orig", ["spaced"])]
     assert (report.exact_removed, report.near_removed) == (1, 1)
     assert (report.tokens_before, report.tokens_after) == (120, 60)
+    assert (report.candidate_pairs, report.verified_pairs) == (1, 1)
+    assert '"candidate_pairs": 1' in report.to_json() and '"verified_pairs": 1' in report.to_json()
 
     kept, report = dedup_corpus(docs, threshold=1.0, exact_only=True)
     assert [d.id for d in kept] == ["orig", "spaced", "other"]
     assert report.clusters == [("orig", ["copy"])]
     assert (report.exact_removed, report.near_removed) == (1, 0)
     assert (report.tokens_before, report.tokens_after) == (120, 90)
+    assert (report.candidate_pairs, report.verified_pairs) == (0, 0)
+
+
+def _reference_near_dedup(docs, tok, permutations, threshold, shingle_n=5, seed=0):
+    """The pairwise band loop near_dedup replaced, over the same signatures:
+    dict buckets per band, each bucket pair checked once (the `checked` set)
+    with estimate_jaccard, clusters from a depth-first search over the
+    verified pairs. Returns (clusters, kept ids, tokens_after, pairs checked,
+    pairs verified, bucket sizes seen)."""
+    sigs = [
+        minhash_signature(d.text, tok, shingle_n=shingle_n, permutations=permutations, seed=seed)
+        for d in docs
+    ]
+    bands, rows = optimal_band_split(permutations, threshold)
+    buckets = [{} for _ in range(bands)]
+    for idx, sig in enumerate(sigs):
+        for band in range(bands):
+            buckets[band].setdefault(sig.values[band * rows : (band + 1) * rows].tobytes(), []).append(idx)
+    checked = set()
+    edges = {idx: [] for idx in range(len(docs))}
+    for band_map in buckets:
+        for members in band_map.values():
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    pair = (members[i], members[j])
+                    if pair in checked:
+                        continue
+                    checked.add(pair)
+                    if estimate_jaccard(sigs[pair[0]], sigs[pair[1]]) >= threshold:
+                        edges[pair[0]].append(pair[1])
+                        edges[pair[1]].append(pair[0])
+    component = {}
+    clusters = []
+    for start in range(len(docs)):
+        if start in component:
+            continue
+        component[start] = start
+        stack, members = [start], []
+        while stack:
+            x = stack.pop()
+            members.append(x)
+            for y in edges[x]:
+                if y not in component:
+                    component[y] = start
+                    stack.append(y)
+        if len(members) > 1:
+            clusters.append((docs[start].id, [docs[i].id for i in sorted(members)[1:]]))
+    kept = [d for idx, d in enumerate(docs) if component[idx] == idx]
+    verified = sum(len(e) for e in edges.values()) // 2
+    sizes = {len(m) for band_map in buckets for m in band_map.values()}
+    return clusters, [d.id for d in kept], sum(count_tokens(d, tok) for d in kept), len(checked), verified, sizes
+
+
+def _bucket_corpus(make_doc):
+    """Stream-shuffled corpus: 105 identical copies and 30 edited copies of
+    one template, 6 pairs (3 identical, 3 one token apart), 20 unrelated
+    documents, and texts shorter than one shingle, among them two equal ones
+    and an empty one."""
+    rng = random.Random(5)
+    vocab = [f"w{i}" for i in range(300)]
+
+    def text(n):
+        return [rng.choice(vocab) for _ in range(n)]
+
+    def edited(tokens, edits):
+        tokens = list(tokens)
+        for _ in range(edits):
+            tokens[rng.randrange(len(tokens))] = rng.choice(vocab)
+        return " ".join(tokens)
+
+    template = text(60)
+    texts = [" ".join(template)] * 105 + [edited(template, 1 + i % 4) for i in range(30)]
+    for i in range(6):
+        base = text(40)
+        texts += [" ".join(base), edited(base, i // 3)]
+    texts += [" ".join(text(40)) for _ in range(20)]
+    texts += ["w1 w2", "w1 w2", "w7", ""]
+    rng.shuffle(texts)
+    return [make_doc(t, doc_id=f"d{i:03d}") for i, t in enumerate(texts)]
+
+
+@pytest.mark.parametrize("permutations", [128, 8])
+@pytest.mark.parametrize("threshold", [0.5, 0.7, 1.0])
+def test_near_dedup_equals_pairwise_reference(make_doc, tok, permutations, threshold):
+    docs = _bucket_corpus(make_doc)
+    clusters, kept_ids, tokens_after, checked, verified, sizes = _reference_near_dedup(
+        docs, tok, permutations, threshold
+    )
+    assert {1, 2} <= sizes and max(sizes) > 100
+    kept, report = near_dedup(docs, permutations=permutations, threshold=threshold, tok=tok)
+    assert report.clusters == clusters
+    assert [d.id for d in kept] == kept_ids
+    assert report.near_removed == len(docs) - len(kept_ids)
+    assert (report.tokens_before, report.tokens_after) == (sum(count_tokens(d, tok) for d in docs), tokens_after)
+    assert (report.candidate_pairs, report.verified_pairs) == (checked, verified)
+
+
+_HASHSEED_PROBE = """
+import hashlib
+from lexcorpus.corpus import WhitespaceTokenizer
+from lexcorpus.dedup import minhash_signature, near_dedup
+from lexcorpus.synthdata import generate_dedup_fixture
+
+docs = generate_dedup_fixture(seed=0, n_base=70, n_exact=20, n_near=10).docs
+_, report = near_dedup(docs, threshold=0.7, seed=0)
+print(report.to_json())
+values = b"".join(minhash_signature(d.text, WhitespaceTokenizer()).values.tobytes() for d in docs)
+print(hashlib.sha256(values).hexdigest())
+"""
+
+
+def test_near_dedup_independent_of_python_hash_seed():
+    src = str(Path(lexcorpus.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_PROBE], env=env, capture_output=True, check=True, timeout=120
+        )
+        outputs.append(proc.stdout)
+    assert b'"near_removed": 0' not in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -325,6 +325,21 @@ def test_http_backend_persistent_429_is_a_transport_failure(fake_session, sleeps
     assert session.calls == 3 and sleeps == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("status, cause", [(429, "rate limited 429"), (503, "server error 503")])
+def test_http_backend_refusals_are_not_reported_unreachable(fake_session, sleeps, status, cause):
+    session = fake_session((status, ""))
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", max_retries=3, backoff=0.0, session=session)
+    with pytest.raises(BackendError) as excinfo:
+        backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
+    assert str(excinfo.value) == f"chat endpoint refused 3 attempts: {cause}"
+
+
+def test_http_backend_without_any_response_is_unreachable():
+    backend = HttpChatBackend("http://127.0.0.1:1/unreachable", model="m", max_retries=1, backoff=0.0)
+    with pytest.raises(BackendError, match="^chat endpoint unreachable after 1 attempts: "):
+        backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
+
+
 def test_http_backend_other_4xx_fails_at_once(fake_session, sleeps):
     session = fake_session((404, "not found"))
     backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
