@@ -33,6 +33,92 @@ def normalize_text(text: str) -> str:
     return unicodedata.normalize("NFKC", text)
 
 
+# Doubled punctuation, `cc` or `c c`: every run the shipped punctuation rules
+# delete starts this way. A five-character literal would be unsound, because
+# `( ?\1){4,}` also matches mixed runs such as `-- - --`.
+_PUNCT_PAIRS = tuple((c, c + c, c + " " + c) for c in "-.*=_")
+
+
+def _has_punct_pair(text: str) -> bool:
+    # The single-character test first: it is one fast scan, and most texts
+    # lack most of these characters.
+    for c, doubled, spaced in _PUNCT_PAIRS:
+        if c in text and (doubled in text or spaced in text):
+            return True
+    return False
+
+
+def _has_lt(text: str) -> bool:
+    return "<" in text
+
+
+def _has_space_run(text: str) -> bool:
+    return "  " in text or "\t" in text
+
+
+def _has_space_by_newline(text: str) -> bool:
+    return " \n" in text or "\n " in text or "\t" in text
+
+
+def _has_blank_run(text: str) -> bool:
+    return "\n\n\n" in text
+
+
+# The shipped rules as (pattern, action, replacement, note, guard). A guard is
+# a cheap literal test that returns False only when the rule's `sub` would
+# leave the text unchanged. Guards are module-level functions so that rules
+# still pickle.
+_SHIPPED_RULES = (
+    (
+        r"</?[A-Za-z][A-Za-z0-9]*(?:[^<>\n]*)?/?>",
+        "strip_html",
+        "",
+        "html tags that survived text extraction",
+        _has_lt,
+    ),
+    (
+        r"(?m)^[ \t]*([-.*=_])( ?\1){4,}[ \t]*\n?",
+        "delete_match",
+        "",
+        "separator line of repeated punctuation, a top pdf-extraction artifact",
+        _has_punct_pair,
+    ),
+    (
+        r"(?<![\w.])([-.*=_])( ?\1){4,}",
+        "delete_match",
+        "",
+        "inline run of repeated punctuation, a top pdf-extraction artifact; "
+        "anchored off word ends so sentence-final periods survive",
+        _has_punct_pair,
+    ),
+    (
+        r"[ \t]{2,}",
+        "collapse_whitespace",
+        " ",
+        "repeated spaces/tabs",
+        _has_space_run,
+    ),
+    (
+        # A bare "\n" matches too, but is rewritten to itself; that holds
+        # only for this replacement, which is why the guard key includes it.
+        r"[ \t]*\n[ \t]*",
+        "collapse_whitespace",
+        "\n",
+        "whitespace hugging a line break",
+        _has_space_by_newline,
+    ),
+    (
+        r"\n{3,}",
+        "collapse_whitespace",
+        "\n\n",
+        "runs of blank lines; one blank line marks a paragraph boundary",
+        _has_blank_run,
+    ),
+)
+
+_GUARDS = {(pattern, action, repl): guard for pattern, action, repl, _, guard in _SHIPPED_RULES}
+
+
 @dataclass(frozen=True)
 class Rule:
     pattern: str
@@ -48,8 +134,19 @@ class Rule:
         except re.error as exc:
             raise RuleConfigError(f"pattern {self.pattern!r} does not compile: {exc}") from None
         object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_guard", _GUARDS.get((self.pattern, self.action, self.replacement)))
 
     def apply(self, text: str) -> str:
+        """Rewrite every match of the pattern.
+
+        A rule equal in pattern, action and replacement to a shipped rule,
+        whether built in code or loaded from a ruleset file, first runs that
+        rule's guard: a literal `in` test that is False only when the
+        rewrite cannot change the text. On False it returns `text` itself
+        without scanning. Every other rule always runs the regex.
+        """
+        if self._guard is not None and not self._guard(text):
+            return text
         if self.action == "collapse_whitespace":
             return self._compiled.sub(self.replacement, text)
         # delete_match and strip_html both erase the match; the distinct
@@ -70,43 +167,17 @@ def build_default_ruleset() -> RuleSet:
     survive so legal ellipses stay intact. Whitespace collapse keeps one
     blank line between paragraphs because the perplexity filter operates
     per paragraph.
+
+    Each shipped rule carries a guard (see `Rule.apply`), so a text the rule
+    cannot change costs a few substring tests instead of a regex scan. The
+    guard is found from the rule's pattern, action and replacement, so these
+    rules keep it after a `save_ruleset`/`load_ruleset` round trip; user
+    rules run unguarded.
     """
     return RuleSet(
-        rules=(
-            Rule(
-                pattern=r"</?[A-Za-z][A-Za-z0-9]*(?:[^<>\n]*)?/?>",
-                action="strip_html",
-                note="html tags that survived text extraction",
-            ),
-            Rule(
-                pattern=r"(?m)^[ \t]*([-.*=_])( ?\1){4,}[ \t]*\n?",
-                action="delete_match",
-                note="separator line of repeated punctuation, a top pdf-extraction artifact",
-            ),
-            Rule(
-                pattern=r"(?<![\w.])([-.*=_])( ?\1){4,}",
-                action="delete_match",
-                note="inline run of repeated punctuation, a top pdf-extraction artifact; "
-                "anchored off word ends so sentence-final periods survive",
-            ),
-            Rule(
-                pattern=r"[ \t]{2,}",
-                action="collapse_whitespace",
-                replacement=" ",
-                note="repeated spaces/tabs",
-            ),
-            Rule(
-                pattern=r"[ \t]*\n[ \t]*",
-                action="collapse_whitespace",
-                replacement="\n",
-                note="whitespace hugging a line break",
-            ),
-            Rule(
-                pattern=r"\n{3,}",
-                action="collapse_whitespace",
-                replacement="\n\n",
-                note="runs of blank lines; one blank line marks a paragraph boundary",
-            ),
+        rules=tuple(
+            Rule(pattern=pattern, action=action, replacement=replacement, note=note)
+            for pattern, action, replacement, note, _ in _SHIPPED_RULES
         )
     )
 
@@ -130,7 +201,9 @@ def clean_text(text: str, rules: RuleSet | None = None) -> str:
         rules = build_default_ruleset()
     for _ in range(_MAX_PASSES):
         new = apply_rules(normalize_text(text), rules)
-        if new == text:
+        # apply_rules returns a fixed point of the rules, so once NFKC leaves
+        # it alone the next pass could only give it back.
+        if new == text or normalize_text(new) == new:
             return new
         text = new
     raise RuntimeError("cleaning did not reach a fixed point")

@@ -166,7 +166,10 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
             raise CorpusError(f"line {lineno}: field {key!r} must be a string")
     if not obj["id"]:
         raise CorpusError(f"line {lineno}: empty id")
-    _check_unicode_clean(obj["text"])
+    try:
+        _check_unicode_clean(obj["text"])
+    except CorpusError as exc:
+        raise CorpusError(f"line {lineno}: {exc}") from None
     meta = obj.get("meta", {})
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from lexcorpus.cleaning import (
     NgramTable,
+    Rule,
     RuleConfigError,
+    RuleSet,
     apply_rules,
     build_default_ruleset,
     clean_text,
@@ -43,6 +47,8 @@ def test_normalize_idempotent_property(text):
 
 def test_dash_run_removed():
     assert clean_text("before\n- - - - - - - - - -\nafter") == "before\nafter"
+    # `( ?\1){4,}` also matches runs that mix doubled and spaced characters.
+    assert clean_text("a -- - -- b") == "a b"
 
 
 def test_dot_run_removed_without_eating_sentence_period():
@@ -87,13 +93,74 @@ def test_clean_sentences_untouched():
         assert clean_text(s) == s
 
 
+def _reference_clean_text(text, rules):
+    """The cleaning loop as written before rules had guards: every rule
+    always runs its regex. The oracle for clean_text."""
+
+    def apply_rules(text):
+        for _ in range(25):
+            new = text
+            for rule in rules.rules:
+                repl = rule.replacement if rule.action == "collapse_whitespace" else ""
+                new = re.sub(rule.pattern, repl, new)
+            new = new.strip()
+            if new == text:
+                return new
+            text = new
+        raise RuntimeError("rule application did not reach a fixed point")
+
+    for _ in range(25):
+        new = apply_rules(normalize_text(text))
+        if new == text:
+            return new
+        text = new
+    raise RuntimeError("cleaning did not reach a fixed point")
+
+
+# Characters the rules react to, plus ones NFKC turns into them: no-break and
+# ideographic space, the one- and two-dot leaders, the ellipsis, fullwidth
+# full stop, hyphen-minus and less-than, dashed low line, and a ligature.
+_CLEANING_CHARS = "-.*=_ \t\n<>/abp\u00a0\u3000\u2024\u2025\u2026\uff0e\uff0d\uff1c\ufe4d\ufb01"
+_CLEANING_CHUNKS = [
+    "<b>", "</p>", "<br/>", "-----", "- - - - -", "-- - --", ". . . .", "\n\n\n", " \n", "\t", "word",
+]
+_CLEANING_TEXT = st.lists(
+    st.one_of(st.text(alphabet=_CLEANING_CHARS, max_size=12), st.sampled_from(_CLEANING_CHUNKS)),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CLEANING_TEXT)
+def test_clean_text_matches_unguarded_reference(text):
+    rules = build_default_ruleset()
+    assert clean_text(text, rules) == _reference_clean_text(text, rules)
+
+
+def test_user_rule_reusing_a_shipped_pattern_runs_unguarded():
+    # The shipped rule with this pattern rewrites a bare "\n" to itself; with
+    # another replacement, a bare "\n" must be rewritten.
+    rules = RuleSet(rules=(Rule(pattern=r"[ \t]*\n[ \t]*", action="collapse_whitespace", replacement=" "),))
+    assert clean_text("line one\nline two", rules) == "line one line two"
+
+
 def test_ruleset_roundtrip(tmp_path):
     rules = build_default_ruleset()
     path = tmp_path / "rules.json"
     save_ruleset(rules, path)
     loaded = load_ruleset(path)
-    probe = "x <b>y</b>  z\n- - - - - - -\nw"
-    assert apply_rules(probe, loaded) == apply_rules(probe, rules)
+    probes = [
+        "x <b>y</b>  z\n- - - - - - -\nw",
+        "a -- - -- b",
+        "para one \n\n\n\npara two\t end",
+        "fine\uff0e\uff0e\uff0e\uff0e\uff0e text",
+    ]
+    unpickled = pickle.loads(pickle.dumps(rules))
+    for probe in probes:
+        assert apply_rules(probe, loaded) == apply_rules(probe, rules)
+        expected = _reference_clean_text(probe, rules)
+        for variant in (rules, loaded, unpickled):
+            assert clean_text(probe, variant) == expected
 
 
 def test_bad_ruleset_rejected(tmp_path):

@@ -121,9 +121,10 @@ def test_strict_reader_raises_at_the_first_malformed_line(entries):
             yielded.extend(read_documents(path, strict=True))
             assert [(d.id, d.text) for d in yielded] == valid
             return
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError) as excinfo:
             for doc in read_documents(path, strict=True):
                 yielded.append(doc)
+        assert str(excinfo.value).startswith(f"line {first_bad + 1}:")
         assert [(d.id, d.text) for d in yielded] == valid[: sum(not isinstance(e, bytes) for e in entries[:first_bad])]
 
 

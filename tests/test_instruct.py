@@ -228,6 +228,7 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat", _ChatHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
