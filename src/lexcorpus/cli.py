@@ -77,8 +77,7 @@ class PipelineConfig:
     """Validated view of the JSON config file; relative paths resolve
     against the config file's directory."""
 
-    def __init__(self, payload: dict, base_dir: Path, path: Optional[Path] = None):
-        self.payload = payload
+    def __init__(self, payload: dict, base_dir: Path, path: Path):
         self.base_dir = base_dir
         self.path = path
         try:
@@ -124,10 +123,7 @@ class PipelineConfig:
         return mix.MixSpec(entries=self.mix_entries, token_budget=self.mix_budget, seed=self.seed)
 
     def config_digest(self) -> str:
-        if self.path is not None:
-            return hashlib.sha256(self.path.read_bytes()).hexdigest()
-        canonical = json.dumps(self.payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(canonical).hexdigest()
+        return hashlib.sha256(self.path.read_bytes()).hexdigest()
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -444,28 +440,29 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     stages: List[dict] = []
     manifest: dict = {"config_sha256": cfg.config_digest(), "seed": cfg.seed, "stages": stages}
 
-    def record(stage: str, docs: Sequence[Document], **extra) -> None:
-        # after the stage's write: counting caches token_count on the documents
-        tokens = lm.corpus_token_total(docs, TOKENIZER)
+    def record(stage: str, docs: Sequence[Document], tokens: int, **extra) -> None:
         stages.append({"stage": stage, "documents": len(docs), "tokens": tokens, **extra})
+
+    def token_total(docs: Sequence[Document]) -> int:
+        return sum(len(TOKENIZER.tokenize(doc.text)) for doc in docs)
 
     stage = "normalize"
     try:
         docs, _ = _clean(_read_corpus(cfg.corpus, strict), None, out / "01_normalized.jsonl")
-        record(stage, docs)
+        record(stage, docs, token_total(docs))
 
         stage = "filter-rules"
         docs, emptied = _clean(docs, rules, out / "02_rulefiltered.jsonl")
-        record(stage, docs, emptied=emptied)
+        record(stage, docs, token_total(docs), emptied=emptied)
 
         stage = "train-lm"
         seed_docs, _ = _apply_cleaning(_read_corpus(cfg.seed_corpus, strict), rules)
         model = _train_lm(seed_docs, cfg.lm_order, out / "lm.json")
-        record(stage, seed_docs, order=cfg.lm_order)
+        record(stage, seed_docs, token_total(seed_docs), order=cfg.lm_order)
 
         stage = "filter-ppl"
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
-        docs, _ = _filter_ppl(
+        docs, filter_report = _filter_ppl(
             docs,
             model,
             threshold,
@@ -474,7 +471,8 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
             out / "03_dropped.jsonl",
             out / "filter_report.json",
         )
-        record(stage, docs, threshold=threshold)
+        kept_tokens = sum(bucket["kept_tokens"] for bucket in filter_report.per_source.values())
+        record(stage, docs, kept_tokens, threshold=threshold)
 
         stage = "dedup"
         docs, report = _dedup(
@@ -486,7 +484,13 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
             threshold=cfg.dedup_threshold,
             seed=cfg.seed,
         )
-        record(stage, docs, exact_removed=report.exact_removed, near_removed=report.near_removed)
+        record(
+            stage,
+            docs,
+            report.tokens_after,
+            exact_removed=report.exact_removed,
+            near_removed=report.near_removed,
+        )
 
         stage = "mix"
         spec = cfg.mix_spec()
@@ -495,7 +499,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         for doc in docs:
             sources.setdefault(doc.source.name, []).append(doc)
         mixed, mix_manifest = _mix(sources, spec, out / "05_mix.jsonl", out / "mix_manifest.json")
-        record(stage, mixed, total_tokens=mix_manifest.total_tokens)
+        record(stage, mixed, mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 

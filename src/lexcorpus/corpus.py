@@ -2,10 +2,11 @@
 
 A corpus file is UTF-8, newline-delimited JSON, one document per line:
 
-    {"id": "...", "source": "...", "text": "...", "meta": {"k": "v"}, "token_count": 123}
+    {"id": "...", "source": "...", "text": "...", "meta": {"k": "v"}}
 
-``meta`` is a flat string-to-string map and ``token_count`` is optional.
-Every stage of the toolkit reads and writes this format.
+``meta`` is a flat string-to-string map. Readers ignore any other key,
+``token_count`` included; writers emit exactly these four. Every stage of
+the toolkit reads and writes this format.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, TextIO
+from typing import Dict, Iterable, Iterator, TextIO
 
 
 class CorpusError(Exception):
@@ -96,14 +97,13 @@ class SourceTag:
 
 @dataclass
 class Document:
-    """One corpus record. Treated as immutable after construction; the lone
-    exception is the lazily-filled token_count cache."""
+    """One corpus record, treated as immutable after construction. It holds
+    no token count: a stage that needs one tokenizes the text itself."""
 
     id: str
     source: SourceTag
     text: str
     meta: Dict[str, str] = field(default_factory=dict)
-    token_count: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -126,17 +126,6 @@ class WhitespaceTokenizer(Tokenizer):
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()
-
-
-def count_tokens(doc: Document, tok: Tokenizer) -> int:
-    """Token count of the document text, cached on the document.
-
-    The cache does not record which tokenizer produced it; use one tokenizer
-    per run (the pipeline does).
-    """
-    if doc.token_count is None:
-        doc.token_count = len(tok.tokenize(doc.text))
-    return doc.token_count
 
 
 def _check_unicode_clean(text: str) -> None:
@@ -175,20 +164,11 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise CorpusError(f"line {lineno}: meta must be a flat string-to-string object")
-    token_count = obj.get("token_count")
-    if token_count is not None and (not isinstance(token_count, int) or token_count < 0):
-        raise CorpusError(f"line {lineno}: token_count must be a nonnegative integer")
     try:
         source = resolve_source(obj["source"])
     except UnknownSourceError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None
-    return Document(
-        id=obj["id"],
-        source=source,
-        text=obj["text"],
-        meta=dict(meta),
-        token_count=token_count,
-    )
+    return Document(id=obj["id"], source=source, text=obj["text"], meta=dict(meta))
 
 
 class CorpusReader:
@@ -240,8 +220,6 @@ def document_to_json(doc: Document) -> str:
         "text": doc.text,
         "meta": doc.meta,
     }
-    if doc.token_count is not None:
-        record["token_count"] = doc.token_count
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cleaning import normalize_text
-from .corpus import Document, Tokenizer, WhitespaceTokenizer, atomic_write, count_tokens
+from .corpus import Document, Tokenizer, WhitespaceTokenizer, atomic_write
 
 DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
@@ -44,6 +44,7 @@ class MinHashSignature:
     doc_id: str
     values: np.ndarray  # shape (permutations,), dtype uint64
     shingle_count: int
+    token_count: int
     shingle_n: int
     permutations: int
     seed: int
@@ -136,6 +137,7 @@ def minhash_signature(
         doc_id=doc_id,
         values=mins,
         shingle_count=int(len(hashes)),
+        token_count=len(tokens),
         shingle_n=shingle_n,
         permutations=permutations,
         seed=seed,
@@ -251,7 +253,7 @@ def exact_dedup(
     first_by_digest: Dict[str, int] = {}
     removed_by_kept: Dict[str, List[str]] = {}
     for doc in docs:
-        tokens = count_tokens(doc, tok)
+        tokens = len(tok.tokenize(doc.text))
         report.tokens_before += tokens
         digest = hashlib.sha256(normalize_text(doc.text).encode("utf-8")).hexdigest()
         if digest in first_by_digest:
@@ -315,9 +317,9 @@ def near_dedup(
     bands, rows = optimal_band_split(permutations, threshold)
 
     sigs = np.empty((len(doc_list), permutations), dtype=np.uint64)
+    token_counts: List[int] = []
     for idx, doc in enumerate(doc_list):
-        report.tokens_before += count_tokens(doc, tok)
-        sigs[idx] = minhash_signature(
+        sig = minhash_signature(
             doc.text,
             tok,
             shingle_n=shingle_n,
@@ -326,7 +328,10 @@ def near_dedup(
             doc_id=doc.id,
             _params=params,
             _token_hashes=token_hashes,
-        ).values
+        )
+        sigs[idx] = sig.values
+        token_counts.append(sig.token_count)
+    report.tokens_before = sum(token_counts)
 
     uf = _UnionFind(len(doc_list))
     # Sorted keys of the pairs verified so far, ending in a sentinel above
@@ -364,7 +369,7 @@ def near_dedup(
         report.near_removed += len(members) - 1
 
     unique = [doc for idx, doc in enumerate(doc_list) if idx not in removed]
-    report.tokens_after = sum(count_tokens(doc, tok) for doc in unique)
+    report.tokens_after = report.tokens_before - sum(token_counts[idx] for idx in removed)
     return unique, report
 
 

@@ -461,7 +461,7 @@ def perplexity_report(
             base_median, base_iqr = _median_iqr(base_ppls)
             stats["baseline_median"] = base_median
             stats["baseline_iqr"] = base_iqr
-            stats["reduction"] = (base_median - median) / base_median
+            stats["reduction"] = relative_reduction(median, base_median)
         report.per_category[category] = stats
     return report
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cleaning import split_paragraphs
-from .corpus import Document, Tokenizer, atomic_write, count_tokens
+from .corpus import Document, Tokenizer, atomic_write
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -460,7 +460,3 @@ def load_lm(path: str | Path) -> NGramLM:
         counts=counts,
         discounts=[float(d) for d in payload["discounts"]],
     )
-
-
-def corpus_token_total(docs: Iterable[Document], tok: Tokenizer) -> int:
-    return sum(count_tokens(doc, tok) for doc in docs)

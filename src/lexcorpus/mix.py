@@ -21,7 +21,6 @@ from .corpus import (
     DuplicateIdError,
     Tokenizer,
     WhitespaceTokenizer,
-    count_tokens,
     resolve_source,
 )
 
@@ -151,7 +150,7 @@ def assemble_mix(
                 raise DuplicateIdError(f"document id {doc.id!r} appears in more than one source")
             seen_ids.add(doc.id)
             selected.append(doc)
-            realized += count_tokens(doc, tok)
+            realized += len(tok.tokenize(doc.text))
         if realized < requested:
             raise InsufficientTokensError(
                 f"source {name!r} exhausted at {realized} tokens, {requested} requested"

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from lexcorpus import cli
+from lexcorpus import cleaning, cli
+from lexcorpus.corpus import read_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
 
@@ -180,6 +181,37 @@ def test_pipeline_rerun_is_byte_identical(pipeline_inputs):
     assert result.returncode == 0
     after = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert before == after
+
+
+def test_pipeline_tokens_match_stage_outputs(pipeline_inputs, tmp_path):
+    """No corpus file carries a token_count key, and each stage's manifest
+    token total is the whitespace-token total of what the stage produced."""
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "out"
+    manifest = cli.run_pipeline(cfg)
+
+    def token_total(texts):
+        return sum(len(text.split()) for text in texts)
+
+    for path in cfg.out_dir.glob("*.jsonl"):
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert all("token_count" not in record for record in records), path.name
+    produced = {
+        "normalize": "01_normalized.jsonl",
+        "filter-rules": "02_rulefiltered.jsonl",
+        "filter-ppl": "03_pplfiltered.jsonl",
+        "dedup": "04_deduped.jsonl",
+        "mix": "05_mix.jsonl",
+    }
+    expected = {
+        stage: token_total(doc.text for doc in read_documents(cfg.out_dir / name))
+        for stage, name in produced.items()
+    }
+    rules = cleaning.build_default_ruleset()
+    expected["train-lm"] = token_total(
+        cleaning.clean_text(doc.text, rules) for doc in read_documents(cfg.seed_corpus)
+    )
+    assert {s["stage"]: s["tokens"] for s in manifest["stages"]} == expected
 
 
 def _moved_config(pipeline_inputs, tmp_path, **edits):

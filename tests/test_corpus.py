@@ -16,7 +16,6 @@ from lexcorpus.corpus import (
     DuplicateIdError,
     UnknownSourceError,
     WhitespaceTokenizer,
-    count_tokens,
     document_to_json,
     read_documents,
     register_source,
@@ -30,7 +29,6 @@ def test_roundtrip_preserves_fields(tmp_path, make_doc):
         make_doc("Héllo world", doc_id="a", k="v"),
         make_doc("line1\nline2", doc_id="b"),
     ]
-    docs[1].token_count = 4
     path = tmp_path / "x.jsonl"
     write_documents(docs, path)
     back = list(read_documents(path))
@@ -38,7 +36,7 @@ def test_roundtrip_preserves_fields(tmp_path, make_doc):
     assert back[0].text == docs[0].text
     assert back[0].meta == {"k": "v"}
     assert back[0].source == resolve_source("freelaw")
-    assert back[1].token_count == 4
+    assert back[1].text == docs[1].text
 
 
 def test_duplicate_id_is_always_an_error(tmp_path, make_doc):
@@ -77,7 +75,6 @@ MALFORMED_LINES = [
     b'{"id": "m", "source": "nowhere", "text": "t"}',
     b'{"id": "m", "source": "freelaw", "text": "\\ud800"}',
     b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": 1}}',
-    b'{"id": "m", "source": "freelaw", "text": "t", "token_count": -1}',
 ]
 
 # Each entry is a valid record's text or, as bytes, a malformed line.
@@ -153,13 +150,20 @@ def test_empty_id_rejected():
         Document(id="", source=resolve_source("freelaw"), text="x")
 
 
-def test_count_tokens_caches(make_doc, tok):
-    doc = make_doc("the court held")
-    assert count_tokens(doc, tok) == 3
-    assert doc.token_count == 3
-    # cache hit returns the stored value
-    doc.token_count = 99
-    assert count_tokens(doc, tok) == 99
+def test_token_count_key_is_ignored_and_not_written(tmp_path):
+    """The corpus format has no token_count; a reader ignores the key like
+    any other unknown key, whatever its value, and a write drops it."""
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"id": "m", "source": "freelaw", "text": "t", "token_count": -1}\n')
+    (doc,) = read_documents(path, strict=True)
+    assert (doc.id, doc.text, doc.meta) == ("m", "t", {})
+    write_documents([doc], tmp_path / "out.jsonl")
+    assert json.loads((tmp_path / "out.jsonl").read_text()) == {
+        "id": "m",
+        "source": "freelaw",
+        "text": "t",
+        "meta": {},
+    }
 
 
 def test_meta_values_serialized_as_strings(make_doc):

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import lexcorpus
-from lexcorpus.corpus import count_tokens
 from lexcorpus.dedup import (
     dedup_corpus,
     estimate_jaccard,
@@ -40,7 +39,7 @@ def test_signature_depends_on_seed(tok):
 def test_short_text_gets_degenerate_signature(tok):
     # fewer tokens than shingle_n: the whole sequence is the single shingle
     sig = minhash_signature("just three tokens", tok, shingle_n=5)
-    assert sig.shingle_count == 1
+    assert (sig.shingle_count, sig.token_count) == (1, 3)
     same = minhash_signature("just three tokens", tok, shingle_n=5)
     assert estimate_jaccard(sig, same) == 1.0
 
@@ -251,7 +250,7 @@ def _reference_near_dedup(docs, tok, permutations, threshold, shingle_n=5, seed=
     kept = [d for idx, d in enumerate(docs) if component[idx] == idx]
     verified = sum(len(e) for e in edges.values()) // 2
     sizes = {len(m) for band_map in buckets for m in band_map.values()}
-    return clusters, [d.id for d in kept], sum(count_tokens(d, tok) for d in kept), len(checked), verified, sizes
+    return clusters, [d.id for d in kept], sum(len(tok.tokenize(d.text)) for d in kept), len(checked), verified, sizes
 
 
 def _bucket_corpus(make_doc):
@@ -294,7 +293,7 @@ def test_near_dedup_equals_pairwise_reference(make_doc, tok, permutations, thres
     assert report.clusters == clusters
     assert [d.id for d in kept] == kept_ids
     assert report.near_removed == len(docs) - len(kept_ids)
-    assert (report.tokens_before, report.tokens_after) == (sum(count_tokens(d, tok) for d in docs), tokens_after)
+    assert (report.tokens_before, report.tokens_after) == (sum(len(tok.tokenize(d.text)) for d in docs), tokens_after)
     assert (report.candidate_pairs, report.verified_pairs) == (checked, verified)
 
 
