@@ -7,23 +7,29 @@ order, absolute discounts estimated per order from count-of-counts, and
 the leftover discount mass interpolated with the next-lower order. The
 bottom of the recursion interpolates the unigram distribution with a
 uniform distribution over the predictable vocabulary (all known tokens,
-the end-of-paragraph marker, and the unknown token), so every probability
-is strictly positive and every conditional distribution sums to one.
+the end-of-paragraph marker, and the unknown token), so every conditional
+distribution sums to one and, with a positive discount, every probability
+is strictly positive.
 
 Paragraphs are the sentence unit: each paragraph is padded with order-1
 begin markers and one end marker before counting (no padding at order 1,
 where markers carry no information).
 
-Scoring does not recurse. The first call that scores compiles the counts
-into integer-keyed tables, the ARPA/KenLM layout: each seen context gets a
-node id keyed by its parent node (the context one token shorter on the
-left) and its leftmost token, and stores its leftover mass; each seen
-n-gram stores its discounted weight; order 1 is one list indexed by token
-id. A token's probability is then built bottom-up, p = alpha + gamma * p
-from the unigram to the longest context training saw, which is the same
-floating-point arithmetic, in the same order, as the textbook recursion,
-so log-probs are bit-identical to it. Training and loading do not pay for
-the tables; only the counts are saved.
+Scoring does not recurse, and it carries its context from token to token,
+as KenLM's state does (Heafield 2011). The first call that scores compiles
+the counts into one table per context seen in training: it maps each token
+training saw after that context to the token's log-probability, its
+probability, and the next context, the longest seen context that ends the
+context plus the token. The empty context's table holds the whole
+vocabulary. A paragraph starts at the begin-marker context, and a token its
+context was seen with costs one dict probe. Any other token backs off along
+the shorter contexts to the first whose table has it and scales that
+probability by the leftover mass of each context it passed; a string outside
+the vocabulary is scored as <unk>. Each probability is built at compile time
+bottom-up, p = alpha + gamma * p from the unigram to the context, which is
+the same floating-point arithmetic, in the same order, as the textbook
+recursion, so log-probs are bit-identical to it. Training and loading do not
+pay for the tables; only the counts are saved.
 """
 
 from __future__ import annotations
@@ -50,13 +56,16 @@ MODEL_VERSION = 1
 NGram = Tuple[int, ...]
 
 # Scoring tables, built from the counts on first use by NGramLM._compile.
-# A node is a context seen in training; node 0 is the empty context, whose
-# n-grams are the unigrams. With V the vocabulary size:
-#   child[node * V + t]    node of the context t + (node's context)
-#   gamma[node]            leftover mass d * distinct / total of the context
-#   alpha[node * V + w]    discounted weight max(c - d, 0) / total of context + w
-#   uni[w]                 p(w) at order 1: alpha[w] + gamma[0] * uniform
-_Tables = Tuple[List[float], Dict[int, int], List[float], Dict[int, float]]
+# A node is a context seen in training; node 0 is the empty context.
+#   tables[node]   token -> (log p, p, next node) for each token training saw
+#                  after the node's context; node 0 holds the whole vocabulary
+#   gamma[node]    leftover mass d * distinct / total of the context
+#   parent[node]   node of the context one token shorter on the left
+#   start          node of the begin-marker context, where a paragraph starts
+# p is the interpolated probability; the next node is the longest context
+# seen in training that ends the node's context plus the token.
+_Entry = Tuple[float, float, int]
+_Tables = Tuple[List[Dict[str, _Entry]], List[float], List[int], int]
 
 
 class TrainingError(Exception):
@@ -87,8 +96,9 @@ class PerplexityScore:
 
 class NGramLM:
     """Trained model state; immutable after training and safe to share
-    between scoring threads (threads that score first may each build the
-    tables, identically; the last one built is kept)."""
+    between scoring threads. Scoring keeps its context in a local variable;
+    threads that score first may each build the tables, identically, and the
+    last one built is kept."""
 
     def __init__(
         self,
@@ -111,85 +121,85 @@ class NGramLM:
 
     def _compile(self) -> _Tables:
         """Build the scoring tables from the counts (see _Tables)."""
-        V = len(self.vocab)
-        child: Dict[int, int] = {}
+        n = self.order - 1
+        nodes: Dict[NGram, int] = {}  # context ids -> node, every order
+        parent: List[int] = []
         gamma: List[float] = []
-        alpha: Dict[int, float] = {}
-        shared: Dict[float, float] = {}  # equal weights share one float object
         totals: List[int] = []  # per node: count total and distinct successors
         distinct: List[int] = []
-        parents: Dict[NGram, int] = {}
         for k in range(1, self.order + 1):
-            d = self.discounts[k - 1]
-            first = len(gamma)
-            nodes: Dict[NGram, int] = {}
-            gram_nodes: List[int] = []
+            first = len(parent)
             for gram, c in self.counts[k - 1].items():
                 ctx = gram[:-1]
                 node = nodes.get(ctx)
                 if node is None:
-                    node = nodes[ctx] = len(gamma)
+                    up = 0
                     if ctx:
-                        parent = parents.get(ctx[1:])
-                        if parent is None:
-                            # train_lm's lower orders are continuation counts of the
-                            # higher ones, so every context's suffix is a context too
+                        # train_lm's lower orders are continuation counts of the
+                        # higher ones, so every context's suffix is a context, and
+                        # every context but the begin markers is an n-gram itself
+                        up = nodes.get(ctx[1:])
+                        if up is None:
                             raise ValueError(f"order-{k} context {ctx} has no order-{k - 1} suffix context")
-                        child[parent * V + ctx[0]] = node
-                    gamma.append(0.0)
+                        if ctx not in self.counts[k - 2] and set(ctx) != {BOS_ID}:
+                            raise ValueError(f"order-{k} context {ctx} is not an order-{k - 1} n-gram")
+                    node = nodes[ctx] = len(parent)
+                    parent.append(up)
                     totals.append(0)
                     distinct.append(0)
                 totals[node] += c
                 distinct[node] += 1
-                gram_nodes.append(node)
-            for (gram, c), node in zip(self.counts[k - 1].items(), gram_nodes):
-                weight = max(c - d, 0.0) / totals[node]
-                alpha[node * V + gram[-1]] = shared.setdefault(weight, weight)
-            for node in range(first, len(gamma)):
-                gamma[node] = d * distinct[node] / totals[node]
-            parents = nodes
-        # Order 1 is the empty context, node 0, over the uniform distribution
-        # on every token but the begin marker; with no counts, just uniform.
-        base = 1.0 / (V - 1)
-        reserved = gamma[0] if gamma else 1.0
-        uni = [alpha.get(w, 0.0) + reserved * base for w in range(V)]
-        self._tables = (uni, child, gamma, alpha)
+            d = self.discounts[k - 1]
+            gamma.extend(d * distinct[node] / totals[node] for node in range(first, len(parent)))
+        if not parent:  # no counts: order 1 is the uniform distribution alone
+            nodes[()] = 0
+            parent.append(0)
+            gamma.append(1.0)
+
+        def entry(gram: NGram, p: float) -> _Entry:
+            # the longest context that ends the n-gram, at most order - 1 long
+            ctx = gram[1:] if len(gram) > n else gram
+            while ctx not in nodes:
+                ctx = ctx[1:]
+            return (math.log(p) if p > 0.0 else -math.inf, p, nodes[ctx])
+
+        tokens = self.id_to_token
+        tables: List[Dict[str, _Entry]] = [{} for _ in parent]
+        # Order 1 is the empty context, node 0, interpolated with the uniform
+        # distribution on every token but the begin marker; its table holds
+        # the whole vocabulary.
+        d = self.discounts[0]
+        alpha = {gram[0]: max(c - d, 0.0) / totals[0] for gram, c in self.counts[0].items()}
+        base = 1.0 / (len(tokens) - 1)
+        for w, token in enumerate(tokens):
+            tables[0][token] = entry((w,), alpha.get(w, 0.0) + gamma[0] * base)
+        # Higher orders bottom-up, p = alpha + gamma * p, as the textbook
+        # recursion sums, so that every p is bit-identical to it.
+        for k in range(2, self.order + 1):
+            d = self.discounts[k - 1]
+            for gram, c in self.counts[k - 1].items():
+                node = nodes[gram[:-1]]
+                token = tokens[gram[-1]]
+                lower = _look_up(tables, gamma, parent, parent[node], token)[1]
+                tables[node][token] = entry(gram, max(c - d, 0.0) / totals[node] + gamma[node] * lower)
+        # A begin marker in scored text lengthens the begin-marker context, as
+        # it does in the recursion's context, so every begin-marker context
+        # holds <s>, whose entry then carries the state one marker further.
+        ctx: NGram = (BOS_ID,)
+        while len(ctx) <= n and ctx in nodes:
+            node = nodes[ctx]
+            if BOS not in tables[node]:
+                tables[node][BOS] = entry(ctx + (BOS_ID,), _look_up(tables, gamma, parent, node, BOS)[1])
+            ctx += (BOS_ID,)
+        self._tables = (tables, gamma, parent, nodes[ctx[1:]])
         return self._tables
 
-    def _probs(self, context: List[int], words: Sequence[int]) -> List[float]:
-        """p(w | the order-1 ids before it) for each id in `words`, where
-        `context` holds the order-1 ids before words[0].
-
-        Walks each context from the unigram up, one token further left per
-        order, and stops at the first context training never saw: no longer
-        context can have been seen either, because every count below the top
-        order is a continuation count of a longer n-gram."""
-        uni, child, gamma, alpha = self._tables or self._compile()
-        V = len(uni)
-        n = len(context)
-        rev = (context + list(words))[::-1]
-        end = len(rev)
-        out: List[float] = []
-        for w in words:
-            p = uni[w]
-            node = 0
-            for t in rev[end - n : end]:
-                node = child.get(node * V + t)
-                if node is None:
-                    break
-                p = alpha.get(node * V + w, 0.0) + gamma[node] * p
-            out.append(p)
-            end -= 1
-        return out
-
-    def token_id(self, token: str) -> int:
-        return self.vocab.get(token, UNK_ID)
-
     def probability(self, context: Sequence[str], token: str) -> float:
-        """p(token | context), context truncated to order-1 most recent tokens."""
-        n = self.order - 1
-        ctx_ids = [BOS_ID] * n + [self.token_id(t) for t in context]
-        return self._probs(ctx_ids[len(ctx_ids) - n :], [self.token_id(token)])[0]
+        """p(token | context); only the order-1 most recent tokens matter."""
+        tables, gamma, parent, node = self._tables or self._compile()
+        for t in [*context, token]:
+            _, p, node = tables[node].get(t) or _look_up(tables, gamma, parent, node, t)
+        return p
 
     def predictable_tokens(self) -> List[str]:
         """All tokens a conditional distribution ranges over (begin marker excluded)."""
@@ -206,9 +216,17 @@ class NGramLM:
 
     def paragraph_log_probs(self, tokens: Sequence[str]) -> List[float]:
         """Per-token log probabilities for one paragraph. End markers are
-        used in training counts but not scored, so len(result) == len(tokens)."""
-        probs = self._probs([BOS_ID] * (self.order - 1), [self.token_id(t) for t in tokens])
-        return [math.log(p) if p > 0.0 else -math.inf for p in probs]
+        used in training counts but not scored, so len(result) == len(tokens).
+
+        The state is the node of the longest context training saw that ends
+        the text so far; each token's entry gives its log p and the next
+        state, so a token the state's context was seen with costs one probe."""
+        tables, gamma, parent, node = self._tables or self._compile()
+        out: List[float] = []
+        for t in tokens:
+            lp, _, node = tables[node].get(t) or _look_up(tables, gamma, parent, node, t)
+            out.append(lp)
+        return out
 
     def token_log_probs(self, text: str, tok: Tokenizer) -> List[float]:
         log_probs: List[float] = []
@@ -217,6 +235,31 @@ class NGramLM:
             if tokens:
                 log_probs.extend(self.paragraph_log_probs(tokens))
         return log_probs
+
+
+def _look_up(
+    tables: List[Dict[str, _Entry]], gamma: List[float], parent: List[int], node: int, token: str
+) -> _Entry:
+    """The entry for token after node's context, which need not be in its
+    table: back off along the parent links to the longest context whose table
+    has it, then scale its p by the leftover mass of each context passed,
+    innermost first, which is what the bottom-up sum p = 0.0 + gamma * p does.
+    A string outside the vocabulary is scored as <unk>."""
+    start = node
+    entry = tables[node].get(token)
+    passed: List[float] = []
+    while entry is None:
+        if node == 0:
+            return _look_up(tables, gamma, parent, start, UNK)
+        passed.append(gamma[node])
+        node = parent[node]
+        entry = tables[node].get(token)
+    if not passed:
+        return entry
+    p = entry[1]
+    for g in reversed(passed):
+        p = g * p
+    return (math.log(p) if p > 0.0 else -math.inf, p, entry[2])
 
 
 def _estimate_discount(count_values: Iterable[int]) -> float:
@@ -342,8 +385,8 @@ def filter_by_perplexity(
     text under the original document id, so kept plus dropped token counts
     equal the input exactly.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:  # also false for NaN
+        raise ValueError(f"threshold must be finite and positive, not {threshold}")
     if granularity not in ("paragraph", "document"):
         raise ValueError("granularity must be 'paragraph' or 'document'")
 
@@ -444,19 +487,39 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
 
 
 def load_lm(path: str | Path) -> NGramLM:
+    """Read a model written by save_lm, rejecting one whose parts disagree
+    (ValueError) so that scoring cannot fail on it later."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
-    vocab = {token: idx for idx, token in enumerate(payload["vocab"])}
+    missing = {"order", "discounts", "vocab", "counts"} - payload.keys()
+    if missing:
+        raise ValueError(f"{path}: model lacks {', '.join(sorted(missing))}")
+    order = payload["order"]
+    tokens = payload["vocab"]
+    if not (isinstance(order, int) and order >= 1 and len(payload["discounts"]) == order == len(payload["counts"])):
+        raise ValueError(f"{path}: order {order!r} needs that many discounts and count tables")
+    if tokens[:3] != [UNK, BOS, EOS] or len(set(tokens)) != len(tokens):
+        raise ValueError(f"{path}: vocab must start with {UNK}, {BOS}, {EOS} and repeat no token")
     counts: List[Dict[NGram, int]] = []
-    for table in payload["counts"]:
-        counts.append({tuple(int(x) for x in key.split()): c for key, c in table.items()})
+    for k, table in enumerate(payload["counts"], start=1):
+        grams = {tuple(map(int, key.split())): c for key, c in table.items()}
+        if set(map(len, grams)) - {k}:
+            raise ValueError(f"{path}: order-{k} counts hold a key of another length")
+        if grams and not 0 <= min(map(min, grams)) <= max(map(max, grams)) < len(tokens):
+            raise ValueError(f"{path}: order-{k} counts name a token id outside the {len(tokens)}-token vocab")
+        if grams and (set(map(type, grams.values())) != {int} or min(grams.values()) < 1):
+            raise ValueError(f"{path}: order-{k} counts must be positive integers")
+        counts.append(grams)
+    discounts = [float(d) for d in payload["discounts"]]
+    if not all(0.0 <= d < 1.0 for d in discounts):
+        raise ValueError(f"{path}: discounts must lie in [0, 1)")
     return NGramLM(
-        order=payload["order"],
-        vocab=vocab,
+        order=order,
+        vocab={token: idx for idx, token in enumerate(tokens)},
         counts=counts,
-        discounts=[float(d) for d in payload["discounts"]],
+        discounts=discounts,
     )

@@ -343,3 +343,84 @@ def test_failed_report_write_leaves_old_report(tmp_path):
         cli._write_report(path, _TextReport('{"kept": 2, "note": "\ud800"}'))
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.fixture(scope="module")
+def ppl_inputs(tmp_path_factory):
+    """An order-3 model file and a small corpus to filter with it."""
+    root = tmp_path_factory.mktemp("ppl")
+    write_pipeline_inputs(root, seed=7, n_docs=40)
+    assert cli.main(["train-lm", "-i", str(root / "seed.jsonl"), "-o", str(root / "lm.json"), "--order", "3"]) == 0
+    return root
+
+
+def _break_order(model):
+    model["order"] = 5
+
+
+def _drop_discounts(model):
+    del model["discounts"]
+
+
+def _break_vocab_start(model):
+    model["vocab"][0], model["vocab"][3] = model["vocab"][3], model["vocab"][0]
+
+
+def _repeat_vocab_token(model):
+    model["vocab"][-1] = model["vocab"][-2]
+
+
+def _break_key_arity(model):
+    model["counts"][1]["3 4 5"] = 1
+
+
+def _break_token_id(model):
+    model["counts"][0][str(len(model["vocab"]))] = 1
+
+
+def _zero_count(model):
+    model["counts"][0] = dict.fromkeys(model["counts"][0], 0)
+
+
+def _string_count(model):
+    model["counts"][2][next(iter(model["counts"][2]))] = "1"
+
+
+def _break_discount(model):
+    model["discounts"][1] = 1.5
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _break_order,
+        _drop_discounts,
+        _break_vocab_start,
+        _repeat_vocab_token,
+        _break_key_arity,
+        _break_token_id,
+        _zero_count,
+        _string_count,
+        _break_discount,
+    ],
+)
+def test_filter_ppl_rejects_inconsistent_model(ppl_inputs, tmp_path, edit):
+    model = json.loads((ppl_inputs / "lm.json").read_text())
+    edit(model)
+    broken = tmp_path / "lm.json"
+    broken.write_text(json.dumps(model))
+    out = tmp_path / "kept.jsonl"
+    argv = ["filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", broken, "--threshold", "100"]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+def test_filter_ppl_rejects_threshold_not_finite_and_positive(ppl_inputs, tmp_path, threshold):
+    out, report = tmp_path / "kept.jsonl", tmp_path / "report.json"
+    argv = [
+        "filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", ppl_inputs / "lm.json",
+        "--threshold", threshold, "--report", report,
+    ]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -8,11 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lexcorpus
+from lexcorpus.corpus import Document, WhitespaceTokenizer
 from lexcorpus.lm import (
+    BOS,
     BOS_ID,
+    EOS,
     UNK,
+    UNK_ID,
     NGramLM,
     ScoreError,
     TrainingError,
@@ -160,12 +166,21 @@ def test_filter_partition_is_exact(tok):
     assert sum(v["dropped_tokens"] for v in report.per_source.values()) == dropped_tokens
 
 
-def test_filter_infinite_threshold_keeps_everything(tok):
+def test_filter_largest_threshold_keeps_everything(tok):
     docs = generate_seed_corpus(seed=1, docs=10)
     model = train_lm(docs, tok, order=2)
-    kept, dropped, _ = filter_by_perplexity(docs, model, tok, float("inf"))
+    kept, dropped, _ = filter_by_perplexity(docs, model, tok, sys.float_info.max)
     assert [d.id for d in kept] == [d.id for d in docs]
     assert dropped == []
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_filter_rejects_threshold_not_finite_and_positive(tok, threshold):
+    # a report holding NaN or Infinity would not be valid JSON
+    docs = generate_seed_corpus(seed=1, docs=3)
+    model = train_lm(docs, tok, order=2)
+    with pytest.raises(ValueError, match="finite and positive"):
+        filter_by_perplexity(docs, model, tok, threshold)
 
 
 def test_document_with_no_surviving_paragraph_fully_dropped(make_doc, tok):
@@ -230,11 +245,15 @@ def _reference_prob(model, totals, order, context, word):
     return max(c - d, 0.0) / total + (d * distinct / total) * lower
 
 
+def _token_id(model, token):
+    return model.vocab.get(token, UNK_ID)
+
+
 def _reference_log_probs(model, totals, tokens):
     context = (BOS_ID,) * (model.order - 1)
     out = []
     for token in tokens:
-        w = model.token_id(token)
+        w = _token_id(model, token)
         p = _reference_prob(model, totals, model.order, context, w)
         out.append(math.log(p) if p > 0.0 else float("-inf"))
         context = (context + (w,))[1:]
@@ -266,17 +285,56 @@ def test_compiled_scoring_equals_recursion_exactly(tok, order, discount):
         for ctx in model.observed_contexts(k):
             # contexts below the top order are shorter than order - 1, so
             # probability() pads them with begin markers on the left
-            ids = (BOS_ID,) * (order - 1 - len(ctx)) + tuple(model.token_id(t) for t in ctx)
+            ids = (BOS_ID,) * (order - 1 - len(ctx)) + tuple(_token_id(model, t) for t in ctx)
             for word in (UNK, "never-seen", rng.choice(vocab), rng.choice(vocab)):
-                expected = _reference_prob(model, totals, order, ids, model.token_id(word))
+                expected = _reference_prob(model, totals, order, ids, _token_id(model, word))
                 assert model.probability(ctx, word) == expected, (k, ctx, word)
 
     # longer contexts are cut to the order - 1 most recent tokens, unknown ones map to <unk>
     long_ctx = ("zzqx", "the", "court", "held", "that", "never-seen")
-    ids = tuple(model.token_id(t) for t in long_ctx)[len(long_ctx) - (order - 1) :]
+    ids = tuple(_token_id(model, t) for t in long_ctx)[len(long_ctx) - (order - 1) :]
     for word in ("the", "court", UNK):
-        expected = _reference_prob(model, totals, order, ids, model.token_id(word))
+        expected = _reference_prob(model, totals, order, ids, _token_id(model, word))
         assert model.probability(long_ctx, word) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_model(order, discount):
+    """Trained once per (order, discount): the seed corpus plus a paragraph
+    holding the markers as literal tokens, so training saw them too."""
+    tok = WhitespaceTokenizer()
+    docs = generate_seed_corpus(seed=3, docs=30)
+    docs.append(Document(id="markers", source=docs[0].source, text="the <s> court </s> held <unk> that"))
+    model = train_lm(docs, tok, order=order, discount=discount)
+    paragraphs = [tokens for d in docs for p in d.text.split("\n\n") if (tokens := tok.tokenize(p))]
+    return model, _context_totals(model), paragraphs
+
+
+@pytest.mark.parametrize("discount", [None, 0.0, 0.5])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_carried_state_equals_recursion_on_any_tokens(order, discount, data):
+    # Runs copied from training text reach the longest contexts; single tokens
+    # from the vocabulary, unknown strings and literal markers leave them at
+    # any depth. Discount 0.0 gives unseen n-grams p = 0, so log p = -inf.
+    model, totals, paragraphs = _cached_model(order, discount)
+    single = st.one_of(
+        st.sampled_from(model.predictable_tokens()),
+        st.sampled_from([BOS, EOS, UNK, "never-seen", "zzqx"]),
+        st.text(alphabet="abz<>/", min_size=1, max_size=4),
+    ).map(lambda t: [t])
+    run = st.sampled_from(paragraphs).flatmap(
+        lambda p: st.tuples(st.integers(0, len(p) - 1), st.integers(1, 8)).map(lambda ij: p[ij[0] : ij[0] + ij[1]])
+    )
+    chunks = data.draw(st.lists(st.one_of(single, run), max_size=12))
+    tokens = [t for chunk in chunks for t in chunk]
+    assert model.paragraph_log_probs(tokens) == _reference_log_probs(model, totals, tokens)
+    if tokens:
+        ids = tuple(_token_id(model, t) for t in tokens[:-1])
+        context = ((BOS_ID,) * (order - 1) + ids)[len(ids) :]
+        expected = _reference_prob(model, totals, order, context, _token_id(model, tokens[-1]))
+        assert model.probability(tokens[:-1], tokens[-1]) == expected
 
 
 def test_counts_without_suffix_contexts_are_rejected():
@@ -285,6 +343,16 @@ def test_counts_without_suffix_contexts_are_rejected():
     counts = [{(3,): 1, (4,): 1, (5,): 1}, {(3, 5): 1}, {(3, 4, 5): 1}]
     model = NGramLM(order=3, vocab=vocab, counts=counts, discounts=[0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="suffix"):
+        model.paragraph_log_probs(["a", "b", "c"])
+
+
+def test_counts_without_prefix_ngrams_are_rejected():
+    # context (3, 4) at order 3 has its suffix context (4,), but (3, 4) is no
+    # bigram, so no state reached by scoring "a b" would be that context
+    vocab = {t: i for i, t in enumerate(["<unk>", "<s>", "</s>", "a", "b", "c"])}
+    counts = [{(3,): 1, (4,): 1, (5,): 1}, {(4, 5): 1}, {(3, 4, 5): 1}]
+    model = NGramLM(order=3, vocab=vocab, counts=counts, discounts=[0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="not an order-2 n-gram"):
         model.paragraph_log_probs(["a", "b", "c"])
 
 
