@@ -3,9 +3,12 @@
 Subcommands map 1:1 to module operations; `pipeline` chains the offline
 data path (normalize, rule filtering, LM training, perplexity filtering,
 dedup, mix) and writes a run manifest with the config hash, seed, and
-per-stage document/token counts. Each offline stage has one body that both
-its subcommand and `pipeline` call. Instruction generation and evaluation
-take a chat endpoint and therefore stay outside `pipeline`.
+per-stage document/token counts. A stage's work is done by one body that
+both its subcommand and `pipeline` call (`_clean`, `lm.filter_by_perplexity`,
+`dedup.Deduplicator`, ...); `pipeline` streams the main corpus through
+normalize, filter-rules, filter-ppl and dedup in batches of documents.
+Instruction generation and evaluation take a chat endpoint and therefore
+stay outside `pipeline`.
 
 Exit codes: 0 success, 1 validation failure (bad config, flags, or input
 files), 2 runtime failure mid-run. A failed `pipeline` stage exits with the
@@ -15,17 +18,21 @@ code its cause gets from the stage's own subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import cleaning, dedup, evaluation, instruct, lm, mix
 from .corpus import (
     CorpusError,
+    CorpusReader,
     Document,
     WhitespaceTokenizer,
+    append_documents,
     atomic_write,
     read_documents,
     write_documents,
@@ -143,9 +150,14 @@ def load_config(path: str | Path) -> PipelineConfig:
 def _read_corpus(path: str | Path, strict: bool) -> List[Document]:
     reader = read_documents(path, strict=strict)
     docs = list(reader)
+    _report_skipped(reader, path)
+    return docs
+
+
+def _report_skipped(reader: CorpusReader, path: str | Path) -> None:
+    """Report the lenient-mode skips of an exhausted reader of `path`."""
     if reader.skipped:
         sys.stderr.write(f"lexcorpus: skipped {reader.skipped} malformed records in {path}\n")
-    return docs
 
 
 def _write_report(path: str | Path, report) -> None:
@@ -161,10 +173,11 @@ def _name_path(value: str) -> Tuple[str, str]:
     return name, path
 
 
-def _apply_cleaning(
+def _clean(
     docs: Sequence[Document], rules: Optional[cleaning.RuleSet]
 ) -> Tuple[List[Document], int]:
-    """Normalize (rules None) or rule-clean each text; emptied documents drop out."""
+    """normalize (rules None) or filter-rules: returns the cleaned documents
+    and how many were emptied, which drop out."""
     out: List[Document] = []
     for doc in docs:
         if rules is None:
@@ -174,6 +187,10 @@ def _apply_cleaning(
         if text:
             out.append(Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta)))
     return out, len(docs) - len(out)
+
+
+def _token_total(docs: Sequence[Document]) -> int:
+    return sum(len(TOKENIZER.tokenize(doc.text)) for doc in docs)
 
 
 def _load_ruleset(path: Optional[str | Path]) -> cleaning.RuleSet:
@@ -188,16 +205,7 @@ def _chat_backend(endpoint: Optional[str], model: str) -> instruct.ChatBackend:
     return instruct.StubChatBackend()
 
 
-# -- stage bodies: each offline subcommand and run_pipeline call these -----------
-
-
-def _clean(
-    docs: Sequence[Document], rules: Optional[cleaning.RuleSet], output: Path | str
-) -> Tuple[List[Document], int]:
-    """normalize (rules None) or filter-rules: returns (docs, emptied)."""
-    docs, emptied = _apply_cleaning(docs, rules)
-    write_documents(docs, output)
-    return docs, emptied
+# -- stage bodies that both a subcommand and run_pipeline call --------------------
 
 
 def _train_lm(
@@ -206,43 +214,6 @@ def _train_lm(
     model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount)
     lm.save_lm(model, output)
     return model
-
-
-def _filter_ppl(
-    docs: Sequence[Document],
-    model: lm.NGramLM,
-    threshold: float,
-    granularity: str,
-    output: Path | str,
-    dropped: Optional[Path | str] = None,
-    report: Optional[Path | str] = None,
-) -> Tuple[List[Document], lm.FilterReport]:
-    kept, dropped_docs, filter_report = lm.filter_by_perplexity(
-        docs, model, TOKENIZER, threshold=threshold, granularity=granularity
-    )
-    write_documents(kept, output)
-    if dropped:
-        write_documents(dropped_docs, dropped)
-    if report:
-        _write_report(report, filter_report)
-    return kept, filter_report
-
-
-def _dedup(
-    docs: Sequence[Document],
-    output: Path | str,
-    report: Optional[Path | str] = None,
-    clusters: Optional[Path | str] = None,
-    **params,
-) -> Tuple[List[Document], dedup.DedupReport]:
-    """Exact then near dedup; `params` are dedup.dedup_corpus's knobs."""
-    docs, dedup_report = dedup.dedup_corpus(docs, tok=TOKENIZER, **params)
-    write_documents(docs, output)
-    if report:
-        _write_report(report, dedup_report)
-    if clusters:
-        dedup.write_cluster_dump(dedup_report, clusters)
-    return docs, dedup_report
 
 
 def _mix(
@@ -258,7 +229,8 @@ def _mix(
 
 
 def cmd_normalize(args) -> int:
-    docs, emptied = _clean(_read_corpus(args.input, args.strict), None, args.output)
+    docs, emptied = _clean(_read_corpus(args.input, args.strict), None)
+    write_documents(docs, args.output)
     print(f"normalized {len(docs)} documents ({emptied} emptied) -> {args.output}")
     return 0
 
@@ -273,7 +245,8 @@ def cmd_mine_ngrams(args) -> int:
 
 def cmd_filter_rules(args) -> int:
     rules = _load_ruleset(args.ruleset)
-    docs, emptied = _clean(_read_corpus(args.input, args.strict), rules, args.output)
+    docs, emptied = _clean(_read_corpus(args.input, args.strict), rules)
+    write_documents(docs, args.output)
     print(f"rule-filtered {len(docs)} documents kept, {emptied} emptied -> {args.output}")
     return 0
 
@@ -295,9 +268,14 @@ def cmd_filter_ppl(args) -> int:
             raise ValueError("need --threshold or --calibration-corpus with --percentile")
         calib = _read_corpus(args.calibration_corpus, args.strict)
         threshold = lm.calibrate_threshold(model, calib, TOKENIZER, percentile=args.percentile)
-    _, report = _filter_ppl(
-        docs, model, threshold, args.granularity, args.output, args.dropped, args.report
+    kept, dropped, report = lm.filter_by_perplexity(
+        docs, model, TOKENIZER, threshold=threshold, granularity=args.granularity
     )
+    write_documents(kept, args.output)
+    if args.dropped:
+        write_documents(dropped, args.dropped)
+    if args.report:
+        _write_report(args.report, report)
     print(
         f"perplexity filter at {threshold:.4f}: kept {report.kept_docs} docs, "
         f"dropped {report.dropped_docs} entirely -> {args.output}"
@@ -306,17 +284,20 @@ def cmd_filter_ppl(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    final, report = _dedup(
+    final, report = dedup.dedup_corpus(
         _read_corpus(args.input, args.strict),
-        args.output,
-        args.report,
-        args.clusters,
         shingle_n=args.shingle_n,
         permutations=args.permutations,
         threshold=args.threshold,
         seed=args.seed,
+        tok=TOKENIZER,
         exact_only=args.exact_only,
     )
+    write_documents(final, args.output)
+    if args.report:
+        _write_report(args.report, report)
+    if args.clusters:
+        dedup.write_cluster_dump(report, args.clusters)
     print(
         f"dedup removed {report.exact_removed} exact + {report.near_removed} near "
         f"duplicates, {len(final)} documents remain -> {args.output}"
@@ -425,81 +406,136 @@ def cmd_ppl_report(args) -> int:
 
 # -- pipeline -----------------------------------------------------------------
 
+# Documents per batch of the streamed pass. Each stage runs over a whole
+# batch before the next starts: cycling the LM tables, regexes and JSON
+# encoder per document was measured 10-20% slower.
+_BATCH = 256
+
 
 def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     """normalize -> filter-rules -> train-lm -> filter-ppl -> dedup -> mix.
 
-    Every stage writes its corpus into out_dir before the next begins, so a
-    mid-run failure leaves completed stage outputs on disk. The returned
-    manifest is deterministic: same config bytes + seed give identical JSON.
+    The run manifest lists the stages in that order, each with its document
+    and token counts, and is deterministic: same config bytes + seed give
+    identical JSON. They execute in another order, so that the main corpus
+    is read once and never held whole. First the seed corpus is
+    rule-cleaned, the LM trained on it (`lm.json`) and the perplexity
+    threshold calibrated. Then one pass streams the main corpus in batches
+    of documents through normalize, filter-rules and filter-ppl, writing
+    `01`, `02`, `03` and `03_dropped` as it goes, and adds each kept
+    document to the dedup index, signed from the tokens filter-ppl made.
+    Then the near-duplicate clusters are resolved and `04` is written from
+    one re-read of `03`; then the mix. Each file is replaced only once it
+    is complete: a failed pass replaces none of `01`-`03`, and a failure
+    after the pass leaves them on disk.
     """
     cfg.validate()
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     rules = _load_ruleset(cfg.ruleset_path)
+    spec = cfg.mix_spec()
     stages: List[dict] = []
     manifest: dict = {"config_sha256": cfg.config_digest(), "seed": cfg.seed, "stages": stages}
 
-    def record(stage: str, docs: Sequence[Document], tokens: int, **extra) -> None:
-        stages.append({"stage": stage, "documents": len(docs), "tokens": tokens, **extra})
+    def record(stage: str, documents: int, tokens: int, **extra) -> None:
+        stages.append({"stage": stage, "documents": documents, "tokens": tokens, **extra})
 
-    def token_total(docs: Sequence[Document]) -> int:
-        return sum(len(TOKENIZER.tokenize(doc.text)) for doc in docs)
-
-    stage = "normalize"
+    stage = "train-lm"
     try:
-        docs, _ = _clean(_read_corpus(cfg.corpus, strict), None, out / "01_normalized.jsonl")
-        record(stage, docs, token_total(docs))
-
-        stage = "filter-rules"
-        docs, emptied = _clean(docs, rules, out / "02_rulefiltered.jsonl")
-        record(stage, docs, token_total(docs), emptied=emptied)
-
-        stage = "train-lm"
-        seed_docs, _ = _apply_cleaning(_read_corpus(cfg.seed_corpus, strict), rules)
+        seed_docs, _ = _clean(_read_corpus(cfg.seed_corpus, strict), rules)
         model = _train_lm(seed_docs, cfg.lm_order, out / "lm.json")
-        record(stage, seed_docs, token_total(seed_docs), order=cfg.lm_order)
+        seed_counts = (len(seed_docs), _token_total(seed_docs))
 
         stage = "filter-ppl"
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
-        docs, filter_report = _filter_ppl(
-            docs,
-            model,
-            threshold,
-            cfg.lm_granularity,
-            out / "03_pplfiltered.jsonl",
-            out / "03_dropped.jsonl",
-            out / "filter_report.json",
-        )
-        kept_tokens = sum(bucket["kept_tokens"] for bucket in filter_report.per_source.values())
-        record(stage, docs, kept_tokens, threshold=threshold)
-
-        stage = "dedup"
-        docs, report = _dedup(
-            docs,
-            out / "04_deduped.jsonl",
-            out / "dedup_report.json",
+        del seed_docs
+        filter_report = lm.FilterReport(threshold=threshold, granularity=cfg.lm_granularity)
+        index = dedup.Deduplicator(
             shingle_n=cfg.dedup_shingle_n,
             permutations=cfg.dedup_permutations,
             threshold=cfg.dedup_threshold,
             seed=cfg.seed,
+            tok=TOKENIZER,
         )
+        normalized_docs = normalized_tokens = rulefiltered_docs = emptied = 0
+        with contextlib.ExitStack() as stack:
+            normalized_fh, rulefiltered_fh, kept_fh, dropped_fh = (
+                stack.enter_context(atomic_write(out / name))
+                for name in (
+                    "01_normalized.jsonl",
+                    "02_rulefiltered.jsonl",
+                    "03_pplfiltered.jsonl",
+                    "03_dropped.jsonl",
+                )
+            )
+            reader = read_documents(cfg.corpus, strict=strict)
+            stream = stack.enter_context(contextlib.closing(iter(reader)))
+            while True:
+                stage = "normalize"
+                batch = list(itertools.islice(stream, _BATCH))
+                if not batch:
+                    break
+                batch, _ = _clean(batch, None)
+                normalized_docs += append_documents(normalized_fh, batch)
+                normalized_tokens += _token_total(batch)
+
+                stage = "filter-rules"
+                batch, batch_emptied = _clean(batch, rules)
+                rulefiltered_docs += append_documents(rulefiltered_fh, batch)
+                emptied += batch_emptied
+
+                stage = "filter-ppl"
+                kept_token_lists: List[List[str]] = []
+                kept, dropped, batch_report = lm.filter_by_perplexity(
+                    batch, model, TOKENIZER, threshold, cfg.lm_granularity, _kept_tokens=kept_token_lists
+                )
+                filter_report.merge(batch_report)
+                append_documents(kept_fh, kept)
+                append_documents(dropped_fh, dropped)
+
+                stage = "dedup"
+                # whitespace tokens of the kept parts are the kept text's tokens
+                for doc, tokens in zip(kept, kept_token_lists):
+                    index.add(doc.id, doc.text, tokens)
+        _report_skipped(reader, cfg.corpus)
+        del model
+
+        stage = "filter-ppl"
+        _write_report(out / "filter_report.json", filter_report)
+        kept_tokens = sum(bucket["kept_tokens"] for bucket in filter_report.per_source.values())
+        dropped_tokens = sum(bucket["dropped_tokens"] for bucket in filter_report.per_source.values())
+        record("normalize", normalized_docs, normalized_tokens)
+        # filter-ppl splits every token of 02 into kept or dropped
+        record("filter-rules", rulefiltered_docs, kept_tokens + dropped_tokens, emptied=emptied)
+        record("train-lm", *seed_counts, order=cfg.lm_order)
+        record("filter-ppl", filter_report.kept_docs, kept_tokens, threshold=threshold)
+
+        stage = "dedup"
+        removed, report = index.resolve()
+        del index  # frees the signature matrix before the mix's documents are read
+        # a spec source with no surviving documents is short of tokens, not unknown
+        sources: Dict[str, List[Document]] = {name: [] for name, _ in spec.entries}
+
+        def survivors() -> Iterator[Document]:
+            for idx, doc in enumerate(read_documents(out / "03_pplfiltered.jsonl", strict=True)):
+                if idx not in removed:
+                    if doc.source.name in sources:
+                        sources[doc.source.name].append(doc)
+                    yield doc
+
+        deduped_docs = write_documents(survivors(), out / "04_deduped.jsonl")
+        _write_report(out / "dedup_report.json", report)
         record(
             stage,
-            docs,
+            deduped_docs,
             report.tokens_after,
             exact_removed=report.exact_removed,
             near_removed=report.near_removed,
         )
 
         stage = "mix"
-        spec = cfg.mix_spec()
-        # a spec source with no surviving documents is short of tokens, not unknown
-        sources: Dict[str, List[Document]] = {name: [] for name, _ in spec.entries}
-        for doc in docs:
-            sources.setdefault(doc.source.name, []).append(doc)
         mixed, mix_manifest = _mix(sources, spec, out / "05_mix.jsonl", out / "mix_manifest.json")
-        record(stage, mixed, mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
+        record(stage, len(mixed), mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 

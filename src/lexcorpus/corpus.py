@@ -267,11 +267,18 @@ def write_documents(docs: Iterable[Document], path: str | Path) -> int:
     input field for field. A failed write leaves a regular-file `path` as it
     was instead of a shorter corpus.
     """
-    count = 0
     with atomic_write(path) as fh:
-        for doc in docs:
-            _check_unicode_clean(doc.text)
-            fh.write(document_to_json(doc))
-            fh.write("\n")
-            count += 1
+        return append_documents(fh, docs)
+
+
+def append_documents(fh: TextIO, docs: Iterable[Document]) -> int:
+    """Write documents to an open corpus file, one JSON line each; returns
+    the record count. Lets a caller fill several files in one pass, each
+    opened with atomic_write."""
+    count = 0
+    for doc in docs:
+        _check_unicode_clean(doc.text)
+        fh.write(document_to_json(doc))
+        fh.write("\n")
+        count += 1
     return count

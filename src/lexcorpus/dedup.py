@@ -10,6 +10,11 @@ by band key with a sort; the new pairs of each band are verified in batches
 against the threshold on the signature-level Jaccard estimate. Connected
 components of the verified pairs are resolved so the first document in
 stream order survives per cluster.
+
+`Deduplicator` is the one implementation: documents are added one at a
+time and resolved at the end. `exact_dedup`, `near_dedup` and
+`dedup_corpus` run it over a document list; the pipeline streams its
+corpus through it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,8 +33,11 @@ DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
 DEFAULT_THRESHOLD = 0.7
 
-# Rows per (rows x permutations) temporary in signing and verification.
-_CHUNK = 4096
+# Rows per (rows x permutations) temporary in signing and verification: at
+# 128 permutations each temporary takes 1 MiB, little beside the matrix.
+_CHUNK = 1024
+# Least number of rows the signature matrix grows by.
+_GROW_ROWS = 1024
 # Odd multiplier of the rolling shingle combine, then the murmur3 64-bit
 # finalizer constants, so every bit of a shingle hash depends on every bit
 # of its token hashes.
@@ -107,11 +115,13 @@ def minhash_signature(
     doc_id: str = "",
     _params: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     _token_hashes: Optional[_TokenHashes] = None,
+    _tokens: Optional[Sequence[str]] = None,
 ) -> MinHashSignature:
     """MinHash sketch of the text's shingle set.
 
     Tokens are hashed with blake2b, through `_token_hashes` when a caller
-    shares one cache across documents (near_dedup does, per run). Shingle
+    shares one cache across documents (a Deduplicator does), and come from
+    `_tokens` instead of `tok` when the caller has tokenized already. Shingle
     hashes are a rolling multiply-add over the token hashes with a 64-bit
     finalizer mix. Each of the `permutations` hash functions is a random
     odd-multiplier affine map over the shingle hashes (wraparound
@@ -124,7 +134,7 @@ def minhash_signature(
         raise ValueError("permutations must be >= 1")
     a, b = _params if _params is not None else _permutation_params(permutations, seed)
     cache = _token_hashes if _token_hashes is not None else _TokenHashes()
-    tokens = tok.tokenize(text)
+    tokens = _tokens if _tokens is not None else tok.tokenize(text)
     token_hashes = np.fromiter(map(cache.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
     hashes = _shingle_hashes(token_hashes, shingle_n)
     mins = np.full(permutations, np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -242,32 +252,6 @@ def write_cluster_dump(report: DedupReport, path) -> None:
                 fh.write(f"{kept}\t{rid}\n")
 
 
-def exact_dedup(
-    docs: Iterable[Document], tok: Optional[Tokenizer] = None
-) -> Tuple[List[Document], DedupReport]:
-    """Collapse documents whose normalized text is byte-identical; first
-    occurrence in stream order survives."""
-    tok = tok or WhitespaceTokenizer()
-    report = DedupReport()
-    unique: List[Document] = []
-    first_by_digest: Dict[str, int] = {}
-    removed_by_kept: Dict[str, List[str]] = {}
-    for doc in docs:
-        tokens = len(tok.tokenize(doc.text))
-        report.tokens_before += tokens
-        digest = hashlib.sha256(normalize_text(doc.text).encode("utf-8")).hexdigest()
-        if digest in first_by_digest:
-            kept_id = unique[first_by_digest[digest]].id
-            removed_by_kept.setdefault(kept_id, []).append(doc.id)
-            report.exact_removed += 1
-        else:
-            first_by_digest[digest] = len(unique)
-            unique.append(doc)
-            report.tokens_after += tokens
-    report.clusters = [(doc.id, removed_by_kept[doc.id]) for doc in unique if doc.id in removed_by_kept]
-    return unique, report
-
-
 def _band_pairs(keys: np.ndarray) -> np.ndarray:
     """Sorted keys `a * docs + b`, a < b, of the document pairs whose rows
     of `keys` (one band of the signature matrix) are equal."""
@@ -287,6 +271,159 @@ def _band_pairs(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[left] * docs + order[right])
 
 
+class Deduplicator:
+    """Exact then near dedup, fed one document at a time: `add` each
+    document in stream order, then `resolve` once.
+
+    With `exact`, a document whose normalized text has the SHA-256 of an
+    earlier one's is that one's exact duplicate. With `near`, every other
+    document is MinHash-signed as it is added, from the tokens the caller
+    passes, and `resolve` clusters the signatures with banded LSH. Only ids,
+    token counts, exact digests and the signature matrix are held, never the
+    texts, so a caller can stream a corpus through and read it again to
+    write the survivors.
+    """
+
+    def __init__(
+        self,
+        exact: bool = True,
+        near: bool = True,
+        shingle_n: int = DEFAULT_SHINGLE_N,
+        permutations: int = DEFAULT_PERMUTATIONS,
+        threshold: float = DEFAULT_THRESHOLD,
+        seed: int = 0,
+        tok: Optional[Tokenizer] = None,
+    ):
+        if near and not 0.0 < threshold <= 1.0:
+            raise ValueError("threshold must lie in (0, 1]")
+        self.exact = exact
+        self.near = near
+        self.shingle_n = shingle_n
+        self.permutations = permutations
+        self.threshold = threshold
+        self.seed = seed
+        self.tok = tok or WhitespaceTokenizer()
+        self._ids: List[str] = []
+        self._token_counts: List[int] = []
+        self._first_by_digest: Dict[bytes, int] = {}
+        self._exact_copies: Dict[int, List[int]] = {}  # kept index -> its copies
+        self._signed: List[int] = []  # document index of each signature row
+        if near:
+            self._sigs = np.empty((0, permutations), dtype=np.uint64)
+            self._params = _permutation_params(permutations, seed)
+            self._token_hashes = _TokenHashes()
+
+    def add(self, doc_id: str, text: str, tokens: Sequence[str]) -> None:
+        """Take the next document; `tokens` is `self.tok.tokenize(text)`."""
+        idx = len(self._ids)
+        self._ids.append(doc_id)
+        self._token_counts.append(len(tokens))
+        if self.exact:
+            digest = hashlib.sha256(normalize_text(text).encode("utf-8")).digest()
+            first = self._first_by_digest.setdefault(digest, idx)
+            if first != idx:
+                self._exact_copies.setdefault(first, []).append(idx)
+                return
+        if not self.near:
+            return
+        sig = minhash_signature(
+            text,
+            self.tok,
+            shingle_n=self.shingle_n,
+            permutations=self.permutations,
+            seed=self.seed,
+            doc_id=doc_id,
+            _params=self._params,
+            _token_hashes=self._token_hashes,
+            _tokens=tokens,
+        )
+        row = len(self._signed)
+        if row == len(self._sigs):
+            # realloc grows the matrix where it lies, without a second copy;
+            # no view of it outlives a call, so nothing can dangle
+            self._sigs.resize((row + max(_GROW_ROWS, row // 8), self.permutations), refcheck=False)
+        self._sigs[row] = sig.values
+        self._signed.append(idx)
+
+    def resolve(self) -> Tuple[Set[int], DedupReport]:
+        """The indices, in add order, of the documents to remove, and the
+        report: exact clusters first, then near clusters, each kept by its
+        first document in stream order."""
+        report = DedupReport(tokens_before=sum(self._token_counts))
+        removed: Set[int] = set()
+        for kept in sorted(self._exact_copies):
+            copies = self._exact_copies[kept]
+            report.clusters.append((self._ids[kept], [self._ids[i] for i in copies]))
+            removed.update(copies)
+        report.exact_removed = len(removed)
+        if self.near and self._signed:
+            for members in self._near_clusters(report):
+                kept, *copies = [self._signed[row] for row in members]
+                report.clusters.append((self._ids[kept], [self._ids[i] for i in copies]))
+                removed.update(copies)
+                report.near_removed += len(copies)
+        report.tokens_after = report.tokens_before - sum(self._token_counts[i] for i in removed)
+        return removed, report
+
+    def _near_clusters(self, report: DedupReport) -> List[List[int]]:
+        """Signature rows of each near-duplicate cluster, in order of their
+        first row; counts the candidate and verified pairs into `report`.
+
+        Candidate pairs come from LSH band collisions: per band, rows are
+        grouped by band key with a sort, and each pair not seen in an
+        earlier band is verified once, in batches, by the fraction of equal
+        signature positions >= threshold (estimate_jaccard's value).
+        Verified pairs are merged into connected components."""
+        rows_total = len(self._signed)
+        sigs = self._sigs[:rows_total]
+        bands, rows = optimal_band_split(self.permutations, self.threshold)
+        uf = _UnionFind(rows_total)
+        # Sorted keys of the pairs verified so far, ending in a sentinel above
+        # every key so that each searchsorted position can be dereferenced.
+        seen = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+        for band in range(bands):
+            pairs = _band_pairs(sigs[:, band * rows : (band + 1) * rows])
+            pos = np.searchsorted(seen, pairs)
+            fresh = seen[pos] != pairs
+            pairs = pairs[fresh]
+            seen = np.insert(seen, pos[fresh], pairs)
+            for start in range(0, len(pairs), _CHUNK):
+                left, right = np.divmod(pairs[start : start + _CHUNK], rows_total)
+                matches = np.count_nonzero(sigs[left] == sigs[right], axis=1)
+                verified = matches / self.permutations >= self.threshold
+                report.verified_pairs += int(np.count_nonzero(verified))
+                for x, y in zip(left[verified].tolist(), right[verified].tolist()):
+                    uf.union(x, y)
+        report.candidate_pairs = len(seen) - 1
+
+        members_by_root: Dict[int, List[int]] = {}
+        for row in range(rows_total):
+            members_by_root.setdefault(uf.find(row), []).append(row)
+        # the union-find roots each cluster at its smallest row
+        return [members_by_root[root] for root in sorted(members_by_root) if len(members_by_root[root]) > 1]
+
+
+def _dedup_documents(
+    docs: Iterable[Document], tok: Optional[Tokenizer], **options
+) -> Tuple[List[Document], DedupReport]:
+    """Run a Deduplicator built with `options` over `docs`, tokenizing each
+    document once; returns the survivors in stream order and the report."""
+    index = Deduplicator(tok=tok, **options)
+    doc_list = list(docs)
+    for doc in doc_list:
+        index.add(doc.id, doc.text, index.tok.tokenize(doc.text))
+    removed, report = index.resolve()
+    return [doc for idx, doc in enumerate(doc_list) if idx not in removed], report
+
+
+def exact_dedup(
+    docs: Iterable[Document], tok: Optional[Tokenizer] = None
+) -> Tuple[List[Document], DedupReport]:
+    """Collapse documents whose normalized text is byte-identical; first
+    occurrence in stream order survives."""
+    return _dedup_documents(docs, tok, near=False)
+
+
 def near_dedup(
     docs: Iterable[Document],
     shingle_n: int = DEFAULT_SHINGLE_N,
@@ -295,82 +432,11 @@ def near_dedup(
     seed: int = 0,
     tok: Optional[Tokenizer] = None,
 ) -> Tuple[List[Document], DedupReport]:
-    """Remove near-duplicates via MinHash/LSH.
-
-    Candidate pairs come from LSH band collisions: per band, documents are
-    grouped by band key with a sort, and each pair not seen in an earlier
-    band is verified once, in batches, by the fraction of equal signature
-    positions >= threshold (estimate_jaccard's value). Verified pairs are
-    merged into connected components; the first document per component
-    survives.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
-    tok = tok or WhitespaceTokenizer()
-    doc_list = list(docs)
-    report = DedupReport()
-    if not doc_list:
-        return [], report
-
-    params = _permutation_params(permutations, seed)
-    token_hashes = _TokenHashes()
-    bands, rows = optimal_band_split(permutations, threshold)
-
-    sigs = np.empty((len(doc_list), permutations), dtype=np.uint64)
-    token_counts: List[int] = []
-    for idx, doc in enumerate(doc_list):
-        sig = minhash_signature(
-            doc.text,
-            tok,
-            shingle_n=shingle_n,
-            permutations=permutations,
-            seed=seed,
-            doc_id=doc.id,
-            _params=params,
-            _token_hashes=token_hashes,
-        )
-        sigs[idx] = sig.values
-        token_counts.append(sig.token_count)
-    report.tokens_before = sum(token_counts)
-
-    uf = _UnionFind(len(doc_list))
-    # Sorted keys of the pairs verified so far, ending in a sentinel above
-    # every key so that each searchsorted position can be dereferenced.
-    seen = np.array([np.iinfo(np.int64).max], dtype=np.int64)
-    for band in range(bands):
-        pairs = _band_pairs(sigs[:, band * rows : (band + 1) * rows])
-        pos = np.searchsorted(seen, pairs)
-        fresh = seen[pos] != pairs
-        pairs = pairs[fresh]
-        seen = np.insert(seen, pos[fresh], pairs)
-        for start in range(0, len(pairs), _CHUNK):
-            left, right = np.divmod(pairs[start : start + _CHUNK], len(doc_list))
-            matches = np.count_nonzero(sigs[left] == sigs[right], axis=1)
-            verified = matches / permutations >= threshold
-            report.verified_pairs += int(np.count_nonzero(verified))
-            for x, y in zip(left[verified].tolist(), right[verified].tolist()):
-                uf.union(x, y)
-    report.candidate_pairs = len(seen) - 1
-
-    members_by_root: Dict[int, List[int]] = {}
-    for idx in range(len(doc_list)):
-        members_by_root.setdefault(uf.find(idx), []).append(idx)
-
-    removed: set = set()
-    for root in sorted(members_by_root):
-        members = sorted(members_by_root[root])
-        if len(members) < 2:
-            continue
-        kept = members[0]
-        removed.update(members[1:])
-        report.clusters.append(
-            (doc_list[kept].id, [doc_list[i].id for i in members[1:]])
-        )
-        report.near_removed += len(members) - 1
-
-    unique = [doc for idx, doc in enumerate(doc_list) if idx not in removed]
-    report.tokens_after = report.tokens_before - sum(token_counts[idx] for idx in removed)
-    return unique, report
+    """Remove near-duplicates via MinHash/LSH (Deduplicator without its
+    exact pass); the first document per cluster survives."""
+    return _dedup_documents(
+        docs, tok, exact=False, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed
+    )
 
 
 def dedup_corpus(
@@ -383,19 +449,14 @@ def dedup_corpus(
     exact_only: bool = False,
 ) -> Tuple[List[Document], DedupReport]:
     """Exact dedup, then near dedup of the survivors unless `exact_only`;
-    one report covers both passes, exact clusters first."""
-    unique, exact = exact_dedup(docs, tok)
-    if exact_only:
-        return unique, exact
-    final, near = near_dedup(
-        unique, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed, tok=tok
-    )
-    return final, DedupReport(
-        clusters=exact.clusters + near.clusters,
-        exact_removed=exact.exact_removed,
-        near_removed=near.near_removed,
-        tokens_before=exact.tokens_before,
-        tokens_after=near.tokens_after,
-        candidate_pairs=near.candidate_pairs,
-        verified_pairs=near.verified_pairs,
+    one report covers both passes, exact clusters first. Each document is
+    tokenized once, for its count and its signature."""
+    return _dedup_documents(
+        docs,
+        tok,
+        near=not exact_only,
+        shingle_n=shingle_n,
+        permutations=permutations,
+        threshold=threshold,
+        seed=seed,
     )

@@ -34,6 +34,7 @@ pay for the tables; only the counts are saved.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -359,6 +360,15 @@ class FilterReport:
     def _bucket(self, source: str) -> Dict[str, int]:
         return self.per_source.setdefault(source, {"kept_tokens": 0, "dropped_tokens": 0})
 
+    def merge(self, other: "FilterReport") -> None:
+        """Add the counts of a report on another part of the same corpus."""
+        self.kept_docs += other.kept_docs
+        self.dropped_docs += other.dropped_docs
+        for source, counts in other.per_source.items():
+            bucket = self._bucket(source)
+            for key, value in counts.items():
+                bucket[key] += value
+
     def to_json(self) -> str:
         payload = {
             "threshold": self.threshold,
@@ -376,6 +386,7 @@ def filter_by_perplexity(
     tok: Tokenizer,
     threshold: float,
     granularity: str = "paragraph",
+    _kept_tokens: Optional[List[List[str]]] = None,
 ) -> Tuple[List[Document], List[Document], FilterReport]:
     """Split a corpus into kept and dropped parts by perplexity.
 
@@ -383,7 +394,10 @@ def filter_by_perplexity(
     paragraphs scoring above the threshold are dropped, and the document is
     reassembled from the survivors. The dropped stream carries the removed
     text under the original document id, so kept plus dropped token counts
-    equal the input exactly.
+    equal the input exactly. A caller that passes `_kept_tokens` gets, per
+    kept document in kept order, its kept parts' tokens end to end: the
+    kept text's tokens under a whitespace tokenizer, without tokenizing it
+    again.
     """
     if not 0 < threshold < math.inf:  # also false for NaN
         raise ValueError(f"threshold must be finite and positive, not {threshold}")
@@ -402,7 +416,7 @@ def filter_by_perplexity(
             parts = split_paragraphs(doc.text)
         kept_parts: List[str] = []
         dropped_parts: List[str] = []
-        kept_tokens = 0
+        kept_part_tokens: List[List[str]] = []
         dropped_tokens = 0
         for part in parts:
             tokens = tok.tokenize(part)
@@ -415,8 +429,8 @@ def filter_by_perplexity(
                 dropped_tokens += len(tokens)
             else:
                 kept_parts.append(part)
-                kept_tokens += len(tokens)
-        bucket["kept_tokens"] += kept_tokens
+                kept_part_tokens.append(tokens)
+        bucket["kept_tokens"] += sum(map(len, kept_part_tokens))
         bucket["dropped_tokens"] += dropped_tokens
         if kept_parts:
             text = "\n\n".join(kept_parts)
@@ -424,6 +438,8 @@ def filter_by_perplexity(
                 Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta))
             )
             report.kept_docs += 1
+            if _kept_tokens is not None:
+                _kept_tokens.append(list(itertools.chain.from_iterable(kept_part_tokens)))
         if dropped_parts:
             text = "\n\n".join(dropped_parts)
             dropped_docs.append(

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from lexcorpus import cleaning, cli
-from lexcorpus.corpus import read_documents
+from lexcorpus import cleaning, cli, lm
+from lexcorpus.corpus import WhitespaceTokenizer, read_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
 
@@ -212,6 +212,95 @@ def test_pipeline_tokens_match_stage_outputs(pipeline_inputs, tmp_path):
         cleaning.clean_text(doc.text, rules) for doc in read_documents(cfg.seed_corpus)
     )
     assert {s["stage"]: s["tokens"] for s in manifest["stages"]} == expected
+
+
+def test_pipeline_tokenization_budget(pipeline_inputs, tmp_path, monkeypatch):
+    """The main corpus is tokenized twice: normalize counts its output, and
+    filter-ppl scores the rule-filtered text and hands its tokens to dedup.
+    The seed corpus is tokenized to train, calibrate and count, and the mix
+    counts what it takes."""
+    returned = []
+    real = WhitespaceTokenizer.tokenize
+
+    def counting(self, text):
+        tokens = real(self, text)
+        returned.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(WhitespaceTokenizer, "tokenize", counting)
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "out"
+    tokens = {s["stage"]: s["tokens"] for s in cli.run_pipeline(cfg)["stages"]}
+    assert sum(returned) <= 2 * tokens["normalize"] + 3 * tokens["train-lm"] + tokens["mix"]
+
+
+def _scored_paragraphs(path) -> int:
+    """Paragraphs the LM scores in the rule-cleaned corpus at `path`."""
+    rules = cleaning.build_default_ruleset()
+    return sum(
+        1
+        for doc in read_documents(path)
+        for para in cleaning.split_paragraphs(cleaning.clean_text(doc.text, rules))
+        if para.split()
+    )
+
+
+def test_failed_pass_replaces_no_stage_output(pipeline_inputs, tmp_path, monkeypatch):
+    """LM scoring that fails three quarters of the way through the main
+    corpus fails the run as filter-ppl, and no file of the pass is created
+    or replaced."""
+    fail_at = _scored_paragraphs(pipeline_inputs / "seed.jsonl") + 3 * _scored_paragraphs(
+        pipeline_inputs / "corpus.jsonl"
+    ) // 4
+    calls = []
+    real = lm.NGramLM.paragraph_log_probs
+
+    def failing(self, tokens):
+        calls.append(len(tokens))
+        if len(calls) == fail_at:
+            raise RuntimeError("scoring failed")
+        return real(self, tokens)
+
+    monkeypatch.setattr(lm.NGramLM, "paragraph_log_probs", failing)
+    names = ("01_normalized.jsonl", "02_rulefiltered.jsonl", "03_pplfiltered.jsonl", "03_dropped.jsonl")
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    for existing in (False, True):
+        cfg.out_dir = tmp_path / f"out-{existing}"
+        cfg.out_dir.mkdir()
+        if existing:
+            for name in names:
+                (cfg.out_dir / name).write_text(f"old {name}\n")
+        calls.clear()
+        with pytest.raises(cli.PipelineStageError) as excinfo:
+            cli.run_pipeline(cfg)
+        assert excinfo.value.stage == "filter-ppl"
+        assert len(calls) == fail_at
+        for name in names:
+            if existing:
+                assert (cfg.out_dir / name).read_text() == f"old {name}\n"
+            else:
+                assert not (cfg.out_dir / name).exists()
+        assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_pipeline_reports_skipped_records_of_streamed_corpus(pipeline_inputs, tmp_path, capsys):
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "clean"
+    clean = cli.run_pipeline(cfg)
+    lines = (pipeline_inputs / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    broken = tmp_path / "corpus.jsonl"
+    broken.write_text("".join(lines[:300] + ['{"id": "bad", "text": \n'] + lines[300:]), encoding="utf-8")
+    capsys.readouterr()
+
+    cfg.corpus, cfg.out_dir = broken, tmp_path / "lenient"
+    assert cli.run_pipeline(cfg)["stages"] == clean["stages"]
+    assert capsys.readouterr().err == f"lexcorpus: skipped 1 malformed records in {broken}\n"
+
+    cfg.out_dir = tmp_path / "strict"
+    with pytest.raises(cli.PipelineStageError) as excinfo:
+        cli.run_pipeline(cfg, strict=True)
+    assert excinfo.value.stage == "normalize"
+    assert str(excinfo.value.cause).startswith("line 301: ")
 
 
 def _moved_config(pipeline_inputs, tmp_path, **edits):

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import lexcorpus
+from lexcorpus import cli
+from lexcorpus.corpus import WhitespaceTokenizer, write_documents
 from lexcorpus.dedup import (
     dedup_corpus,
     estimate_jaccard,
@@ -201,6 +203,31 @@ def test_dedup_corpus_combines_exact_then_near(make_doc):
     assert (report.exact_removed, report.near_removed) == (1, 0)
     assert (report.tokens_before, report.tokens_after) == (120, 90)
     assert (report.candidate_pairs, report.verified_pairs) == (0, 0)
+
+
+def test_dedup_corpus_tokenizes_each_document_once(tmp_path, monkeypatch):
+    """The exact pass counts tokens from the tokenization near dedup signs
+    with, in dedup_corpus and so in the dedup subcommand."""
+    docs = generate_dedup_fixture(seed=8).docs
+    expected = dedup_corpus(docs)
+    tokenized = []
+    real = WhitespaceTokenizer.tokenize
+
+    def counting(self, text):
+        tokenized.append(text)
+        return real(self, text)
+
+    monkeypatch.setattr(WhitespaceTokenizer, "tokenize", counting)
+    kept, report = dedup_corpus(docs)
+    assert len(tokenized) == len(docs)
+    assert ([d.id for d in kept], report.to_json()) == ([d.id for d in expected[0]], expected[1].to_json())
+
+    write_documents(docs, tmp_path / "in.jsonl")
+    tokenized.clear()
+    argv = ["dedup", "-i", tmp_path / "in.jsonl", "-o", tmp_path / "out.jsonl", "--report", tmp_path / "r.json"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert len(tokenized) == len(docs)
+    assert (tmp_path / "r.json").read_text() == report.to_json() + "\n"
 
 
 def _reference_near_dedup(docs, tok, permutations, threshold, shingle_n=5, seed=0):
