@@ -5,8 +5,10 @@ data path (normalize, rule filtering, LM training, perplexity filtering,
 dedup, mix) and writes a run manifest with the config hash, seed, and
 per-stage document/token counts. A stage's work is done by one body that
 both its subcommand and `pipeline` call (`_clean`, `lm.filter_by_perplexity`,
-`dedup.Deduplicator`, ...); `pipeline` streams the main corpus through
-normalize, filter-rules, filter-ppl and dedup in batches of documents.
+`dedup.Deduplicator`, ...). `pipeline` streams the main corpus through
+normalize, filter-rules, filter-ppl and dedup in batches of documents, and
+the `normalize`, `filter-rules` and `filter-ppl` subcommands stream their
+input through the same batch loop; `dedup` reads its input twice.
 Instruction generation and evaluation take a chat endpoint and therefore
 stay outside `pipeline`.
 
@@ -22,9 +24,11 @@ import contextlib
 import hashlib
 import itertools
 import json
+import os
+import stat
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import cleaning, dedup, evaluation, instruct, lm, mix
 from .corpus import (
@@ -160,6 +164,65 @@ def _report_skipped(reader: CorpusReader, path: str | Path) -> None:
         sys.stderr.write(f"lexcorpus: skipped {reader.skipped} malformed records in {path}\n")
 
 
+def _refuse_write_through(source: str | Path, outputs: Iterable[str | Path]) -> None:
+    """Raise ValueError for an output that is the file `source` and that
+    atomic_write would write straight through (a symlink, say): a stage
+    that reads `source` while it writes would truncate it unread. A regular
+    file is safe, even as the input: it is replaced only once complete."""
+    for path in outputs:
+        linked = os.path.exists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+        if linked and os.path.samefile(path, source):
+            raise ValueError(f"output {path} is the input {source}: write to another path")
+
+
+# Documents per batch of a streamed pass. Each stage runs over a whole
+# batch before the next starts: cycling the LM tables, regexes and JSON
+# encoder per document was measured 10-20% slower.
+_BATCH = 256
+
+
+def _stream(
+    source: str | Path,
+    strict: bool,
+    outputs: Sequence[str | Path],
+    run: Callable[[List[Document]], Sequence[Iterable[Document]]],
+) -> Tuple[int, List[int]]:
+    """Stream the corpus at `source` through `run` in batches of `_BATCH`
+    documents. For each batch `run` returns one document list per output,
+    which is appended to that output; the outputs are opened with
+    atomic_write, so a failure replaces none of them. Returns the number of
+    documents read and the number written to each output."""
+    reader = read_documents(source, strict=strict)
+    _refuse_write_through(source, outputs)
+    written = [0] * len(outputs)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(atomic_write(path)) for path in outputs]
+        stream = stack.enter_context(contextlib.closing(iter(reader)))
+        while True:
+            batch = list(itertools.islice(stream, _BATCH))
+            if not batch:
+                break
+            for i, docs in enumerate(run(batch)):
+                written[i] += append_documents(handles[i], docs)
+    _report_skipped(reader, source)
+    return reader.count, written
+
+
+def _survivors(path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]) -> Iterator[Document]:
+    """Read `path` again, after a dedup.Deduplicator took its documents
+    with these `ids` in order, and yield those whose index is not in
+    `removed`. A document whose id is not the one at its index, or a read
+    that ends early, raises CorpusError: the file changed between reads."""
+    reader = read_documents(path, strict=strict)
+    for idx, doc in enumerate(reader):
+        if idx >= len(ids) or doc.id != ids[idx]:
+            raise CorpusError(f"{path} changed between two reads: document {idx + 1} is now {doc.id!r}")
+        if idx not in removed:
+            yield doc
+    if reader.count != len(ids):
+        raise CorpusError(f"{path} changed between two reads: {reader.count} documents, not {len(ids)}")
+
+
 def _write_report(path: str | Path, report) -> None:
     with atomic_write(path) as fh:
         fh.write(report.to_json() + "\n")
@@ -173,11 +236,9 @@ def _name_path(value: str) -> Tuple[str, str]:
     return name, path
 
 
-def _clean(
-    docs: Sequence[Document], rules: Optional[cleaning.RuleSet]
-) -> Tuple[List[Document], int]:
-    """normalize (rules None) or filter-rules: returns the cleaned documents
-    and how many were emptied, which drop out."""
+def _clean(docs: Iterable[Document], rules: Optional[cleaning.RuleSet]) -> List[Document]:
+    """normalize (rules None) or filter-rules: returns the cleaned
+    documents; those emptied drop out."""
     out: List[Document] = []
     for doc in docs:
         if rules is None:
@@ -186,7 +247,7 @@ def _clean(
             text = cleaning.clean_text(doc.text, rules)
         if text:
             out.append(Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta)))
-    return out, len(docs) - len(out)
+    return out
 
 
 def _token_total(docs: Sequence[Document]) -> int:
@@ -209,7 +270,7 @@ def _chat_backend(endpoint: Optional[str], model: str) -> instruct.ChatBackend:
 
 
 def _train_lm(
-    docs: Sequence[Document], order: int, output: Path | str, discount: Optional[float] = None
+    docs: Iterable[Document], order: int, output: Path | str, discount: Optional[float] = None
 ) -> lm.NGramLM:
     model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount)
     lm.save_lm(model, output)
@@ -229,15 +290,15 @@ def _mix(
 
 
 def cmd_normalize(args) -> int:
-    docs, emptied = _clean(_read_corpus(args.input, args.strict), None)
-    write_documents(docs, args.output)
-    print(f"normalized {len(docs)} documents ({emptied} emptied) -> {args.output}")
+    read, (written,) = _stream(args.input, args.strict, [args.output], lambda batch: [_clean(batch, None)])
+    print(f"normalized {written} documents ({read - written} emptied) -> {args.output}")
     return 0
 
 
 def cmd_mine_ngrams(args) -> int:
-    docs = _read_corpus(args.input, args.strict)
-    table = cleaning.mine_ngrams(docs, TOKENIZER, n=args.n, top_k=args.top_k)
+    reader = read_documents(args.input, strict=args.strict)
+    table = cleaning.mine_ngrams(reader, TOKENIZER, n=args.n, top_k=args.top_k)
+    _report_skipped(reader, args.input)
     cleaning.write_ngram_report(table, args.output)
     print(f"mined top {len(table.entries)} {args.n}-grams -> {args.output}")
     return 0
@@ -245,22 +306,24 @@ def cmd_mine_ngrams(args) -> int:
 
 def cmd_filter_rules(args) -> int:
     rules = _load_ruleset(args.ruleset)
-    docs, emptied = _clean(_read_corpus(args.input, args.strict), rules)
-    write_documents(docs, args.output)
-    print(f"rule-filtered {len(docs)} documents kept, {emptied} emptied -> {args.output}")
+    read, (written,) = _stream(args.input, args.strict, [args.output], lambda batch: [_clean(batch, rules)])
+    print(f"rule-filtered {written} documents kept, {read - written} emptied -> {args.output}")
     return 0
 
 
 def cmd_train_lm(args) -> int:
-    docs = _read_corpus(args.input, args.strict)
-    model = _train_lm(docs, args.order, args.output, discount=args.discount)
-    print(f"trained order-{model.order} model on {len(docs)} documents -> {args.output}")
+    reader = read_documents(args.input, strict=args.strict)
+    try:
+        model = _train_lm(reader, args.order, args.output, discount=args.discount)
+    finally:
+        # also when the corpus is empty once its malformed records are skipped
+        _report_skipped(reader, args.input)
+    print(f"trained order-{model.order} model on {reader.count} documents -> {args.output}")
     return 0
 
 
 def cmd_filter_ppl(args) -> int:
     model = lm.load_lm(args.model)
-    docs = _read_corpus(args.input, args.strict)
     if args.threshold is not None:
         threshold = args.threshold
     else:
@@ -268,12 +331,20 @@ def cmd_filter_ppl(args) -> int:
             raise ValueError("need --threshold or --calibration-corpus with --percentile")
         calib = _read_corpus(args.calibration_corpus, args.strict)
         threshold = lm.calibrate_threshold(model, calib, TOKENIZER, percentile=args.percentile)
-    kept, dropped, report = lm.filter_by_perplexity(
-        docs, model, TOKENIZER, threshold=threshold, granularity=args.granularity
-    )
-    write_documents(kept, args.output)
-    if args.dropped:
-        write_documents(dropped, args.dropped)
+        del calib
+    # checks the threshold and granularity before an output is opened, and
+    # gives the empty report that each batch's report is merged into
+    _, _, report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, args.granularity)
+    outputs = [args.output, args.dropped] if args.dropped else [args.output]
+
+    def run(batch: List[Document]) -> Tuple[List[Document], ...]:
+        kept, dropped, batch_report = lm.filter_by_perplexity(
+            batch, model, TOKENIZER, threshold, args.granularity
+        )
+        report.merge(batch_report)
+        return (kept, dropped)[: len(outputs)]
+
+    _stream(args.input, args.strict, outputs, run)
     if args.report:
         _write_report(args.report, report)
     print(
@@ -284,23 +355,35 @@ def cmd_filter_ppl(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    final, report = dedup.dedup_corpus(
-        _read_corpus(args.input, args.strict),
+    """dedup.dedup_corpus over a stream: the input is read once into the
+    index, then again to write the survivors, so it must be a regular file
+    (not a pipe, which a second read would find empty)."""
+    reader = read_documents(args.input, strict=args.strict)
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        raise ValueError(f"dedup reads its input twice, so it must be a regular file: {args.input}")
+    _refuse_write_through(args.input, [args.output])
+    index = dedup.Deduplicator(
+        near=not args.exact_only,
         shingle_n=args.shingle_n,
         permutations=args.permutations,
         threshold=args.threshold,
         seed=args.seed,
         tok=TOKENIZER,
-        exact_only=args.exact_only,
     )
-    write_documents(final, args.output)
+    for doc in reader:
+        index.add(doc.id, doc.text, TOKENIZER.tokenize(doc.text))
+    _report_skipped(reader, args.input)
+    removed, report = index.resolve()
+    ids = index.ids
+    del index  # frees the signature matrix before the second read
+    kept = write_documents(_survivors(args.input, args.strict, ids, removed), args.output)
     if args.report:
         _write_report(args.report, report)
     if args.clusters:
         dedup.write_cluster_dump(report, args.clusters)
     print(
         f"dedup removed {report.exact_removed} exact + {report.near_removed} near "
-        f"duplicates, {len(final)} documents remain -> {args.output}"
+        f"duplicates, {kept} documents remain -> {args.output}"
     )
     return 0
 
@@ -406,11 +489,6 @@ def cmd_ppl_report(args) -> int:
 
 # -- pipeline -----------------------------------------------------------------
 
-# Documents per batch of the streamed pass. Each stage runs over a whole
-# batch before the next starts: cycling the LM tables, regexes and JSON
-# encoder per document was measured 10-20% slower.
-_BATCH = 256
-
 
 def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     """normalize -> filter-rules -> train-lm -> filter-ppl -> dedup -> mix.
@@ -442,14 +520,14 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
 
     stage = "train-lm"
     try:
-        seed_docs, _ = _clean(_read_corpus(cfg.seed_corpus, strict), rules)
+        seed_docs = _clean(_read_corpus(cfg.seed_corpus, strict), rules)
         model = _train_lm(seed_docs, cfg.lm_order, out / "lm.json")
         seed_counts = (len(seed_docs), _token_total(seed_docs))
 
         stage = "filter-ppl"
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
         del seed_docs
-        filter_report = lm.FilterReport(threshold=threshold, granularity=cfg.lm_granularity)
+        _, _, filter_report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, cfg.lm_granularity)
         index = dedup.Deduplicator(
             shingle_n=cfg.dedup_shingle_n,
             permutations=cfg.dedup_permutations,
@@ -457,47 +535,35 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
             seed=cfg.seed,
             tok=TOKENIZER,
         )
-        normalized_docs = normalized_tokens = rulefiltered_docs = emptied = 0
-        with contextlib.ExitStack() as stack:
-            normalized_fh, rulefiltered_fh, kept_fh, dropped_fh = (
-                stack.enter_context(atomic_write(out / name))
-                for name in (
-                    "01_normalized.jsonl",
-                    "02_rulefiltered.jsonl",
-                    "03_pplfiltered.jsonl",
-                    "03_dropped.jsonl",
-                )
+        normalized_tokens = 0
+
+        def run_stages(batch: List[Document]) -> Tuple[List[Document], ...]:
+            nonlocal stage, normalized_tokens
+            normalized = _clean(batch, None)
+            normalized_tokens += _token_total(normalized)
+
+            stage = "filter-rules"
+            rulefiltered = _clean(normalized, rules)
+
+            stage = "filter-ppl"
+            kept_token_lists: List[List[str]] = []
+            kept, dropped, batch_report = lm.filter_by_perplexity(
+                rulefiltered, model, TOKENIZER, threshold, cfg.lm_granularity, _kept_tokens=kept_token_lists
             )
-            reader = read_documents(cfg.corpus, strict=strict)
-            stream = stack.enter_context(contextlib.closing(iter(reader)))
-            while True:
-                stage = "normalize"
-                batch = list(itertools.islice(stream, _BATCH))
-                if not batch:
-                    break
-                batch, _ = _clean(batch, None)
-                normalized_docs += append_documents(normalized_fh, batch)
-                normalized_tokens += _token_total(batch)
+            filter_report.merge(batch_report)
 
-                stage = "filter-rules"
-                batch, batch_emptied = _clean(batch, rules)
-                rulefiltered_docs += append_documents(rulefiltered_fh, batch)
-                emptied += batch_emptied
+            stage = "dedup"
+            # whitespace tokens of the kept parts are the kept text's tokens
+            for doc, tokens in zip(kept, kept_token_lists):
+                index.add(doc.id, doc.text, tokens)
+            stage = "normalize"  # the next batch is read as normalize's input
+            return normalized, rulefiltered, kept, dropped
 
-                stage = "filter-ppl"
-                kept_token_lists: List[List[str]] = []
-                kept, dropped, batch_report = lm.filter_by_perplexity(
-                    batch, model, TOKENIZER, threshold, cfg.lm_granularity, _kept_tokens=kept_token_lists
-                )
-                filter_report.merge(batch_report)
-                append_documents(kept_fh, kept)
-                append_documents(dropped_fh, dropped)
-
-                stage = "dedup"
-                # whitespace tokens of the kept parts are the kept text's tokens
-                for doc, tokens in zip(kept, kept_token_lists):
-                    index.add(doc.id, doc.text, tokens)
-        _report_skipped(reader, cfg.corpus)
+        stage = "normalize"
+        names = ("01_normalized.jsonl", "02_rulefiltered.jsonl", "03_pplfiltered.jsonl", "03_dropped.jsonl")
+        _, (normalized_docs, rulefiltered_docs, _, _) = _stream(
+            cfg.corpus, strict, [out / name for name in names], run_stages
+        )
         del model
 
         stage = "filter-ppl"
@@ -506,22 +572,27 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         dropped_tokens = sum(bucket["dropped_tokens"] for bucket in filter_report.per_source.values())
         record("normalize", normalized_docs, normalized_tokens)
         # filter-ppl splits every token of 02 into kept or dropped
-        record("filter-rules", rulefiltered_docs, kept_tokens + dropped_tokens, emptied=emptied)
+        record(
+            "filter-rules",
+            rulefiltered_docs,
+            kept_tokens + dropped_tokens,
+            emptied=normalized_docs - rulefiltered_docs,
+        )
         record("train-lm", *seed_counts, order=cfg.lm_order)
         record("filter-ppl", filter_report.kept_docs, kept_tokens, threshold=threshold)
 
         stage = "dedup"
         removed, report = index.resolve()
+        ids = index.ids
         del index  # frees the signature matrix before the mix's documents are read
         # a spec source with no surviving documents is short of tokens, not unknown
         sources: Dict[str, List[Document]] = {name: [] for name, _ in spec.entries}
 
         def survivors() -> Iterator[Document]:
-            for idx, doc in enumerate(read_documents(out / "03_pplfiltered.jsonl", strict=True)):
-                if idx not in removed:
-                    if doc.source.name in sources:
-                        sources[doc.source.name].append(doc)
-                    yield doc
+            for doc in _survivors(out / "03_pplfiltered.jsonl", True, ids, removed):
+                if doc.source.name in sources:
+                    sources[doc.source.name].append(doc)
+                yield doc
 
         deduped_docs = write_documents(survivors(), out / "04_deduped.jsonl")
         _write_report(out / "dedup_report.json", report)

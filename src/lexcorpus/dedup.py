@@ -13,8 +13,8 @@ stream order survives per cluster.
 
 `Deduplicator` is the one implementation: documents are added one at a
 time and resolved at the end. `exact_dedup`, `near_dedup` and
-`dedup_corpus` run it over a document list; the pipeline streams its
-corpus through it.
+`dedup_corpus` run it over a document list; the pipeline and the `dedup`
+subcommand stream their corpus through it.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ class Deduplicator:
     passes, and `resolve` clusters the signatures with banded LSH. Only ids,
     token counts, exact digests and the signature matrix are held, never the
     texts, so a caller can stream a corpus through and read it again to
-    write the survivors.
+    write the survivors, checking the second read against `ids`.
     """
 
     def __init__(
@@ -303,7 +303,7 @@ class Deduplicator:
         self.threshold = threshold
         self.seed = seed
         self.tok = tok or WhitespaceTokenizer()
-        self._ids: List[str] = []
+        self.ids: List[str] = []  # of the added documents, in add order
         self._token_counts: List[int] = []
         self._first_by_digest: Dict[bytes, int] = {}
         self._exact_copies: Dict[int, List[int]] = {}  # kept index -> its copies
@@ -315,8 +315,8 @@ class Deduplicator:
 
     def add(self, doc_id: str, text: str, tokens: Sequence[str]) -> None:
         """Take the next document; `tokens` is `self.tok.tokenize(text)`."""
-        idx = len(self._ids)
-        self._ids.append(doc_id)
+        idx = len(self.ids)
+        self.ids.append(doc_id)
         self._token_counts.append(len(tokens))
         if self.exact:
             digest = hashlib.sha256(normalize_text(text).encode("utf-8")).digest()
@@ -353,13 +353,13 @@ class Deduplicator:
         removed: Set[int] = set()
         for kept in sorted(self._exact_copies):
             copies = self._exact_copies[kept]
-            report.clusters.append((self._ids[kept], [self._ids[i] for i in copies]))
+            report.clusters.append((self.ids[kept], [self.ids[i] for i in copies]))
             removed.update(copies)
         report.exact_removed = len(removed)
         if self.near and self._signed:
             for members in self._near_clusters(report):
                 kept, *copies = [self._signed[row] for row in members]
-                report.clusters.append((self._ids[kept], [self._ids[i] for i in copies]))
+                report.clusters.append((self.ids[kept], [self.ids[i] for i in copies]))
                 removed.update(copies)
                 report.near_removed += len(copies)
         report.tokens_after = report.tokens_before - sum(self._token_counts[i] for i in removed)

@@ -20,12 +20,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import requests
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .cleaning import normalize_text
 from .corpus import Document, atomic_write, resolve_source
+
+if TYPE_CHECKING:
+    import requests
 
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
@@ -236,6 +237,10 @@ class HttpChatBackend(ChatBackend):
         backoff: float = 0.5,
         session: Optional[requests.Session] = None,
     ):
+        # imported here, not with the module: requests takes about 10 MiB,
+        # and only a process that talks to an endpoint needs it
+        import requests
+
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -257,6 +262,8 @@ class HttpChatBackend(ChatBackend):
         token = os.environ.get(AUTH_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        import requests  # loaded by __init__; this binds the name
+
         last_error: Optional[Exception] = None
         answered = False
         for attempt in range(self.max_retries):

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from lexcorpus import cleaning, cli, lm
-from lexcorpus.corpus import WhitespaceTokenizer, read_documents
+from lexcorpus import cleaning, cli, dedup, lm
+from lexcorpus.corpus import CorpusError, WhitespaceTokenizer, read_documents, write_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
 
@@ -513,3 +514,182 @@ def test_filter_ppl_rejects_threshold_not_finite_and_positive(ppl_inputs, tmp_pa
     ]
     assert cli.main([str(a) for a in argv]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# -- streamed subcommands ---------------------------------------------------------
+
+
+def _main(*argv) -> int:
+    return cli.main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def seed_lm(pipeline_inputs, tmp_path_factory):
+    """An order-2 model of the fixture's seed corpus."""
+    path = tmp_path_factory.mktemp("lm") / "lm.json"
+    assert _main("train-lm", "-i", pipeline_inputs / "seed.jsonl", "-o", path, "--order", "2") == 0
+    return path
+
+
+def test_streamed_subcommands_see_at_most_one_batch(pipeline_inputs, seed_lm, tmp_path, monkeypatch):
+    corpus = pipeline_inputs / "corpus.jsonl"
+    n_docs = sum(1 for _ in read_documents(corpus))
+    assert n_docs > cli._BATCH
+    sizes = []
+
+    def recording(real):
+        def wrapper(docs, *args, **kwargs):
+            sizes.append(len(docs))
+            return real(docs, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "_clean", recording(cli._clean))
+    monkeypatch.setattr(lm, "filter_by_perplexity", recording(lm.filter_by_perplexity))
+    for argv in (
+        ["normalize", "-i", corpus, "-o", tmp_path / "n.jsonl"],
+        ["filter-rules", "-i", corpus, "-o", tmp_path / "r.jsonl"],
+        ["filter-ppl", "-i", corpus, "-o", tmp_path / "p.jsonl", "--model", seed_lm,
+         "--threshold", "1000", "--dropped", tmp_path / "d.jsonl"],
+    ):
+        sizes.clear()
+        assert _main(*argv) == 0, argv
+        assert max(sizes) <= cli._BATCH, argv
+        assert sum(sizes) == n_docs, argv
+
+
+@pytest.mark.parametrize("exact_only", [False, True])
+def test_dedup_subcommand_matches_dedup_corpus(pipeline_inputs, tmp_path, exact_only):
+    corpus = pipeline_inputs / "corpus.jsonl"
+    flags = ["--exact-only"] if exact_only else []
+    o = tmp_path / "cli"
+    o.mkdir()
+    argv = ["dedup", "-i", corpus, "-o", o / "out.jsonl", "--seed", "3", "--report", o / "report.json",
+            "--clusters", o / "clusters.tsv", *flags]
+    assert _main(*argv) == 0
+    final, report = dedup.dedup_corpus(
+        read_documents(corpus), seed=3, tok=WhitespaceTokenizer(), exact_only=exact_only
+    )
+    assert report.exact_removed > 0 and (exact_only or report.near_removed > 0)
+    r = tmp_path / "ref"
+    r.mkdir()
+    write_documents(final, r / "out.jsonl")
+    cli._write_report(r / "report.json", report)
+    dedup.write_cluster_dump(report, r / "clusters.tsv")
+    for name in ("out.jsonl", "report.json", "clusters.tsv"):
+        assert (o / name).read_bytes() == (r / name).read_bytes(), name
+
+
+def test_failed_filter_rules_leaves_existing_output(pipeline_inputs, tmp_path, monkeypatch):
+    out = tmp_path / "out.jsonl"
+    out.write_text("old output\n")
+    calls = []
+    real = cleaning.clean_text
+
+    def failing(text, rules):
+        calls.append(1)
+        if len(calls) == cli._BATCH + 10:
+            raise RuntimeError("cleaning failed")
+        return real(text, rules)
+
+    monkeypatch.setattr(cleaning, "clean_text", failing)
+    assert _main("filter-rules", "-i", pipeline_inputs / "corpus.jsonl", "-o", out) == 2
+    assert len(calls) == cli._BATCH + 10
+    assert out.read_text() == "old output\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def _with_malformed_line(pipeline_inputs, tmp_path):
+    lines = (pipeline_inputs / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(lines[:300] + ["not json\n"] + lines[300:]), encoding="utf-8")
+    return broken
+
+
+@pytest.mark.parametrize("command", ["normalize", "filter-rules", "filter-ppl", "dedup"])
+def test_streamed_subcommands_report_malformed_records_once(pipeline_inputs, seed_lm, tmp_path, capsys, command):
+    broken = _with_malformed_line(pipeline_inputs, tmp_path)
+    extra = ["--model", seed_lm, "--threshold", "1000"] if command == "filter-ppl" else []
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert _main(command, "--strict", "-i", broken, "-o", out, *extra) == 1
+    assert capsys.readouterr().err.startswith("lexcorpus: line 301: ")
+    assert not out.exists()
+    assert _main(command, "-i", broken, "-o", out, *extra) == 0
+    assert capsys.readouterr().err == f"lexcorpus: skipped 1 malformed records in {broken}\n"
+
+
+def test_normalize_in_place_matches_separate_output(pipeline_inputs, tmp_path):
+    separate = tmp_path / "separate.jsonl"
+    in_place = tmp_path / "in_place.jsonl"
+    shutil.copyfile(pipeline_inputs / "corpus.jsonl", in_place)
+    assert _main("normalize", "-i", pipeline_inputs / "corpus.jsonl", "-o", separate) == 0
+    assert _main("normalize", "-i", in_place, "-o", in_place) == 0
+    assert in_place.read_bytes() == separate.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in_place.jsonl", "separate.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["normalize", "filter-rules", "filter-ppl --dropped", "dedup"])
+def test_output_linked_to_input_is_refused(pipeline_inputs, seed_lm, tmp_path, capsys, command):
+    """A symlink is written straight through, so a streamed stage writing
+    to a link to its input would truncate the input before reading it."""
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copyfile(pipeline_inputs / "corpus.jsonl", corpus)
+    before = corpus.read_bytes()
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(corpus)
+    argv = [command.split()[0], "-i", corpus, "-o", link]
+    if command == "filter-ppl --dropped":
+        argv[-1] = tmp_path / "kept.jsonl"
+        argv += ["--dropped", link, "--model", seed_lm, "--threshold", "1000"]
+    capsys.readouterr()
+    assert _main(*argv) == 1
+    assert f"is the input {corpus}" in capsys.readouterr().err
+    assert corpus.read_bytes() == before
+    assert not (tmp_path / "kept.jsonl").exists()
+
+
+def test_pipeline_refuses_a_stage_output_linked_to_its_corpus(pipeline_inputs, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copyfile(pipeline_inputs / "corpus.jsonl", corpus)
+    before = corpus.read_bytes()
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.corpus, cfg.out_dir = corpus, tmp_path / "out"
+    cfg.out_dir.mkdir()
+    (cfg.out_dir / "02_rulefiltered.jsonl").symlink_to(corpus)
+    with pytest.raises(cli.PipelineStageError) as excinfo:
+        cli.run_pipeline(cfg)
+    assert excinfo.value.stage == "normalize"
+    assert isinstance(excinfo.value.cause, ValueError)
+    assert corpus.read_bytes() == before
+    assert not (cfg.out_dir / "01_normalized.jsonl").exists()
+
+
+def test_dedup_rejects_a_pipe_input(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "out.jsonl"
+    result = subprocess.run(
+        [sys.executable, "-m", "lexcorpus.cli", "dedup", "-i", str(fifo), "-o", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "must be a regular file" in result.stderr
+    assert not out.exists()
+    doc = '{"id":"1","source":"freelaw","text":"a b c"}\n'
+    result = subprocess.run(
+        [sys.executable, "-m", "lexcorpus.cli", "dedup", "-i", "/dev/stdin", "-o", str(out)],
+        input=doc, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "must be a regular file" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
+def test_reread_that_differs_from_first_read_raises(pipeline_inputs):
+    corpus = pipeline_inputs / "corpus.jsonl"
+    ids = [doc.id for doc in read_documents(corpus)]
+    assert [doc.id for doc in cli._survivors(corpus, True, ids, {0})] == ids[1:]
+    for changed in (ids[::-1], ids[:-1], ids + ["added"]):
+        with pytest.raises(CorpusError, match="changed between two reads"):
+            list(cli._survivors(corpus, True, changed, set()))
