@@ -358,7 +358,6 @@ def cmd_dedup(args) -> int:
     """dedup.dedup_corpus over a stream: the input is read once into the
     index, then again to write the survivors, so it must be a regular file
     (not a pipe, which a second read would find empty)."""
-    reader = read_documents(args.input, strict=args.strict)
     if not stat.S_ISREG(os.stat(args.input).st_mode):
         raise ValueError(f"dedup reads its input twice, so it must be a regular file: {args.input}")
     _refuse_write_through(args.input, [args.output])
@@ -368,11 +367,14 @@ def cmd_dedup(args) -> int:
         permutations=args.permutations,
         threshold=args.threshold,
         seed=args.seed,
-        tok=TOKENIZER,
     )
-    for doc in reader:
-        index.add(doc.id, doc.text, TOKENIZER.tokenize(doc.text))
-    _report_skipped(reader, args.input)
+
+    def add(batch: List[Document]) -> Tuple[List[Document], ...]:
+        texts = [doc.text for doc in batch]
+        index.add_batch([doc.id for doc in batch], texts, list(map(TOKENIZER.tokenize, texts)))
+        return ()
+
+    _stream(args.input, args.strict, [], add)
     removed, report = index.resolve()
     ids = index.ids
     del index  # frees the signature matrix before the second read
@@ -500,8 +502,8 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     rule-cleaned, the LM trained on it (`lm.json`) and the perplexity
     threshold calibrated. Then one pass streams the main corpus in batches
     of documents through normalize, filter-rules and filter-ppl, writing
-    `01`, `02`, `03` and `03_dropped` as it goes, and adds each kept
-    document to the dedup index, signed from the tokens filter-ppl made.
+    `01`, `02`, `03` and `03_dropped` as it goes, and signs the kept
+    documents of each batch into the dedup index from filter-ppl's tokens.
     Then the near-duplicate clusters are resolved and `04` is written from
     one re-read of `03`; then the mix. Each file is replaced only once it
     is complete: a failed pass replaces none of `01`-`03`, and a failure
@@ -512,6 +514,13 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     rules = _load_ruleset(cfg.ruleset_path)
     spec = cfg.mix_spec()
+    # built before any stage runs, so that bad dedup parameters fail before any output
+    index = dedup.Deduplicator(
+        shingle_n=cfg.dedup_shingle_n,
+        permutations=cfg.dedup_permutations,
+        threshold=cfg.dedup_threshold,
+        seed=cfg.seed,
+    )
     stages: List[dict] = []
     manifest: dict = {"config_sha256": cfg.config_digest(), "seed": cfg.seed, "stages": stages}
 
@@ -528,13 +537,6 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
         del seed_docs
         _, _, filter_report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, cfg.lm_granularity)
-        index = dedup.Deduplicator(
-            shingle_n=cfg.dedup_shingle_n,
-            permutations=cfg.dedup_permutations,
-            threshold=cfg.dedup_threshold,
-            seed=cfg.seed,
-            tok=TOKENIZER,
-        )
         normalized_tokens = 0
 
         def run_stages(batch: List[Document]) -> Tuple[List[Document], ...]:
@@ -554,8 +556,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
 
             stage = "dedup"
             # whitespace tokens of the kept parts are the kept text's tokens
-            for doc, tokens in zip(kept, kept_token_lists):
-                index.add(doc.id, doc.text, tokens)
+            index.add_batch([doc.id for doc in kept], [doc.text for doc in kept], kept_token_lists)
             stage = "normalize"  # the next batch is read as normalize's input
             return normalized, rulefiltered, kept, dropped
 
@@ -676,7 +677,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shingle-n", type=int, default=dedup.DEFAULT_SHINGLE_N)
     p.add_argument("--permutations", type=int, default=dedup.DEFAULT_PERMUTATIONS)
     p.add_argument("--threshold", type=float, default=dedup.DEFAULT_THRESHOLD)
-    p.add_argument("--seed", type=int, default=0, help="MinHash permutation seed")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sketch hash functions")
     p.add_argument("--exact-only", action="store_true")
     p.add_argument("--report", help="write the dedup report JSON here")
     p.add_argument("--clusters", help="write kept_id<TAB>removed_id dump here")

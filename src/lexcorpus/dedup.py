@@ -1,17 +1,16 @@
 """Exact and near-duplicate removal for document corpora.
 
 Exact dedup collapses byte-identical normalized text via content hashing.
-Near dedup sketches each document with MinHash over token shingles (Broder
-1997): each distinct token is hashed once per run with blake2b, a document's
-shingle hashes are a numpy rolling combine over its token hashes, and the
-signatures of all documents form one (docs x permutations) matrix. Banded
-LSH (Leskovec et al., *Mining of Massive Datasets*, ch. 3) groups documents
-by band key with a sort; the new pairs of each band are verified in batches
-against the threshold on the signature-level Jaccard estimate. Connected
-components of the verified pairs are resolved so the first document in
-stream order survives per cluster.
+Near dedup signs a batch of documents at once, each with a fast similarity
+sketch (Dahlgaard, Knudsen and Thorup, FOCS 2017) of its token shingles: a
+Jaccard estimate of MinHash quality (Broder 1997) in O(shingles + k) work
+for k bins, one row of a (docs x k) matrix. Banded LSH (Leskovec et al.,
+*Mining of Massive Datasets*, ch. 3) groups documents by band key with a
+sort; the new pairs of each band are verified in batches against the
+threshold on the estimate and joined into connected components with numpy,
+so the first document in stream order survives per cluster.
 
-`Deduplicator` is the one implementation: documents are added one at a
+`Deduplicator` is the one implementation: documents are added a batch at a
 time and resolved at the end. `exact_dedup`, `near_dedup` and
 `dedup_corpus` run it over a document list; the pipeline and the `dedup`
 subcommand stream their corpus through it.
@@ -20,6 +19,7 @@ subcommand stream their corpus through it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -33,11 +33,11 @@ DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
 DEFAULT_THRESHOLD = 0.7
 
-# Rows per (rows x permutations) temporary in signing and verification: at
+# Candidate pairs per (pairs x permutations) temporary in verification: at
 # 128 permutations each temporary takes 1 MiB, little beside the matrix.
 _CHUNK = 1024
-# Least number of rows the signature matrix grows by.
-_GROW_ROWS = 1024
+# Documents per add_batch call when a document list is deduplicated.
+_BATCH = 256
 # Odd multiplier of the rolling shingle combine, then the murmur3 64-bit
 # finalizer constants, so every bit of a shingle hash depends on every bit
 # of its token hashes.
@@ -45,6 +45,10 @@ _ROLL = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
 _SHIFT = np.uint64(33)
+# A sketch value holds its round above 32 hash bits; no value is _EMPTY.
+_HIGH = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+_EMPTY = np.iinfo(np.uint64).max
 
 
 @dataclass
@@ -57,13 +61,6 @@ class MinHashSignature:
     permutations: int
     seed: int
 
-    def compatible_with(self, other: "MinHashSignature") -> bool:
-        return (
-            self.shingle_n == other.shingle_n
-            and self.permutations == other.permutations
-            and self.seed == other.seed
-        )
-
 
 class _TokenHashes(dict):
     """Token -> 64-bit blake2b hash, computed on the token's first lookup."""
@@ -74,36 +71,68 @@ class _TokenHashes(dict):
         return value
 
 
-def _shingle_hashes(token_hashes: np.ndarray, shingle_n: int) -> np.ndarray:
-    """Sorted distinct 64-bit hashes of the shingles over `token_hashes`.
-
-    Each window folds its token hashes as `acc = acc * _ROLL + h` in
-    wrapping uint64 arithmetic, starting from the window width, then goes
-    through the finalizer mix. Texts shorter than one shingle get a single
-    degenerate shingle spanning the whole token sequence; its fold starts
-    from its own, shorter width."""
-    width = min(shingle_n, len(token_hashes))
-    count = len(token_hashes) - width + 1
-    acc = np.full(count, width, dtype=np.uint64)
-    for k in range(width):
-        acc *= _ROLL
-        acc += token_hashes[k : k + count]
+def _mix(acc: np.ndarray) -> np.ndarray:
+    """The murmur3 64-bit finalizer, in place."""
     acc ^= acc >> _SHIFT
     acc *= _MIX_1
     acc ^= acc >> _SHIFT
     acc *= _MIX_2
     acc ^= acc >> _SHIFT
-    acc.sort()
-    distinct = np.ones(count, dtype=bool)
-    np.not_equal(acc[1:], acc[:-1], out=distinct[1:])
-    return acc[distinct]
+    return acc
 
 
-def _permutation_params(permutations: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 2**64, size=permutations, dtype=np.uint64) | np.uint64(1)
-    b = rng.integers(0, 2**64, size=permutations, dtype=np.uint64)
-    return a, b
+def _shingles(
+    token_lists: Sequence[Sequence[str]], shingle_n: int, token_hashes: _TokenHashes
+) -> Tuple[np.ndarray, np.ndarray]:
+    """64-bit hashes of the shingles of all token lists, repeats kept, and
+    the index of the list each comes from. Each window folds its token
+    hashes as `acc = acc * _ROLL + h` in wrapping uint64 arithmetic from the
+    window width, then goes through the finalizer mix. A list shorter than
+    one shingle is a single shingle, folded from its own, shorter width."""
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    hashes = map(token_hashes.__getitem__, itertools.chain.from_iterable(token_lists))
+    # zero-padded, so that the windows of a short or empty last list index inside it
+    flat = np.fromiter(itertools.chain(hashes, [0] * shingle_n), np.uint64, int(lengths.sum()) + shingle_n)
+    widths = np.minimum(lengths, shingle_n)
+    counts = lengths - widths + 1
+    doc = np.repeat(np.arange(len(token_lists)), counts)
+    # window i of the flat list starts at token i plus the widths - 1 of the lists before its own
+    starts = np.arange(len(doc)) + np.repeat(np.cumsum(widths - 1) - (widths - 1), counts)
+    width = widths[doc]
+    acc = width.astype(np.uint64)
+    for j in range(shingle_n):
+        acc = np.where(j < width, acc * _ROLL + flat[starts + j], acc)
+    return _mix(acc), doc
+
+
+def _sketch(hashes: np.ndarray, doc: np.ndarray, docs: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(docs x k) fast similarity sketches (Dahlgaard, Knudsen and Thorup,
+    FOCS 2017) of the shingle `hashes` of each document, k = len(a).
+
+    In round r < k a shingle lands in the bin that bits 32 and up of
+    `mix(h * a[r] + b[r])` pick by multiply-shift; in round k + r, in (its
+    round-0 bin + r) mod k, so all bins are filled by round 2k. Its value is
+    the round above the low 32 bits of that hash, and a bin keeps its least
+    value. A later round's values exceed an earlier one's, so a document
+    whose bins are all filled drops out. Repeated shingles change nothing."""
+    k = len(a)
+    sigs = np.full(docs * k, _EMPTY, dtype=np.uint64)
+    open_docs = docs
+    for r in range(2 * k):
+        mixed = _mix(hashes * a[r % k] + b[r % k])
+        bins = ((mixed >> _HIGH) * np.uint64(k) >> _HIGH).astype(np.int64) if r < k else (first + r - k) % k
+        first = bins if r == 0 else first
+        mixed &= _LOW
+        mixed |= np.uint64(r) << _HIGH
+        np.minimum.at(sigs, doc * k + bins, mixed)
+        is_open = (sigs.reshape(docs, k) == _EMPTY).any(axis=1)
+        open_docs, was_open = np.count_nonzero(is_open), open_docs
+        if not open_docs:
+            break
+        if open_docs < was_open:
+            keep = np.flatnonzero(is_open[doc])
+            hashes, doc, first = hashes[keep], doc[keep], first[keep]
+    return sigs.reshape(docs, k)
 
 
 def minhash_signature(
@@ -113,40 +142,17 @@ def minhash_signature(
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     doc_id: str = "",
-    _params: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    _token_hashes: Optional[_TokenHashes] = None,
-    _tokens: Optional[Sequence[str]] = None,
 ) -> MinHashSignature:
-    """MinHash sketch of the text's shingle set.
-
-    Tokens are hashed with blake2b, through `_token_hashes` when a caller
-    shares one cache across documents (a Deduplicator does), and come from
-    `_tokens` instead of `tok` when the caller has tokenized already. Shingle
-    hashes are a rolling multiply-add over the token hashes with a 64-bit
-    finalizer mix. Each of the `permutations` hash functions is a random
-    odd-multiplier affine map over the shingle hashes (wraparound
-    arithmetic); the signature stores the per-function minimum.
-    Deterministic in (text, shingle_n, permutations, seed).
-    """
-    if shingle_n < 1:
-        raise ValueError("shingle_n must be >= 1")
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
-    a, b = _params if _params is not None else _permutation_params(permutations, seed)
-    cache = _token_hashes if _token_hashes is not None else _TokenHashes()
-    tokens = _tokens if _tokens is not None else tok.tokenize(text)
-    token_hashes = np.fromiter(map(cache.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
-    hashes = _shingle_hashes(token_hashes, shingle_n)
-    mins = np.full(permutations, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for start in range(0, len(hashes), _CHUNK):
-        chunk = hashes[start : start + _CHUNK]
-        # uint64 arithmetic wraps modulo 2**64, as intended
-        projected = chunk[:, None] * a[None, :] + b[None, :]
-        np.minimum(mins, projected.min(axis=0), out=mins)
+    """The signature a Deduplicator with these parameters gives the text:
+    the fast similarity sketch of its shingle set (see `_sketch`).
+    Deterministic in (text, shingle_n, permutations, seed)."""
+    index = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=seed)
+    tokens = tok.tokenize(text)
+    index.add(doc_id, text, tokens)
     return MinHashSignature(
         doc_id=doc_id,
-        values=mins,
-        shingle_count=int(len(hashes)),
+        values=index._sigs[0].copy(),
+        shingle_count=len(np.unique(_shingles([tokens], shingle_n, index._token_hashes)[0])),
         token_count=len(tokens),
         shingle_n=shingle_n,
         permutations=permutations,
@@ -155,8 +161,11 @@ def minhash_signature(
 
 
 def estimate_jaccard(sig_a: MinHashSignature, sig_b: MinHashSignature) -> float:
-    """Fraction of matching signature positions; unbiased Jaccard estimate."""
-    if not sig_a.compatible_with(sig_b):
+    """Fraction of equal signature bins. Barring 32-bit hash ties, two
+    sketches agree in a bin just when the least value landing there from
+    their shingle union is a shared shingle's, so with random hashing this
+    is an unbiased Jaccard estimate, concentrated like k-permutation MinHash."""
+    if (sig_a.shingle_n, sig_a.permutations, sig_a.seed) != (sig_b.shingle_n, sig_b.permutations, sig_b.seed):
         raise ValueError("signatures built with different parameters are not comparable")
     return float(np.count_nonzero(sig_a.values == sig_b.values)) / sig_a.permutations
 
@@ -199,27 +208,6 @@ def optimal_band_split(permutations: int, threshold: float, steps: int = 512) ->
     chosen = best_under_floor or best_balanced
     assert chosen is not None
     return chosen[1], chosen[2]
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # smaller stream index wins the root, keeping clusters ordered
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
 
 
 @dataclass
@@ -272,12 +260,12 @@ def _band_pairs(keys: np.ndarray) -> np.ndarray:
 
 
 class Deduplicator:
-    """Exact then near dedup, fed one document at a time: `add` each
-    document in stream order, then `resolve` once.
+    """Exact then near dedup, fed in stream order: `add_batch` (or `add`)
+    the documents, then `resolve` once.
 
     With `exact`, a document whose normalized text has the SHA-256 of an
     earlier one's is that one's exact duplicate. With `near`, every other
-    document is MinHash-signed as it is added, from the tokens the caller
+    document is sketched as its batch is added, from the tokens the caller
     passes, and `resolve` clusters the signatures with banded LSH. Only ids,
     token counts, exact digests and the signature matrix are held, never the
     texts, so a caller can stream a corpus through and read it again to
@@ -292,8 +280,9 @@ class Deduplicator:
         permutations: int = DEFAULT_PERMUTATIONS,
         threshold: float = DEFAULT_THRESHOLD,
         seed: int = 0,
-        tok: Optional[Tokenizer] = None,
     ):
+        if near and min(shingle_n, permutations) < 1:
+            raise ValueError(f"shingle_n and permutations must be >= 1, not {shingle_n} and {permutations}")
         if near and not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
         self.exact = exact
@@ -301,8 +290,6 @@ class Deduplicator:
         self.shingle_n = shingle_n
         self.permutations = permutations
         self.threshold = threshold
-        self.seed = seed
-        self.tok = tok or WhitespaceTokenizer()
         self.ids: List[str] = []  # of the added documents, in add order
         self._token_counts: List[int] = []
         self._first_by_digest: Dict[bytes, int] = {}
@@ -310,74 +297,74 @@ class Deduplicator:
         self._signed: List[int] = []  # document index of each signature row
         if near:
             self._sigs = np.empty((0, permutations), dtype=np.uint64)
-            self._params = _permutation_params(permutations, seed)
+            self._params = np.random.default_rng(seed).integers(0, 2**64, (2, permutations), dtype=np.uint64)
+            self._params[0] |= np.uint64(1)  # odd multipliers a over offsets b, for `_sketch`
             self._token_hashes = _TokenHashes()
 
     def add(self, doc_id: str, text: str, tokens: Sequence[str]) -> None:
-        """Take the next document; `tokens` is `self.tok.tokenize(text)`."""
-        idx = len(self.ids)
-        self.ids.append(doc_id)
-        self._token_counts.append(len(tokens))
-        if self.exact:
-            digest = hashlib.sha256(normalize_text(text).encode("utf-8")).digest()
-            first = self._first_by_digest.setdefault(digest, idx)
-            if first != idx:
-                self._exact_copies.setdefault(first, []).append(idx)
-                return
-        if not self.near:
+        """Take the next document, given with its tokens."""
+        self.add_batch([doc_id], [text], [tokens])
+
+    def add_batch(self, ids: Sequence[str], texts: Sequence[str], token_lists: Sequence[Sequence[str]]) -> None:
+        """Take the next documents in stream order, `token_lists[i]` the
+        tokens of `texts[i]`. Those to sign are signed together, each to the
+        row `minhash_signature` gives it alone."""
+        to_sign: List[Sequence[str]] = []
+        for doc_id, text, tokens in zip(ids, texts, token_lists):
+            idx = len(self.ids)
+            self.ids.append(doc_id)
+            self._token_counts.append(len(tokens))
+            if self.exact:
+                digest = hashlib.sha256(normalize_text(text).encode("utf-8")).digest()
+                first = self._first_by_digest.setdefault(digest, idx)
+                if first != idx:
+                    self._exact_copies.setdefault(first, []).append(idx)
+                    continue
+            if self.near:
+                to_sign.append(tokens)
+                self._signed.append(idx)
+        if not to_sign:
             return
-        sig = minhash_signature(
-            text,
-            self.tok,
-            shingle_n=self.shingle_n,
-            permutations=self.permutations,
-            seed=self.seed,
-            doc_id=doc_id,
-            _params=self._params,
-            _token_hashes=self._token_hashes,
-            _tokens=tokens,
-        )
-        row = len(self._signed)
-        if row == len(self._sigs):
-            # realloc grows the matrix where it lies, without a second copy;
-            # no view of it outlives a call, so nothing can dangle
-            self._sigs.resize((row + max(_GROW_ROWS, row // 8), self.permutations), refcheck=False)
-        self._sigs[row] = sig.values
-        self._signed.append(idx)
+        start, end = len(self._signed) - len(to_sign), len(self._signed)
+        if end > len(self._sigs):
+            # realloc grows the matrix in place; no view of it outlives a call
+            self._sigs.resize((max(end, start + start // 8), self.permutations), refcheck=False)
+        hashes, doc = _shingles(to_sign, self.shingle_n, self._token_hashes)
+        self._sigs[start:end] = _sketch(hashes, doc, len(to_sign), *self._params)
 
     def resolve(self) -> Tuple[Set[int], DedupReport]:
         """The indices, in add order, of the documents to remove, and the
         report: exact clusters first, then near clusters, each kept by its
         first document in stream order."""
         report = DedupReport(tokens_before=sum(self._token_counts))
-        removed: Set[int] = set()
-        for kept in sorted(self._exact_copies):
-            copies = self._exact_copies[kept]
-            report.clusters.append((self.ids[kept], [self.ids[i] for i in copies]))
-            removed.update(copies)
-        report.exact_removed = len(removed)
+        near_copies: Dict[int, List[int]] = {}  # kept index -> its near copies
         if self.near and self._signed:
-            for members in self._near_clusters(report):
-                kept, *copies = [self._signed[row] for row in members]
-                report.clusters.append((self.ids[kept], [self.ids[i] for i in copies]))
-                removed.update(copies)
-                report.near_removed += len(copies)
+            for row, label in enumerate(self._near_labels(report).tolist()):
+                if label != row:
+                    near_copies.setdefault(self._signed[label], []).append(self._signed[row])
+        removed: Set[int] = set()
+        for copies_by_kept in (self._exact_copies, near_copies):
+            for kept in sorted(copies_by_kept):
+                report.clusters.append((self.ids[kept], [self.ids[i] for i in copies_by_kept[kept]]))
+                removed.update(copies_by_kept[kept])
+        report.exact_removed = sum(map(len, self._exact_copies.values()))
+        report.near_removed = len(removed) - report.exact_removed
         report.tokens_after = report.tokens_before - sum(self._token_counts[i] for i in removed)
         return removed, report
 
-    def _near_clusters(self, report: DedupReport) -> List[List[int]]:
-        """Signature rows of each near-duplicate cluster, in order of their
-        first row; counts the candidate and verified pairs into `report`.
+    def _near_labels(self, report: DedupReport) -> np.ndarray:
+        """The least signature row of each row's near-duplicate cluster;
+        counts the candidate and verified pairs into `report`.
 
         Candidate pairs come from LSH band collisions: per band, rows are
         grouped by band key with a sort, and each pair not seen in an
         earlier band is verified once, in batches, by the fraction of equal
         signature positions >= threshold (estimate_jaccard's value).
-        Verified pairs are merged into connected components."""
+        Verified pairs are joined into connected components."""
         rows_total = len(self._signed)
         sigs = self._sigs[:rows_total]
         bands, rows = optimal_band_split(self.permutations, self.threshold)
-        uf = _UnionFind(rows_total)
+        labels = np.arange(rows_total)
         # Sorted keys of the pairs verified so far, ending in a sentinel above
         # every key so that each searchsorted position can be dereferenced.
         seen = np.array([np.iinfo(np.int64).max], dtype=np.int64)
@@ -389,18 +376,24 @@ class Deduplicator:
             seen = np.insert(seen, pos[fresh], pairs)
             for start in range(0, len(pairs), _CHUNK):
                 left, right = np.divmod(pairs[start : start + _CHUNK], rows_total)
-                matches = np.count_nonzero(sigs[left] == sigs[right], axis=1)
+                matches = (sigs[left] == sigs[right]).sum(axis=1)
                 verified = matches / self.permutations >= self.threshold
                 report.verified_pairs += int(np.count_nonzero(verified))
-                for x, y in zip(left[verified].tolist(), right[verified].tolist()):
-                    uf.union(x, y)
+                _join(labels, left[verified], right[verified])
         report.candidate_pairs = len(seen) - 1
+        return labels
 
-        members_by_root: Dict[int, List[int]] = {}
-        for row in range(rows_total):
-            members_by_root.setdefault(uf.find(row), []).append(row)
-        # the union-find roots each cluster at its smallest row
-        return [members_by_root[root] for root in sorted(members_by_root) if len(members_by_root[root]) > 1]
+
+def _join(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Join the rows of each edge `left[i] - right[i]` in `labels`, in place,
+    where `labels` maps each row to the least row of its component
+    (`np.arange` for no edges). Each round hooks the greater label of every
+    edge onto the lesser, then jumps every label to its label's label until
+    none moves: a label stays a row of its component, no greater than it."""
+    while not np.array_equal(lo := labels[left], hi := labels[right]):
+        np.minimum.at(labels, np.maximum(lo, hi), np.minimum(lo, hi))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels[:] = jumped
 
 
 def _dedup_documents(
@@ -408,10 +401,13 @@ def _dedup_documents(
 ) -> Tuple[List[Document], DedupReport]:
     """Run a Deduplicator built with `options` over `docs`, tokenizing each
     document once; returns the survivors in stream order and the report."""
-    index = Deduplicator(tok=tok, **options)
+    index = Deduplicator(**options)
+    tok = tok or WhitespaceTokenizer()
     doc_list = list(docs)
-    for doc in doc_list:
-        index.add(doc.id, doc.text, index.tok.tokenize(doc.text))
+    for start in range(0, len(doc_list), _BATCH):
+        batch = doc_list[start : start + _BATCH]
+        texts = [doc.text for doc in batch]
+        index.add_batch([doc.id for doc in batch], texts, list(map(tok.tokenize, texts)))
     removed, report = index.resolve()
     return [doc for idx, doc in enumerate(doc_list) if idx not in removed], report
 
@@ -432,7 +428,7 @@ def near_dedup(
     seed: int = 0,
     tok: Optional[Tokenizer] = None,
 ) -> Tuple[List[Document], DedupReport]:
-    """Remove near-duplicates via MinHash/LSH (Deduplicator without its
+    """Remove near-duplicates via sketches and LSH (Deduplicator without its
     exact pass); the first document per cluster survives."""
     return _dedup_documents(
         docs, tok, exact=False, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed

@@ -686,6 +686,25 @@ def test_dedup_rejects_a_pipe_input(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
+@pytest.mark.parametrize("flag", ["--permutations", "--shingle-n"])
+def test_dedup_rejects_bad_sketch_parameters_before_any_output(tmp_path, flag):
+    empty = tmp_path / "in.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out.jsonl"
+    result = run_cli("dedup", "-i", str(empty), "-o", str(out), "--report", str(tmp_path / "r.json"), flag, "0")
+    assert result.returncode == 1
+    assert "must be >= 1" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+def test_pipeline_rejects_bad_sketch_parameters_before_any_stage(pipeline_inputs, tmp_path):
+    config = _moved_config(pipeline_inputs, tmp_path, dedup={"shingle_n": 5, "permutations": 0, "threshold": 0.7})
+    result = run_cli("pipeline", "--config", str(config))
+    assert result.returncode == 1
+    assert "must be >= 1" in result.stderr
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_reread_that_differs_from_first_read_raises(pipeline_inputs):
     corpus = pipeline_inputs / "corpus.jsonl"
     ids = [doc.id for doc in read_documents(corpus)]

@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lexcorpus
 from lexcorpus import cli
 from lexcorpus.corpus import WhitespaceTokenizer, write_documents
 from lexcorpus.dedup import (
+    Deduplicator,
+    _join,
     dedup_corpus,
     estimate_jaccard,
     exact_dedup,
@@ -79,6 +83,87 @@ def test_disjoint_docs_estimate_near_zero(tok):
         a = minhash_signature(left, tok, seed=seed)
         b = minhash_signature(right, tok, seed=seed)
         assert estimate_jaccard(a, b) <= 0.1
+
+
+_EDGE_CASES = [[], ["w1", "w2"], ["w3"], ["w1", "w2", "w3", "w4", "w5"] * 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from([f"w{i}" for i in range(8)]), max_size=40), max_size=12),
+    st.sampled_from([1, 3, 5]),
+    st.sampled_from([1, 8, 128]),
+)
+def test_add_batch_signs_each_document_as_alone(token_lists, shingle_n, permutations):
+    """One add_batch gives each document the row that adding it alone, or
+    minhash_signature, gives it: short, one-token and empty texts and
+    repeated shingles included. Every bin is filled."""
+    token_lists = _EDGE_CASES + token_lists
+    texts = [" ".join(tokens) for tokens in token_lists]
+    ids = [f"d{i}" for i in range(len(texts))]
+    batch = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=4)
+    batch.add_batch(ids, texts, token_lists)
+    alone = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=4)
+    for doc_id, text, tokens in zip(ids, texts, token_lists):
+        alone.add(doc_id, text, tokens)
+    rows = batch._sigs[: len(texts)]
+    assert np.array_equal(rows, alone._sigs[: len(texts)])
+    for row, text in zip(rows, texts):
+        sig = minhash_signature(text, WhitespaceTokenizer(), shingle_n=shingle_n, permutations=permutations, seed=4)
+        assert np.array_equal(row, sig.values)
+    assert not (rows == np.iinfo(np.uint64).max).any()
+
+
+def _dfs_least_rows(rows, left, right):
+    """The least row of each row's connected component, by depth-first search."""
+    edges = {row: [] for row in range(rows)}
+    for x, y in zip(left.tolist(), right.tolist()):
+        edges[x].append(y)
+        edges[y].append(x)
+    least = {}
+    for start in range(rows):
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in least:
+                least[x] = start
+                stack.extend(edges[x])
+    return [least[row] for row in range(rows)]
+
+
+def test_join_matches_depth_first_search():
+    rng = np.random.default_rng(11)
+    chain = np.arange(1999)[::-1]  # a 2,000-row chain, its edges in reverse order
+    no_edges = np.array([], dtype=np.int64)
+    graphs = [(2000, chain, chain + 1), (2000, chain + 1, chain), (5, no_edges, no_edges)]
+    for _ in range(30):
+        rows = int(rng.integers(1, 400))
+        edges = int(rng.integers(0, rows * 2))
+        graphs.append((rows, rng.integers(0, rows, edges), rng.integers(0, rows, edges)))
+    for rows, left, right in graphs:
+        expected = _dfs_least_rows(rows, left, right)
+        labels = np.arange(rows)
+        _join(labels, left, right)
+        assert labels.tolist() == expected
+        labels = np.arange(rows)
+        for start in range(0, len(left), 37):  # a chunk at a time, as resolve joins them
+            _join(labels, left[start : start + 37], right[start : start + 37])
+        assert labels.tolist() == expected
+
+
+def test_near_clusters_listed_in_order_of_their_first_document(make_doc):
+    text_a = " ".join(f"a{i}" for i in range(30))
+    text_b = " ".join(f"b{i}" for i in range(30))
+    docs = [
+        make_doc(text_a, doc_id="a"),
+        make_doc(text_b, doc_id="b"),
+        make_doc(text_b, doc_id="b-copy"),
+        make_doc(text_a, doc_id="a-copy"),
+        make_doc(text_a, doc_id="a-copy-2"),
+    ]
+    kept, report = near_dedup(docs, threshold=1.0)
+    assert [d.id for d in kept] == ["a", "b"]
+    assert report.clusters == [("a", ["a-copy", "a-copy-2"]), ("b", ["b-copy"])]
 
 
 def test_band_split_shapes():
