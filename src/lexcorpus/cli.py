@@ -36,8 +36,8 @@ from .corpus import (
     CorpusReader,
     Document,
     WhitespaceTokenizer,
-    append_documents,
     atomic_write,
+    encode_line,
     read_documents,
     write_documents,
 )
@@ -185,42 +185,66 @@ def _stream(
     source: str | Path,
     strict: bool,
     outputs: Sequence[str | Path],
-    run: Callable[[List[Document]], Sequence[Iterable[Document]]],
+    run: Callable[[List[Document]], Sequence[List[Document]]],
 ) -> Tuple[int, List[int]]:
     """Stream the corpus at `source` through `run` in batches of `_BATCH`
     documents. For each batch `run` returns one document list per output,
     which is appended to that output; the outputs are opened with
-    atomic_write, so a failure replaces none of them. Returns the number of
-    documents read and the number written to each output."""
+    atomic_write, so a failure replaces none of them. A stage passes a
+    document it leaves unchanged on as the same object, and a document
+    object is encoded once per batch, however many outputs it goes to.
+    Returns the number of documents read and the number written to each
+    output."""
     reader = read_documents(source, strict=strict)
     _refuse_write_through(source, outputs)
     written = [0] * len(outputs)
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(atomic_write(path)) for path in outputs]
+        handles = [stack.enter_context(atomic_write(path, binary=True)) for path in outputs]
         stream = stack.enter_context(contextlib.closing(iter(reader)))
+        # the batch's lines by id(doc): an id is unique while the batch and
+        # the lists `run` returned for it keep every document alive
+        lines: Dict[int, bytes] = {}
+
+        def line(doc: Document) -> bytes:
+            key = id(doc)
+            if key not in lines:
+                lines[key] = encode_line(doc)
+            return lines[key]
+
         while True:
             batch = list(itertools.islice(stream, _BATCH))
             if not batch:
                 break
+            lines.clear()
             for i, docs in enumerate(run(batch)):
-                written[i] += append_documents(handles[i], docs)
+                # no later output can reuse the last one's lines: none are kept
+                handles[i].writelines(map(line if i < len(outputs) - 1 else encode_line, docs))
+                written[i] += len(docs)
     _report_skipped(reader, source)
     return reader.count, written
 
 
-def _survivors(path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]) -> Iterator[Document]:
+def _survivor_records(
+    path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]
+) -> Iterator[Tuple[Document, bytes]]:
     """Read `path` again, after a dedup.Deduplicator took its documents
-    with these `ids` in order, and yield those whose index is not in
-    `removed`. A document whose id is not the one at its index, or a read
-    that ends early, raises CorpusError: the file changed between reads."""
+    with these `ids` in order, and yield (document, line as read) for those
+    whose index is not in `removed`. A document whose id is not the one at
+    its index, or a read that ends early, raises CorpusError: the file
+    changed between reads."""
     reader = read_documents(path, strict=strict)
     for idx, doc in enumerate(reader):
         if idx >= len(ids) or doc.id != ids[idx]:
             raise CorpusError(f"{path} changed between two reads: document {idx + 1} is now {doc.id!r}")
         if idx not in removed:
-            yield doc
+            yield doc, reader.line
     if reader.count != len(ids):
         raise CorpusError(f"{path} changed between two reads: {reader.count} documents, not {len(ids)}")
+
+
+def _survivors(path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]) -> Iterator[Document]:
+    """The documents of _survivor_records."""
+    return (doc for doc, _ in _survivor_records(path, strict, ids, removed))
 
 
 def _write_report(path: str | Path, report) -> None:
@@ -238,15 +262,19 @@ def _name_path(value: str) -> Tuple[str, str]:
 
 def _clean(docs: Iterable[Document], rules: Optional[cleaning.RuleSet]) -> List[Document]:
     """normalize (rules None) or filter-rules: returns the cleaned
-    documents; those emptied drop out."""
+    documents, a document whose text did not change as itself; those
+    emptied drop out."""
     out: List[Document] = []
     for doc in docs:
         if rules is None:
             text = cleaning.normalize_text(doc.text)
         else:
             text = cleaning.clean_text(doc.text, rules)
-        if text:
-            out.append(Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta)))
+        if not text:
+            continue
+        if text != doc.text:
+            doc = Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta))
+        out.append(doc)
     return out
 
 
@@ -504,10 +532,10 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     of documents through normalize, filter-rules and filter-ppl, writing
     `01`, `02`, `03` and `03_dropped` as it goes, and signs the kept
     documents of each batch into the dedup index from filter-ppl's tokens.
-    Then the near-duplicate clusters are resolved and `04` is written from
-    one re-read of `03`; then the mix. Each file is replaced only once it
-    is complete: a failed pass replaces none of `01`-`03`, and a failure
-    after the pass leaves them on disk.
+    Then the near-duplicate clusters are resolved and `04` is written by
+    copying the surviving lines of one re-read of `03`; then the mix. Each
+    file is replaced only once it is complete: a failed pass replaces none
+    of `01`-`03`, and a failure after the pass leaves them on disk.
     """
     cfg.validate()
     out = cfg.out_dir
@@ -589,13 +617,14 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         # a spec source with no surviving documents is short of tokens, not unknown
         sources: Dict[str, List[Document]] = {name: [] for name, _ in spec.entries}
 
-        def survivors() -> Iterator[Document]:
-            for doc in _survivors(out / "03_pplfiltered.jsonl", True, ids, removed):
+        # 03 was written in canonical form by this run: its lines are copied
+        deduped_docs = 0
+        with atomic_write(out / "04_deduped.jsonl", binary=True) as fh:
+            for doc, line in _survivor_records(out / "03_pplfiltered.jsonl", True, ids, removed):
                 if doc.source.name in sources:
                     sources[doc.source.name].append(doc)
-                yield doc
-
-        deduped_docs = write_documents(survivors(), out / "04_deduped.jsonl")
+                fh.write(line)
+                deduped_docs += 1
         _write_report(out / "dedup_report.json", report)
         record(
             stage,

@@ -5,20 +5,23 @@ A corpus file is UTF-8, newline-delimited JSON, one document per line:
     {"id": "...", "source": "...", "text": "...", "meta": {"k": "v"}}
 
 ``meta`` is a flat string-to-string map. Readers ignore any other key,
-``token_count`` included; writers emit exactly these four. Every stage of
-the toolkit reads and writes this format.
+``token_count`` included; writers emit exactly these four, each line in the
+canonical form of ``document_to_json``. Every stage of the toolkit reads and
+writes this format.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, TextIO
+from typing import IO, Dict, Iterable, Iterator
 
 
 class CorpusError(Exception):
@@ -128,13 +131,7 @@ class WhitespaceTokenizer(Tokenizer):
         return text.split()
 
 
-def _check_unicode_clean(text: str) -> None:
-    # JSON happily smuggles lone surrogates ("\ud800") through json.loads;
-    # reject anything that cannot round-trip through UTF-8.
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise CorpusError(f"text is not valid Unicode: {exc}") from None
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
 def _parse_record(raw: bytes, lineno: int) -> Document:
@@ -155,15 +152,20 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
             raise CorpusError(f"line {lineno}: field {key!r} must be a string")
     if not obj["id"]:
         raise CorpusError(f"line {lineno}: empty id")
-    try:
-        _check_unicode_clean(obj["text"])
-    except CorpusError as exc:
-        raise CorpusError(f"line {lineno}: {exc}") from None
     meta = obj.get("meta", {})
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise CorpusError(f"line {lineno}: meta must be a flat string-to-string object")
+    # JSON smuggles lone surrogates ("\ud800") through json.loads, and they
+    # cannot be written back as UTF-8. Valid UTF-8 holds no surrogate, so one
+    # can only come from a \uD800-\uDFFF escape: only a line with one is checked.
+    if _SURROGATE_ESCAPE.search(raw):
+        try:
+            for value in (obj["id"], obj["source"], obj["text"], *meta, *meta.values()):
+                value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"line {lineno}: record is not valid Unicode: {exc}") from None
     try:
         source = resolve_source(obj["source"])
     except UnknownSourceError as exc:
@@ -177,7 +179,8 @@ class CorpusReader:
     Memory use is bounded by the largest single record. In lenient mode
     malformed records are skipped; ``.skipped`` holds the running count and
     is final once the stream is exhausted. Duplicate ids are an error in
-    either mode.
+    either mode. ``.line`` holds the record last yielded as read, newline
+    included, so that a caller can copy it without encoding it again.
     """
 
     def __init__(self, path: str | Path, strict: bool = False):
@@ -185,6 +188,7 @@ class CorpusReader:
         self.strict = strict
         self.skipped = 0
         self.count = 0
+        self.line = b""
         if not self.path.exists():
             raise FileNotFoundError(f"corpus file not found: {self.path}")
 
@@ -205,6 +209,7 @@ class CorpusReader:
                     raise DuplicateIdError(f"line {lineno}: duplicate document id {doc.id!r}")
                 seen.add(doc.id)
                 self.count += 1
+                self.line = raw
                 yield doc
 
 
@@ -214,19 +219,31 @@ def read_documents(path: str | Path, strict: bool = False) -> CorpusReader:
 
 
 def document_to_json(doc: Document) -> str:
-    record = {
-        "id": doc.id,
-        "source": doc.source.name,
-        "text": doc.text,
-        "meta": doc.meta,
-    }
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    """The canonical JSON of a document: exactly what
+    json.dumps(record, ensure_ascii=False, sort_keys=True) gives for the
+    record's four keys, built from the C string encoder that json.dumps
+    uses, without walking a record dict."""
+    meta = ", ".join(f"{_quote(k)}: {_quote(v)}" for k, v in sorted(doc.meta.items()))
+    return (
+        f'{{"id": {_quote(doc.id)}, "meta": {{{meta}}}, '
+        f'"source": {_quote(doc.source.name)}, "text": {_quote(doc.text)}}}'
+    )
+
+
+def encode_line(doc: Document) -> bytes:
+    """The document's corpus line as UTF-8, newline included. The one
+    encode is also the check that every field is valid Unicode: a lone
+    surrogate anywhere raises CorpusError."""
+    try:
+        return f"{document_to_json(doc)}\n".encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CorpusError(f"document {doc.id!r} is not valid Unicode: {exc}") from None
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """Open `path` for writing UTF-8 text so that a failed write leaves it
-    as it was.
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open `path` for writing UTF-8 text, or bytes if `binary`, so that a
+    failed write leaves it as it was.
 
     When `path` is absent or a regular file, the text goes to a sibling temp
     file that replaces `path` only when the block ends without an exception,
@@ -239,8 +256,9 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
+    how = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8"}
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, **how) as fh:
             yield fh
         return
     if mode is None:
@@ -250,7 +268,7 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, **how) as fh:
             os.fchmod(fd, stat.S_IMODE(mode))
             yield fh
         os.replace(tmp, path)
@@ -264,21 +282,13 @@ def write_documents(docs: Iterable[Document], path: str | Path) -> int:
     record count.
 
     Round-trip contract: read_documents() on the output reproduces the
-    input field for field. A failed write leaves a regular-file `path` as it
-    was instead of a shorter corpus.
+    input field for field. A document that is not valid Unicode raises
+    CorpusError, and a failed write leaves a regular-file `path` as it was
+    instead of a shorter corpus.
     """
-    with atomic_write(path) as fh:
-        return append_documents(fh, docs)
-
-
-def append_documents(fh: TextIO, docs: Iterable[Document]) -> int:
-    """Write documents to an open corpus file, one JSON line each; returns
-    the record count. Lets a caller fill several files in one pass, each
-    opened with atomic_write."""
     count = 0
-    for doc in docs:
-        _check_unicode_clean(doc.text)
-        fh.write(document_to_json(doc))
-        fh.write("\n")
-        count += 1
+    with atomic_write(path, binary=True) as fh:
+        for doc in docs:
+            fh.write(encode_line(doc))
+            count += 1
     return count

@@ -392,7 +392,8 @@ def filter_by_perplexity(
 
     At paragraph granularity each document is split on blank lines,
     paragraphs scoring above the threshold are dropped, and the document is
-    reassembled from the survivors. The dropped stream carries the removed
+    reassembled from the survivors; a kept document whose text comes out
+    unchanged is passed on as itself. The dropped stream carries the removed
     text under the original document id, so kept plus dropped token counts
     equal the input exactly. A caller that passes `_kept_tokens` gets, per
     kept document in kept order, its kept parts' tokens end to end: the
@@ -435,7 +436,9 @@ def filter_by_perplexity(
         if kept_parts:
             text = "\n\n".join(kept_parts)
             kept_docs.append(
-                Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta))
+                doc
+                if text == doc.text
+                else Document(id=doc.id, source=doc.source, text=text, meta=dict(doc.meta))
             )
             report.kept_docs += 1
             if _kept_tokens is not None:

@@ -3,13 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from lexcorpus import cleaning, cli, dedup, lm
+from lexcorpus import cleaning, cli, corpus, dedup, lm
 from lexcorpus.corpus import CorpusError, WhitespaceTokenizer, read_documents, write_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
@@ -712,3 +713,82 @@ def test_reread_that_differs_from_first_read_raises(pipeline_inputs):
     for changed in (ids[::-1], ids[:-1], ids + ["added"]):
         with pytest.raises(CorpusError, match="changed between two reads"):
             list(cli._survivors(corpus, True, changed, set()))
+
+
+def test_pipeline_encodes_each_written_document_once(pipeline_inputs, tmp_path, monkeypatch):
+    """A stage passes a document whose text it leaves unchanged on as the
+    same object, a batch's outputs share the line of each object, and 04
+    copies the lines of 03: one encode per distinct document written."""
+    encoded = []
+    real = corpus.document_to_json
+
+    def counting(doc):
+        encoded.append(doc)  # keeps the object alive, so that its id() stays unique
+        return real(doc)
+
+    monkeypatch.setattr(corpus, "document_to_json", counting)
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "out"
+    cli.run_pipeline(cfg)
+    assert len({id(doc) for doc in encoded}) == len(encoded)
+
+    def texts(name):
+        return {doc.id: doc.text for doc in read_documents(cfg.out_dir / name)}
+
+    normalized = texts("01_normalized.jsonl")
+    rulefiltered = texts("02_rulefiltered.jsonl")
+    kept = texts("03_pplfiltered.jsonl")
+    dropped = texts("03_dropped.jsonl")
+    mixed = texts("05_mix.jsonl")
+    # a stage makes a new document only where it changes the text; 04 adds none
+    distinct = (
+        len(normalized)
+        + sum(text != normalized[doc_id] for doc_id, text in rulefiltered.items())
+        + sum(text != rulefiltered[doc_id] for doc_id, text in kept.items())
+        + len(dropped)
+        + len(mixed)
+    )
+    assert len(encoded) == distinct < len(normalized) + len(rulefiltered) + len(kept) + len(dropped) + len(mixed)
+
+    def lines(name):
+        return (cfg.out_dir / name).read_bytes().splitlines(keepends=True)
+
+    lines_03 = {json.loads(line)["id"]: line for line in lines("03_pplfiltered.jsonl")}
+    lines_04 = lines("04_deduped.jsonl")
+    assert 0 < len(lines_04) < len(lines_03)
+    assert all(line == lines_03[json.loads(line)["id"]] for line in lines_04)
+
+
+def test_dedup_rewrites_a_non_canonical_input_canonically(pipeline_inputs, tmp_path):
+    """dedup cannot copy its input's lines: they may hold other keys, in
+    another order, with other escapes."""
+    rng = random.Random(0)
+    lines, canonical = [], {}
+    for doc in read_documents(pipeline_inputs / "corpus.jsonl"):
+        record = {"id": doc.id, "source": doc.source.name, "text": doc.text + " café", "meta": {"b": "é", "a": "1"}}
+        canonical[doc.id] = json.dumps(record, ensure_ascii=False, sort_keys=True)
+        items = [*record.items(), ("token_count", 7)]
+        rng.shuffle(items)
+        lines.append(json.dumps(dict(items)))  # escapes é as \u00e9
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    out = tmp_path / "out.jsonl"
+    assert _main("dedup", "-i", src, "-o", out, "--report", tmp_path / "report.json") == 0
+    written = out.read_text(encoding="utf-8").splitlines()
+    assert 0 < len(written) < len(lines)
+    assert all(line == canonical[json.loads(line)["id"]] for line in written)
+
+
+def test_normalize_treats_a_lone_surrogate_outside_text_as_malformed(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    src.write_text(
+        '{"id": "ok", "source": "freelaw", "text": "fine"}\n'
+        '{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\\ud800"}}\n'
+    )
+    out = tmp_path / "out.jsonl"
+    assert _main("normalize", "-i", src, "-o", out) == 0
+    assert [doc.id for doc in read_documents(out)] == ["ok"]
+    assert capsys.readouterr().err == f"lexcorpus: skipped 1 malformed records in {src}\n"
+    assert _main("normalize", "--strict", "-i", src, "-o", tmp_path / "strict.jsonl") == 1
+    assert capsys.readouterr().err.startswith("lexcorpus: line 2: record is not valid Unicode")
+    assert not (tmp_path / "strict.jsonl").exists()

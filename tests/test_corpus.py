@@ -8,9 +8,10 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexcorpus.corpus import (
+    DEFAULT_SOURCES,
     CorpusError,
     Document,
     DuplicateIdError,
@@ -20,6 +21,7 @@ from lexcorpus.corpus import (
     read_documents,
     register_source,
     resolve_source,
+    encode_line,
     write_documents,
 )
 
@@ -74,6 +76,9 @@ MALFORMED_LINES = [
     b'{"id": "", "source": "freelaw", "text": "t"}',
     b'{"id": "m", "source": "nowhere", "text": "t"}',
     b'{"id": "m", "source": "freelaw", "text": "\\ud800"}',
+    b'{"id": "\\ud800", "source": "freelaw", "text": "t"}',
+    b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\\uDFFF"}}',
+    b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"\\udc00": "v"}}',
     b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": 1}}',
 ]
 
@@ -196,6 +201,17 @@ def test_failed_write_leaves_path_untouched(tmp_path, make_doc):
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
+    # the whole line is checked: a surrogate in the id or meta fails the same way
+    for bad in (
+        make_doc("fine", doc_id="lone \udfff id"),
+        make_doc("fine", doc_id="bad-meta-value", k="\ud800"),
+        Document(id="bad-meta-key", source=resolve_source("freelaw"), text="fine", meta={"\ud800": "v"}),
+    ):
+        with pytest.raises(CorpusError, match="not valid Unicode"):
+            write_documents([make_doc("other", doc_id="new"), bad], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 def test_write_through_symlink_updates_target(tmp_path, make_doc):
     target = tmp_path / "target.jsonl"
@@ -224,3 +240,38 @@ def test_write_to_fifo_streams_without_replacing(tmp_path, make_doc):
     reader.join(timeout=10)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert json.loads(received[0])["id"] == "s"
+
+
+# Characters the JSON encoder escapes or that are easy to get wrong: controls,
+# quote and backslash, DEL, the JavaScript line separators, non-BMP, and
+# lone surrogates (json.dumps writes them through; the UTF-8 encode rejects them).
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\U0001f600", "\ud800", "\udfff", "é"]
+)
+_FIELD = st.text(alphabet=st.one_of(st.characters(exclude_categories=()), _TRICKY), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc_id=_FIELD.filter(bool),
+    source=st.sampled_from(sorted(DEFAULT_SOURCES)),
+    text=_FIELD,
+    meta=st.dictionaries(_FIELD, _FIELD, max_size=4),
+)
+@example(doc_id="d", source="freelaw", text="", meta={})
+@example(
+    doc_id="\U0001f600",
+    source="edgar",
+    text='a "b" \\ \u2028\x01',
+    meta={"é": "\x00", "a": "\u2029", "\U0001f600": ""},
+)
+def test_document_to_json_matches_json_dumps(doc_id, source, text, meta):
+    doc = Document(id=doc_id, source=resolve_source(source), text=text, meta=meta)
+    record = {"id": doc_id, "source": source, "text": text, "meta": meta}
+    assert document_to_json(doc) == json.dumps(record, ensure_ascii=False, sort_keys=True)
+    strings = [doc_id, source, text, *meta, *meta.values()]
+    if any("\ud800" <= ch <= "\udfff" for value in strings for ch in value):
+        with pytest.raises(CorpusError, match="not valid Unicode"):
+            encode_line(doc)
+    else:
+        assert encode_line(doc) == (document_to_json(doc) + "\n").encode("utf-8")
