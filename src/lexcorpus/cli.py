@@ -30,7 +30,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from . import cleaning, dedup, evaluation, instruct, lm, mix
+# dedup, and with it numpy, is imported only where a dedup runs: by cmd_dedup
+# and PipelineConfig (a pipeline always deduplicates)
+from . import cleaning, evaluation, instruct, lm, mix
 from .corpus import (
     CorpusError,
     CorpusReader,
@@ -89,6 +91,8 @@ class PipelineConfig:
     against the config file's directory."""
 
     def __init__(self, payload: dict, base_dir: Path, path: Path):
+        from . import dedup
+
         self.base_dir = base_dir
         self.path = path
         try:
@@ -123,6 +127,8 @@ class PipelineConfig:
         for label, p in (("corpus", self.corpus), ("seed_corpus", self.seed_corpus)):
             if not p.exists():
                 raise ConfigError(f"config path {label} does not resolve: {p}")
+            if p.is_dir():
+                raise ConfigError(f"config path {label} is a directory: {p}")
         if self.ruleset_path and not self.ruleset_path.exists():
             raise ConfigError(f"ruleset file missing: {self.ruleset_path}")
         # constructing the spec runs the fraction/source checks
@@ -386,16 +392,13 @@ def cmd_dedup(args) -> int:
     """dedup.dedup_corpus over a stream: the input is read once into the
     index, then again to write the survivors, so it must be a regular file
     (not a pipe, which a second read would find empty)."""
+    from . import dedup
+
     if not stat.S_ISREG(os.stat(args.input).st_mode):
         raise ValueError(f"dedup reads its input twice, so it must be a regular file: {args.input}")
     _refuse_write_through(args.input, [args.output])
-    index = dedup.Deduplicator(
-        near=not args.exact_only,
-        shingle_n=args.shingle_n,
-        permutations=args.permutations,
-        threshold=args.threshold,
-        seed=args.seed,
-    )
+    params = {k: v for k, v in vars(args).items() if k in ("shingle_n", "permutations", "threshold")}
+    index = dedup.Deduplicator(near=not args.exact_only, seed=args.seed, **params)
 
     def add(batch: List[Document]) -> Tuple[List[Document], ...]:
         texts = [doc.text for doc in batch]
@@ -537,6 +540,8 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     file is replaced only once it is complete: a failed pass replaces none
     of `01`-`03`, and a failure after the pass leaves them on disk.
     """
+    from . import dedup  # already loaded by PipelineConfig
+
     cfg.validate()
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -703,9 +708,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dedup", parents=[strict], help="exact then near deduplication")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--shingle-n", type=int, default=dedup.DEFAULT_SHINGLE_N)
-    p.add_argument("--permutations", type=int, default=dedup.DEFAULT_PERMUTATIONS)
-    p.add_argument("--threshold", type=float, default=dedup.DEFAULT_THRESHOLD)
+    # absent, these take dedup.Deduplicator's defaults, so that the parser needs no numpy
+    p.add_argument("--shingle-n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--permutations", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0, help="seed of the sketch hash functions")
     p.add_argument("--exact-only", action="store_true")
     p.add_argument("--report", help="write the dedup report JSON here")

@@ -64,6 +64,9 @@ DEFAULT_SOURCES: Dict[str, str] = {
 }
 
 _registry: Dict[str, str] = dict(DEFAULT_SOURCES)
+# One SourceTag per registered name, made at its first lookup: a registered
+# name's kind never changes, so every record of a source shares its tag.
+_tags: Dict[str, "SourceTag"] = {}
 
 
 def register_source(name: str, kind: str) -> None:
@@ -77,10 +80,13 @@ def register_source(name: str, kind: str) -> None:
 
 
 def resolve_source(name: str) -> "SourceTag":
-    kind = _registry.get(name)
-    if kind is None:
-        raise UnknownSourceError(f"source {name!r} is not in the registry; call register_source() first")
-    return SourceTag(name=name, kind=kind)
+    tag = _tags.get(name)
+    if tag is None:
+        kind = _registry.get(name)
+        if kind is None:
+            raise UnknownSourceError(f"source {name!r} is not in the registry; call register_source() first")
+        tag = _tags[name] = SourceTag(name=name, kind=kind)
+    return tag
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,17 @@ class WhitespaceTokenizer(Tokenizer):
 
 
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+_decode_json = json.JSONDecoder().decode
+
+
+def _field_error(obj: dict) -> str:
+    """What is wrong with a record's id, source or text fields."""
+    for key in ("id", "source", "text"):
+        if key not in obj:
+            return f"missing field {key!r}"
+        if not isinstance(obj[key], str):
+            return f"field {key!r} must be a string"
+    return "empty id"
 
 
 def _parse_record(raw: bytes, lineno: int) -> Document:
@@ -140,37 +157,34 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
     except UnicodeDecodeError as exc:
         raise CorpusError(f"line {lineno}: invalid UTF-8 ({exc})") from None
     try:
-        obj = json.loads(line)
+        if line.startswith("\ufeff"):  # json.loads' own check, word for word
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _decode_json(line)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"line {lineno}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise CorpusError(f"line {lineno}: record is not a JSON object")
-    for key in ("id", "source", "text"):
-        if key not in obj:
-            raise CorpusError(f"line {lineno}: missing field {key!r}")
-        if not isinstance(obj[key], str):
-            raise CorpusError(f"line {lineno}: field {key!r} must be a string")
-    if not obj["id"]:
-        raise CorpusError(f"line {lineno}: empty id")
+    doc_id, source, text = obj.get("id"), obj.get("source"), obj.get("text")
+    if not (type(doc_id) is str and type(source) is str and type(text) is str and doc_id):
+        raise CorpusError(f"line {lineno}: {_field_error(obj)}")
+    # the decoder's own fresh dict, kept uncopied; JSON object keys are always strings
     meta = obj.get("meta", {})
-    if not isinstance(meta, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ):
+    if type(meta) is not dict or not all(type(v) is str for v in meta.values()):
         raise CorpusError(f"line {lineno}: meta must be a flat string-to-string object")
-    # JSON smuggles lone surrogates ("\ud800") through json.loads, and they
+    # JSON smuggles lone surrogates ("\ud800") through the decoder, and they
     # cannot be written back as UTF-8. Valid UTF-8 holds no surrogate, so one
     # can only come from a \uD800-\uDFFF escape: only a line with one is checked.
     if _SURROGATE_ESCAPE.search(raw):
         try:
-            for value in (obj["id"], obj["source"], obj["text"], *meta, *meta.values()):
+            for value in (doc_id, source, text, *meta, *meta.values()):
                 value.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise CorpusError(f"line {lineno}: record is not valid Unicode: {exc}") from None
     try:
-        source = resolve_source(obj["source"])
+        tag = resolve_source(source)
     except UnknownSourceError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None
-    return Document(id=obj["id"], source=source, text=obj["text"], meta=dict(meta))
+    return Document(id=doc_id, source=tag, text=text, meta=meta)
 
 
 class CorpusReader:
@@ -191,6 +205,8 @@ class CorpusReader:
         self.line = b""
         if not self.path.exists():
             raise FileNotFoundError(f"corpus file not found: {self.path}")
+        if self.path.is_dir():
+            raise CorpusError(f"corpus file is a directory: {self.path}")
 
     def __iter__(self) -> Iterator[Document]:
         seen: set[str] = set()

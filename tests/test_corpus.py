@@ -130,6 +130,76 @@ def test_strict_reader_raises_at_the_first_malformed_line(entries):
         assert [(d.id, d.text) for d in yielded] == valid[: sum(not isinstance(e, bytes) for e in entries[:first_bad])]
 
 
+_SURROGATE_MESSAGE = (
+    "record is not valid Unicode: 'utf-8' codec can't encode character '\\ud800' "
+    "in position 0: surrogates not allowed"
+)
+_FLAT_META = "meta must be a flat string-to-string object"
+
+# (malformed line, the message after "line 2: "). The order of checks shows
+# where a line breaks two rules: the first check it fails names it.
+READER_MESSAGES = [
+    (
+        b'\xef\xbb\xbf{"id": "m", "source": "freelaw", "text": "t"}',
+        "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))",
+    ),
+    (
+        b'{"id": "m", "source": "freelaw", "text": "\xff"}',
+        "invalid UTF-8 ('utf-8' codec can't decode byte 0xff in position 42: invalid start byte)",
+    ),
+    (b'{"id": "m", "source": "freelaw", "text": }', "invalid JSON (Expecting value: line 1 column 42 (char 41))"),
+    (b'{"id": "m", "source": "freelaw", "text": "t"} {}', "invalid JSON (Extra data: line 1 column 47 (char 46))"),
+    (b"[1, 2]", "record is not a JSON object"),
+    (b'"a bare string"', "record is not a JSON object"),
+    (b"null", "record is not a JSON object"),
+    (b'{"source": "freelaw", "text": "t"}', "missing field 'id'"),
+    (b'{"id": "m", "text": "t"}', "missing field 'source'"),
+    (b'{"id": "m", "source": "freelaw"}', "missing field 'text'"),
+    (b'{"id": 7, "source": "freelaw", "text": "t"}', "field 'id' must be a string"),
+    (b'{"id": "m", "source": null, "text": "t"}', "field 'source' must be a string"),
+    (b'{"id": "m", "source": "freelaw", "text": ["t"]}', "field 'text' must be a string"),
+    (b'{"id": 7, "text": "t"}', "field 'id' must be a string"),
+    (b'{"id": "", "source": "freelaw", "text": "t"}', "empty id"),
+    (b'{"id": "", "source": "nowhere", "text": "\\ud800"}', "empty id"),
+    (b'{"id": "m", "source": "freelaw", "text": "t", "meta": null}', _FLAT_META),
+    (b'{"id": "m", "source": "freelaw", "text": "t", "meta": ["k", "v"]}', _FLAT_META),
+    (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": {"a": "b"}}}', _FLAT_META),
+    (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": 1}}', _FLAT_META),
+    (b'{"id": "m", "source": "freelaw", "text": "\\ud800", "meta": {"k": 1}}', _FLAT_META),
+    (b'{"id": "\\ud800", "source": "freelaw", "text": "t"}', _SURROGATE_MESSAGE),
+    (b'{"id": "m", "source": "\\ud800", "text": "t"}', _SURROGATE_MESSAGE),
+    (b'{"id": "m", "source": "freelaw", "text": "\\ud800"}', _SURROGATE_MESSAGE),
+    (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"\\ud800": "v"}}', _SURROGATE_MESSAGE),
+    (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\\ud800"}}', _SURROGATE_MESSAGE),
+    (b'{"id": "m", "source": "nowhere", "text": "t"}', "source 'nowhere' is not in the registry; call register_source() first"),
+]
+
+
+@pytest.mark.parametrize("line, message", READER_MESSAGES)
+def test_reader_message_and_skip_count_for_each_malformed_record(tmp_path, line, message):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "a", "source": "freelaw", "text": "x"}\n' + line + b"\n")
+    with pytest.raises(CorpusError) as excinfo:
+        list(read_documents(path, strict=True))
+    assert str(excinfo.value) == f"line 2: {message}"
+    reader = read_documents(path)
+    assert [doc.id for doc in reader] == ["a"]
+    assert (reader.skipped, reader.count) == (1, 1)
+
+
+def test_reader_message_for_a_duplicate_id_in_either_mode(tmp_path):
+    path = tmp_path / "c.jsonl"
+    record = b'{"id": "a", "source": "freelaw", "text": "x"}\n'
+    path.write_bytes(record + b"\n" + record)
+    with pytest.raises(DuplicateIdError, match="^line 3: duplicate document id 'a'$"):
+        list(read_documents(path, strict=True))
+    path.write_bytes(record + b"not json\n" + record)
+    reader = read_documents(path)
+    with pytest.raises(DuplicateIdError, match="^line 3: duplicate document id 'a'$"):
+        list(reader)
+    assert (reader.skipped, reader.count) == (1, 1)
+
+
 def test_missing_required_field_rejected(tmp_path):
     path = tmp_path / "missing.jsonl"
     path.write_text('{"id":"x","source":"freelaw"}\n')
@@ -148,6 +218,24 @@ def test_register_source_idempotent_but_kind_locked():
     register_source("scratchpad", "replay")  # same kind: fine
     with pytest.raises(ValueError):
         register_source("scratchpad", "legal")
+
+
+def test_resolve_source_returns_one_tag_per_registered_name(tmp_path):
+    assert resolve_source("freelaw") is resolve_source("freelaw")
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "source": "freelaw", "text": "x"}\n{"id": "b", "source": "freelaw", "text": "y"}\n')
+    first, second = read_documents(path)
+    assert first.source is second.source is resolve_source("freelaw")
+    # a name looked up before it is registered resolves once it is
+    with pytest.raises(UnknownSourceError):
+        resolve_source("interned-later")
+    register_source("interned-later", "instruction")
+    tag = resolve_source("interned-later")
+    assert (tag.name, tag.kind) == ("interned-later", "instruction")
+    assert resolve_source("interned-later") is tag
+    with pytest.raises(ValueError, match="already registered"):
+        register_source("interned-later", "legal")
+    assert resolve_source("interned-later").kind == "instruction"
 
 
 def test_empty_id_rejected():
