@@ -28,17 +28,19 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import IO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 # dedup, and with it numpy, is imported only where a dedup runs: by cmd_dedup
 # and PipelineConfig (a pipeline always deduplicates)
-from . import cleaning, evaluation, instruct, lm, mix
+from . import cleaning, corpus, evaluation, instruct, lm, mix
 from .corpus import (
+    BUFFER_SIZE,
     CorpusError,
     CorpusReader,
     Document,
     WhitespaceTokenizer,
     atomic_write,
+    canonical_prefix,
     encode_line,
     read_documents,
     write_documents,
@@ -69,6 +71,7 @@ _VALIDATION_ERRORS = (
     evaluation.TaskFormatError,
     evaluation.CurationError,
     FileNotFoundError,
+    IsADirectoryError,
     NotADirectoryError,
     ValueError,
 )
@@ -131,6 +134,8 @@ class PipelineConfig:
                 raise ConfigError(f"config path {label} is a directory: {p}")
         if self.ruleset_path and not self.ruleset_path.exists():
             raise ConfigError(f"ruleset file missing: {self.ruleset_path}")
+        if self.ruleset_path and self.ruleset_path.is_dir():
+            raise ConfigError(f"ruleset file is a directory: {self.ruleset_path}")
         # constructing the spec runs the fraction/source checks
         self.mix_spec()
 
@@ -230,27 +235,59 @@ def _stream(
     return reader.count, written
 
 
-def _survivor_records(
-    path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]
-) -> Iterator[Tuple[Document, bytes]]:
-    """Read `path` again, after a dedup.Deduplicator took its documents
-    with these `ids` in order, and yield (document, line as read) for those
-    whose index is not in `removed`. A document whose id is not the one at
-    its index, or a read that ends early, raises CorpusError: the file
-    changed between reads."""
-    reader = read_documents(path, strict=strict)
-    for idx, doc in enumerate(reader):
-        if idx >= len(ids) or doc.id != ids[idx]:
-            raise CorpusError(f"{path} changed between two reads: document {idx + 1} is now {doc.id!r}")
-        if idx not in removed:
-            yield doc, reader.line
-    if reader.count != len(ids):
-        raise CorpusError(f"{path} changed between two reads: {reader.count} documents, not {len(ids)}")
+def _changed(path: str | Path, what: str) -> CorpusError:
+    return CorpusError(f"{path} changed between two reads: {what}")
 
 
 def _survivors(path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]) -> Iterator[Document]:
-    """The documents of _survivor_records."""
-    return (doc for doc, _ in _survivor_records(path, strict, ids, removed))
+    """Read `path` again, after a dedup.Deduplicator took its documents
+    with these `ids` in order, and yield those whose index is not in
+    `removed`. A document whose id is not the one at its index, or a read
+    that ends early, raises CorpusError: the file changed between reads."""
+    reader = read_documents(path, strict=strict)
+    for idx, doc in enumerate(reader):
+        if idx >= len(ids) or doc.id != ids[idx]:
+            raise _changed(path, f"document {idx + 1} is now {doc.id!r}")
+        if idx not in removed:
+            yield doc
+    if reader.count != len(ids):
+        raise _changed(path, f"{reader.count} documents, not {len(ids)}")
+
+
+def _copy_survivors(path: Path, ids: Sequence[str], removed: Set[int], out: IO[bytes]) -> List[int]:
+    """_survivors for a corpus that this run wrote, in canonical form and
+    one document per line: the surviving lines are copied to `out` as read,
+    each checked by the canonical prefix of its id and decoded only to name
+    it in the error. Returns the offset in `path` of each line, followed by
+    the file's length."""
+    starts = [0]
+    with open(path, "rb", buffering=BUFFER_SIZE) as fh:
+        for idx, line in enumerate(fh):
+            if idx >= len(ids) or not line.startswith(canonical_prefix(ids[idx])):
+                raise _changed(path, f"document {idx + 1} is now {corpus._parse_record(line, idx + 1).id!r}")
+            if idx not in removed:
+                out.write(line)
+            starts.append(starts[-1] + len(line))
+    if len(starts) - 1 != len(ids):
+        raise _changed(path, f"{len(starts) - 1} documents, not {len(ids)}")
+    return starts
+
+
+def _decode_lines(
+    path: Path, starts: Sequence[int], indices: Iterable[int], ids: Sequence[str]
+) -> List[Document]:
+    """Decode the lines at these indices of the file that _copy_survivors
+    gave `starts` for, reading nothing else; a line that no longer holds
+    the id at its index raises CorpusError, as in _copy_survivors."""
+    docs = []
+    with open(path, "rb", buffering=0) as fh:
+        for idx in indices:
+            fh.seek(starts[idx])
+            doc = corpus._parse_record(fh.read(starts[idx + 1] - starts[idx]), idx + 1)
+            if doc.id != ids[idx]:
+                raise _changed(path, f"document {idx + 1} is now {doc.id!r}")
+            docs.append(doc)
+    return docs
 
 
 def _write_report(path: str | Path, report) -> None:
@@ -309,15 +346,6 @@ def _train_lm(
     model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount)
     lm.save_lm(model, output)
     return model
-
-
-def _mix(
-    sources: Dict[str, List[Document]], spec: mix.MixSpec, output: Path | str, manifest: Path | str
-) -> Tuple[List[Document], mix.MixManifest]:
-    mixed, mix_manifest = mix.assemble_mix(sources, spec, TOKENIZER)
-    write_documents(mixed, output)
-    _write_report(manifest, mix_manifest)
-    return mixed, mix_manifest
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -426,7 +454,9 @@ def cmd_mix(args) -> int:
     if args.seed is not None:
         spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
     sources = {name: _read_corpus(path, args.strict) for name, path in args.input}
-    mixed, manifest = _mix(sources, spec, args.output, args.manifest)
+    mixed, manifest = mix.assemble_mix(sources, spec, TOKENIZER)
+    write_documents(mixed, args.output)
+    _write_report(args.manifest, manifest)
     print(f"mixed {len(mixed)} documents, {manifest.total_tokens} tokens -> {args.output}")
     if args.tolerance is not None:
         validation = mix.validate_mix(manifest, spec, tolerance=args.tolerance)
@@ -536,9 +566,12 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     `01`, `02`, `03` and `03_dropped` as it goes, and signs the kept
     documents of each batch into the dedup index from filter-ppl's tokens.
     Then the near-duplicate clusters are resolved and `04` is written by
-    copying the surviving lines of one re-read of `03`; then the mix. Each
-    file is replaced only once it is complete: a failed pass replaces none
-    of `01`-`03`, and a failure after the pass leaves them on disk.
+    copying the surviving lines of `03` undecoded. The mix samples the
+    survivors by index, from the ids and token counts that the index holds
+    and the source names the pass collected, and decodes only the lines of
+    `03` it takes. Each file is replaced only once it is complete: a failed
+    pass replaces none of `01`-`03`, and a failure after the pass leaves
+    them on disk.
     """
     from . import dedup  # already loaded by PipelineConfig
 
@@ -570,15 +603,21 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
         del seed_docs
         _, _, filter_report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, cfg.lm_granularity)
-        normalized_tokens = 0
+        # filter-ppl counts every token of 02, and 01 has the same tokens but
+        # for the documents that filter-rules changed or emptied: their
+        # tokens in 01 less their tokens in 02
+        rule_removed_tokens = 0
+        kept_sources: List[str] = []  # the source name of each document the index takes
 
         def run_stages(batch: List[Document]) -> Tuple[List[Document], ...]:
-            nonlocal stage, normalized_tokens
+            nonlocal stage, rule_removed_tokens
             normalized = _clean(batch, None)
-            normalized_tokens += _token_total(normalized)
 
             stage = "filter-rules"
             rulefiltered = _clean(normalized, rules)
+            in_01, in_02 = set(map(id, normalized)), set(map(id, rulefiltered))
+            rule_removed_tokens += _token_total([doc for doc in normalized if id(doc) not in in_02])
+            rule_removed_tokens -= _token_total([doc for doc in rulefiltered if id(doc) not in in_01])
 
             stage = "filter-ppl"
             kept_token_lists: List[List[str]] = []
@@ -590,6 +629,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
             stage = "dedup"
             # whitespace tokens of the kept parts are the kept text's tokens
             index.add_batch([doc.id for doc in kept], [doc.text for doc in kept], kept_token_lists)
+            kept_sources.extend(doc.source.name for doc in kept)
             stage = "normalize"  # the next batch is read as normalize's input
             return normalized, rulefiltered, kept, dropped
 
@@ -604,7 +644,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         _write_report(out / "filter_report.json", filter_report)
         kept_tokens = sum(bucket["kept_tokens"] for bucket in filter_report.per_source.values())
         dropped_tokens = sum(bucket["dropped_tokens"] for bucket in filter_report.per_source.values())
-        record("normalize", normalized_docs, normalized_tokens)
+        record("normalize", normalized_docs, kept_tokens + dropped_tokens + rule_removed_tokens)
         # filter-ppl splits every token of 02 into kept or dropped
         record(
             "filter-rules",
@@ -617,30 +657,30 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
 
         stage = "dedup"
         removed, report = index.resolve()
-        ids = index.ids
+        ids, token_counts = index.ids, index.token_counts
         del index  # frees the signature matrix before the mix's documents are read
-        # a spec source with no surviving documents is short of tokens, not unknown
-        sources: Dict[str, List[Document]] = {name: [] for name, _ in spec.entries}
-
-        # 03 was written in canonical form by this run: its lines are copied
-        deduped_docs = 0
+        pplfiltered = out / "03_pplfiltered.jsonl"
         with atomic_write(out / "04_deduped.jsonl", binary=True) as fh:
-            for doc, line in _survivor_records(out / "03_pplfiltered.jsonl", True, ids, removed):
-                if doc.source.name in sources:
-                    sources[doc.source.name].append(doc)
-                fh.write(line)
-                deduped_docs += 1
+            starts = _copy_survivors(pplfiltered, ids, removed, fh)
         _write_report(out / "dedup_report.json", report)
         record(
             stage,
-            deduped_docs,
+            len(ids) - len(removed),
             report.tokens_after,
             exact_removed=report.exact_removed,
             near_removed=report.near_removed,
         )
 
         stage = "mix"
-        mixed, mix_manifest = _mix(sources, spec, out / "05_mix.jsonl", out / "mix_manifest.json")
+        # a spec source with no surviving documents is short of tokens, not unknown
+        survivors: Dict[str, List[int]] = {name: [] for name, _ in spec.entries}
+        for idx, name in enumerate(kept_sources):
+            if name in survivors and idx not in removed:
+                survivors[name].append(idx)
+        picked, mix_manifest = mix.sample_mix(survivors, spec, lambda idx: (ids[idx], token_counts[idx]))
+        mixed = _decode_lines(pplfiltered, starts, picked, ids)
+        write_documents(mixed, out / "05_mix.jsonl")
+        _write_report(out / "mix_manifest.json", mix_manifest)
         record(stage, len(mixed), mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc

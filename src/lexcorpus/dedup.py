@@ -291,7 +291,7 @@ class Deduplicator:
         self.permutations = permutations
         self.threshold = threshold
         self.ids: List[str] = []  # of the added documents, in add order
-        self._token_counts: List[int] = []
+        self.token_counts: List[int] = []  # len(tokens) of each, in add order
         self._first_by_digest: Dict[bytes, int] = {}
         self._exact_copies: Dict[int, List[int]] = {}  # kept index -> its copies
         self._signed: List[int] = []  # document index of each signature row
@@ -313,7 +313,7 @@ class Deduplicator:
         for doc_id, text, tokens in zip(ids, texts, token_lists):
             idx = len(self.ids)
             self.ids.append(doc_id)
-            self._token_counts.append(len(tokens))
+            self.token_counts.append(len(tokens))
             if self.exact:
                 digest = hashlib.sha256(normalize_text(text).encode("utf-8")).digest()
                 first = self._first_by_digest.setdefault(digest, idx)
@@ -336,7 +336,7 @@ class Deduplicator:
         """The indices, in add order, of the documents to remove, and the
         report: exact clusters first, then near clusters, each kept by its
         first document in stream order."""
-        report = DedupReport(tokens_before=sum(self._token_counts))
+        report = DedupReport(tokens_before=sum(self.token_counts))
         near_copies: Dict[int, List[int]] = {}  # kept index -> its near copies
         if self.near and self._signed:
             for row, label in enumerate(self._near_labels(report).tolist()):
@@ -349,7 +349,7 @@ class Deduplicator:
                 removed.update(copies_by_kept[kept])
         report.exact_removed = sum(map(len, self._exact_copies.values()))
         report.near_removed = len(removed) - report.exact_removed
-        report.tokens_after = report.tokens_before - sum(self._token_counts[i] for i in removed)
+        report.tokens_after = report.tokens_before - sum(self.token_counts[i] for i in removed)
         return removed, report
 
     def _near_labels(self, report: DedupReport) -> np.ndarray:

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .corpus import (
     Document,
@@ -25,6 +25,8 @@ from .corpus import (
 )
 
 FRACTION_SUM_TOLERANCE = 1e-9
+
+T = TypeVar("T")
 
 
 class MixError(Exception):
@@ -130,27 +132,42 @@ def assemble_mix(
     InsufficientTokensError when a source cannot reach its share.
     """
     tok = tok or WhitespaceTokenizer()
+    return sample_mix(sources, spec, lambda doc: (doc.id, len(tok.tokenize(doc.text))))
+
+
+def sample_mix(
+    sources: Dict[str, Iterable[T]],
+    spec: MixSpec,
+    measure: Callable[[T], Tuple[str, int]],
+) -> Tuple[List[T], MixManifest]:
+    """assemble_mix over items of any kind, `measure(item)` giving an item's
+    document id and token count; it is called only for the items a source's
+    walk reaches. A shuffle permutes by position alone, so the items of a
+    source, whatever they are, are picked in the order its documents would be.
+    """
     manifest = MixManifest(seed=spec.seed)
-    mixed: List[Document] = []
+    mixed: List[T] = []
     seen_ids: set = set()
 
     for name, fraction in spec.entries:
         if name not in sources:
             raise MixError(f"spec source {name!r} has no input stream")
         requested = spec.requested_tokens(name)
-        docs = list(sources[name])
+        items = list(sources[name])
         rng = random.Random(derive_seed(spec.seed, name))
-        rng.shuffle(docs)
-        selected: List[Document] = []
+        rng.shuffle(items)
+        selected_ids: List[str] = []
         realized = 0
-        for doc in docs:
+        for item in items:
             if realized >= requested:
                 break
-            if doc.id in seen_ids:
-                raise DuplicateIdError(f"document id {doc.id!r} appears in more than one source")
-            seen_ids.add(doc.id)
-            selected.append(doc)
-            realized += len(tok.tokenize(doc.text))
+            doc_id, tokens = measure(item)
+            if doc_id in seen_ids:
+                raise DuplicateIdError(f"document id {doc_id!r} appears in more than one source")
+            seen_ids.add(doc_id)
+            selected_ids.append(doc_id)
+            mixed.append(item)
+            realized += tokens
         if realized < requested:
             raise InsufficientTokensError(
                 f"source {name!r} exhausted at {realized} tokens, {requested} requested"
@@ -158,11 +175,10 @@ def assemble_mix(
         manifest.per_source[name] = {
             "requested_tokens": requested,
             "realized_tokens": realized,
-            "documents": len(selected),
-            "ids_digest": _ids_digest([doc.id for doc in selected]),
+            "documents": len(selected_ids),
+            "ids_digest": _ids_digest(selected_ids),
         }
         manifest.total_tokens += realized
-        mixed.extend(selected)
 
     random.Random(derive_seed(spec.seed, "__global__")).shuffle(mixed)
     return mixed, manifest

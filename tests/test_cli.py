@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lexcorpus import cleaning, cli, corpus, dedup, lm
+from lexcorpus import cleaning, cli, corpus, dedup, lm, mix
 from lexcorpus.corpus import CorpusError, WhitespaceTokenizer, read_documents, write_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
@@ -219,10 +219,11 @@ def test_pipeline_tokens_match_stage_outputs(pipeline_inputs, tmp_path):
 
 
 def test_pipeline_tokenization_budget(pipeline_inputs, tmp_path, monkeypatch):
-    """The main corpus is tokenized twice: normalize counts its output, and
-    filter-ppl scores the rule-filtered text and hands its tokens to dedup.
-    The seed corpus is tokenized to train, calibrate and count, and the mix
-    counts what it takes."""
+    """The main corpus is tokenized once: filter-ppl scores the rule-filtered
+    text, hands its tokens to dedup and counts them for filter-rules, and
+    normalize recounts only the documents that filter-rules changed or
+    emptied, in both versions. The seed corpus is tokenized to train,
+    calibrate and count. The mix tokenizes nothing: dedup counted it all."""
     returned = []
     real = WhitespaceTokenizer.tokenize
 
@@ -235,7 +236,12 @@ def test_pipeline_tokenization_budget(pipeline_inputs, tmp_path, monkeypatch):
     cfg = cli.load_config(pipeline_inputs / "config.json")
     cfg.out_dir = tmp_path / "out"
     tokens = {s["stage"]: s["tokens"] for s in cli.run_pipeline(cfg)["stages"]}
-    assert sum(returned) <= 2 * tokens["normalize"] + 3 * tokens["train-lm"] + tokens["mix"]
+    normalized = {doc.id: doc.text for doc in read_documents(cfg.out_dir / "01_normalized.jsonl")}
+    rulefiltered = {doc.id: doc.text for doc in read_documents(cfg.out_dir / "02_rulefiltered.jsonl")}
+    changed = [doc_id for doc_id, text in normalized.items() if rulefiltered.get(doc_id) != text]
+    recounted = sum(len(normalized[i].split()) + len(rulefiltered.get(i, "").split()) for i in changed)
+    assert 0 < recounted < tokens["normalize"] // 10
+    assert sum(returned) <= tokens["filter-rules"] + recounted + 3 * tokens["train-lm"]
 
 
 def _scored_paragraphs(path) -> int:
@@ -408,6 +414,11 @@ def test_insufficient_tokens_exit_1_from_mix_and_pipeline(pipeline_inputs, tmp_p
     assert result.returncode == 1, result.stderr
     assert "stage 'mix' failed" in result.stderr
     assert "exhausted" in result.stderr
+    # dedup's outputs come first, and stay
+    out = tmp_path / "out"
+    assert (out / "04_deduped.jsonl").stat().st_size > 0
+    assert json.loads((out / "dedup_report.json").read_text())["tokens_after"] > 0
+    assert not (out / "05_mix.jsonl").exists()
 
 
 def test_config_without_mix_section_exits_1_before_any_stage(pipeline_inputs, tmp_path):
@@ -898,3 +909,175 @@ def test_dedup_defaults_come_from_the_deduplicator(pipeline_inputs, tmp_path):
     assert (cfg.dedup_shingle_n, cfg.dedup_permutations, cfg.dedup_threshold) == (
         dedup.DEFAULT_SHINGLE_N, dedup.DEFAULT_PERMUTATIONS, dedup.DEFAULT_THRESHOLD
     )
+
+
+# -- directories where a subcommand reads or writes a non-corpus file -----------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter-rules", "-i", "{corpus}", "-o", "{out}/r.jsonl", "--ruleset", "{dir}"],
+        ["filter-ppl", "-i", "{corpus}", "-o", "{out}/p.jsonl", "--model", "{dir}", "--threshold", "1000"],
+        ["normalize", "-i", "{corpus}", "-o", "{dir}"],
+    ],
+    ids=["filter-rules-ruleset", "filter-ppl-model", "normalize-output"],
+)
+def test_a_directory_as_a_non_corpus_path_exits_1_naming_it(pipeline_inputs, tmp_path, capsys, argv):
+    directory, out = tmp_path / "a-dir", tmp_path / "out"
+    directory.mkdir()
+    out.mkdir()
+    names = {"dir": directory, "out": out, "corpus": pipeline_inputs / "corpus.jsonl"}
+    capsys.readouterr()
+    assert _main(*[arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"lexcorpus: [Errno 21] Is a directory: {str(directory)!r}\n"
+    assert list(out.iterdir()) == list(directory.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "out"]
+
+
+def test_pipeline_with_a_directory_as_ruleset_exits_1_before_any_stage(pipeline_inputs, tmp_path, capsys):
+    directory = tmp_path / "a-dir"
+    directory.mkdir()
+    config = _moved_config(pipeline_inputs, tmp_path, cleaning={"ruleset": str(directory)})
+    assert _main("pipeline", "--config", config) == 1
+    assert capsys.readouterr().err == f"lexcorpus: ruleset file is a directory: {directory}\n"
+    assert not (tmp_path / "out").exists()
+    assert list(directory.iterdir()) == []
+
+
+# -- counts and reads that the pipeline takes from earlier stages -----------------
+
+
+def _token_total(texts) -> int:
+    return sum(len(text.split()) for text in texts)
+
+
+@pytest.mark.parametrize("granularity", ["paragraph", "document"])
+def test_normalize_count_covers_documents_that_filter_rules_changed_or_emptied(
+    pipeline_inputs, tmp_path, granularity
+):
+    """normalize's count is filter-ppl's total plus what filter-rules took
+    out; in this corpus filter-rules changes some documents and empties
+    others, some of them with tokens and some without."""
+    lines = []
+    for i, doc in enumerate(read_documents(pipeline_inputs / "corpus.jsonl")):
+        text = doc.text + "\n\n========== closing words" if i % 7 == 0 else doc.text
+        lines.append({"id": doc.id, "source": doc.source.name, "text": text})
+    lines += [{"id": f"rules-empty-{i}", "source": "freelaw", "text": "---------- " * (i + 1)} for i in range(5)]
+    lines += [{"id": f"blank-{i}", "source": "freelaw", "text": " \n\n "} for i in range(2)]
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    lm_cfg = dict(json.loads((pipeline_inputs / "config.json").read_text())["lm"], granularity=granularity)
+    # a document-level filter drops every instruction document, so the mix takes one source
+    freelaw_mix = {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 1000}
+    config = _moved_config(pipeline_inputs, tmp_path, lm=lm_cfg, mix=freelaw_mix)
+    edited = json.loads(config.read_text())
+    edited["paths"]["corpus"] = str(corpus_path)
+    config.write_text(json.dumps(edited))
+    cfg = cli.load_config(config)
+    tokens = {s["stage"]: s["tokens"] for s in cli.run_pipeline(cfg)["stages"]}
+
+    normalized = {doc.id: doc.text for doc in read_documents(cfg.out_dir / "01_normalized.jsonl")}
+    rulefiltered = {doc.id: doc.text for doc in read_documents(cfg.out_dir / "02_rulefiltered.jsonl")}
+    assert len(normalized) == len(lines)
+    assert len(rulefiltered) == len(normalized) - 7
+    assert sum(rulefiltered[i] != text for i, text in normalized.items() if i in rulefiltered) >= 50
+    assert tokens["normalize"] == _token_total(normalized.values())
+    assert tokens["filter-rules"] == _token_total(rulefiltered.values())
+
+
+def _mix_of(path: Path, spec) -> tuple:
+    """05_mix.jsonl and mix_manifest.json as assemble_mix makes them from the
+    decoded corpus at `path`."""
+    docs = list(read_documents(path))
+    sources = {name: [doc for doc in docs if doc.source.name == name] for name, _ in spec.entries}
+    mixed, manifest = mix.assemble_mix(sources, spec, WhitespaceTokenizer())
+    out = path.parent / "assembled.jsonl"
+    write_documents(mixed, out)
+    return out.read_bytes(), manifest.to_json() + "\n"
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345])
+def test_pipeline_mix_equals_assemble_mix_of_04(pipeline_inputs, tmp_path, seed):
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir, cfg.seed = tmp_path / "out", seed
+    cli.run_pipeline(cfg)
+    mix_bytes, manifest_text = _mix_of(cfg.out_dir / "04_deduped.jsonl", cfg.mix_spec())
+    assert (cfg.out_dir / "05_mix.jsonl").read_bytes() == mix_bytes
+    assert (cfg.out_dir / "mix_manifest.json").read_text(encoding="utf-8") == manifest_text
+    assert json.loads(manifest_text)["seed"] == seed
+
+
+def test_pipeline_decodes_only_the_lines_the_mix_takes_after_dedup(pipeline_inputs, tmp_path, monkeypatch):
+    decoded_after_resolve = []
+    resolved = []
+    real_resolve, real_parse = dedup.Deduplicator.resolve, corpus._parse_record
+
+    def resolve(self):
+        resolved.append(True)
+        return real_resolve(self)
+
+    def parse(raw, lineno):
+        if resolved:
+            decoded_after_resolve.append(raw)
+        return real_parse(raw, lineno)
+
+    monkeypatch.setattr(dedup.Deduplicator, "resolve", resolve)
+    monkeypatch.setattr(corpus, "_parse_record", parse)
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "out"
+    manifest = cli.run_pipeline(cfg)
+    mixed = (cfg.out_dir / "05_mix.jsonl").read_bytes().splitlines(keepends=True)
+    deduped = (cfg.out_dir / "04_deduped.jsonl").read_bytes().splitlines(keepends=True)
+    assert {s["stage"]: s["documents"] for s in manifest["stages"]}["mix"] == len(mixed) < len(deduped)
+    assert resolved == [True]
+    assert sorted(decoded_after_resolve) == sorted(mixed)
+
+
+def _drop_last_line(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]))
+    return f"{len(lines) - 1} documents, not {len(lines)}"
+
+
+def _rename_a_document(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[5])
+    record["id"] = "renamed"
+    lines[5] = (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    path.write_bytes(b"".join(lines))
+    return "document 6 is now 'renamed'"
+
+
+def _drop_a_middle_line(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:5] + lines[6:]))
+    return f"document 6 is now {json.loads(lines[6])['id']!r}"
+
+
+@pytest.mark.parametrize("rewrite", [_rename_a_document, _drop_last_line, _drop_a_middle_line])
+def test_pipeline_fails_dedup_when_03_changes_before_it_is_copied(
+    pipeline_inputs, tmp_path, monkeypatch, capsys, rewrite
+):
+    pplfiltered = tmp_path / "out" / "03_pplfiltered.jsonl"
+    messages = []
+    real_resolve = dedup.Deduplicator.resolve
+
+    def resolve(self):
+        messages.append(rewrite(pplfiltered))
+        return real_resolve(self)
+
+    monkeypatch.setattr(dedup.Deduplicator, "resolve", resolve)
+    config = _moved_config(pipeline_inputs, tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "04_deduped.jsonl").write_text("old 04\n")
+    capsys.readouterr()
+    assert _main("pipeline", "--config", config) == 1
+    (message,) = messages
+    assert capsys.readouterr().err == (
+        f"lexcorpus: stage 'dedup' failed: {pplfiltered} changed between two reads: {message}\n"
+    )
+    assert (tmp_path / "out" / "04_deduped.jsonl").read_text() == "old 04\n"
+    assert not (tmp_path / "out" / "dedup_report.json").exists()
+    assert not [p.name for p in (tmp_path / "out").iterdir() if p.name.endswith(".tmp")]
