@@ -11,11 +11,11 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .corpus import Document, Tokenizer, atomic_write
+from .corpus import Document, Tokenizer, write_lines
 
 RULE_ACTIONS = ("delete_match", "collapse_whitespace", "strip_html")
 
@@ -253,13 +253,7 @@ def load_ruleset(path: str | Path) -> RuleSet:
 
 
 def save_ruleset(rules: RuleSet, path: str | Path) -> None:
-    entries = [
-        {"pattern": r.pattern, "action": r.action, "replacement": r.replacement, "note": r.note}
-        for r in rules.rules
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    write_lines([json.dumps([asdict(r) for r in rules.rules], indent=2, ensure_ascii=False)], path)
 
 
 @dataclass
@@ -272,7 +266,8 @@ class NgramTable:
     total: int
 
 
-def _doc_ngrams(tokens: Sequence[str], n: int) -> Iterable[Tuple[str, ...]]:
+def ngrams(tokens: Sequence[str], n: int) -> Iterable[Tuple[str, ...]]:
+    """The n-token windows of `tokens` in order, none if it is shorter."""
     for i in range(len(tokens) - n + 1):
         yield tuple(tokens[i : i + n])
 
@@ -285,7 +280,7 @@ def mine_ngrams(docs: Iterable[Document], tok: Tokenizer, n: int, top_k: int) ->
         raise ValueError("top_k must be >= 1")
     counts: Counter = Counter()
     for doc in docs:
-        counts.update(_doc_ngrams(tok.tokenize(doc.text), n))
+        counts.update(ngrams(tok.tokenize(doc.text), n))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
     entries = dict(ranked)
     return NgramTable(n=n, entries=entries, total=sum(entries.values()))
@@ -294,6 +289,4 @@ def mine_ngrams(docs: Iterable[Document], tok: Tokenizer, n: int, top_k: int) ->
 def write_ngram_report(table: NgramTable, path: str | Path) -> None:
     """Tab-separated `count<TAB>ngram`, descending by count."""
     rows = sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    with atomic_write(path) as fh:
-        for ngram, count in rows:
-            fh.write(f"{count}\t{' '.join(ngram)}\n")
+    write_lines((f"{count}\t{' '.join(ngram)}" for ngram, count in rows), path)

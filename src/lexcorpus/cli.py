@@ -44,6 +44,7 @@ from .corpus import (
     encode_line,
     read_documents,
     write_documents,
+    write_lines,
 )
 
 TOKENIZER = WhitespaceTokenizer()
@@ -291,8 +292,7 @@ def _decode_lines(
 
 
 def _write_report(path: str | Path, report) -> None:
-    with atomic_write(path) as fh:
-        fh.write(report.to_json() + "\n")
+    write_lines([report.to_json()], path)
 
 
 def _name_path(value: str) -> Tuple[str, str]:
@@ -498,7 +498,7 @@ def _benchmark_texts(args) -> List[str]:
             texts.extend(text for text, _ in task.instances)
     if not texts:
         raise ValueError("no benchmark inputs: pass --benchmark-file and/or --task-dir")
-    return [cleaning.normalize_text(t) for t in texts]
+    return texts
 
 
 def cmd_decontaminate(args) -> int:
@@ -512,9 +512,7 @@ def cmd_decontaminate(args) -> int:
 
 def cmd_curate_prompts(args) -> int:
     original = Path(args.input).read_text(encoding="utf-8")
-    curated = evaluation.curate_prompt(original, args.labels)
-    with atomic_write(args.output) as fh:
-        fh.write(curated + "\n")
+    write_lines([evaluation.curate_prompt(original, args.labels)], args.output)
     print(f"curated prompt -> {args.output}")
     return 0
 
@@ -685,8 +683,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 
-    with atomic_write(out / "run_manifest.json") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_lines([json.dumps(manifest, indent=2, sort_keys=True)], out / "run_manifest.json")
     return manifest
 
 

@@ -18,7 +18,7 @@ import re
 import stat
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator
@@ -300,6 +300,25 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> int:
+    """Write each string and a newline to `path` as UTF-8 through
+    atomic_write; returns the line count. Reports, dumps, manifests and
+    other text files are written here; corpora go through write_documents."""
+    count = 0
+    with atomic_write(path) as fh:
+        for line in lines:
+            fh.write(f"{line}\n")
+            count += 1
+    return count
+
+
+def report_json(report, **fields) -> str:
+    """The indented, key-sorted JSON of a report or other dataclass: its
+    fields as `dataclasses.asdict` gives them, with `fields` replacing or
+    adding the ones it shapes differently."""
+    return json.dumps({**asdict(report), **fields}, indent=2, sort_keys=True)
 
 
 def write_documents(docs: Iterable[Document], path: str | Path) -> int:

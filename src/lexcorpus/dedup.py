@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .cleaning import normalize_text
-from .corpus import Document, Tokenizer, WhitespaceTokenizer, atomic_write
+from .corpus import Document, Tokenizer, WhitespaceTokenizer, report_json, write_lines
 
 DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
@@ -172,9 +171,11 @@ def estimate_jaccard(sig_a: MinHashSignature, sig_b: MinHashSignature) -> float:
 
 DETECTION_MARGIN = 0.1
 DETECTION_FLOOR = 0.999
+# Midpoint-rule steps over similarity in [0, 1] of the error integrals.
+_SPLIT_STEPS = 512
 
 
-def optimal_band_split(permutations: int, threshold: float, steps: int = 512) -> Tuple[int, int]:
+def optimal_band_split(permutations: int, threshold: float) -> Tuple[int, int]:
     """Pick (bands, rows) with bands*rows == permutations.
 
     A missed candidate pair is unrecoverable, while a false candidate only
@@ -192,13 +193,13 @@ def optimal_band_split(permutations: int, threshold: float, steps: int = 512) ->
         bands = permutations // rows
         fp = 0.0
         fn = 0.0
-        for i in range(steps):
-            s = (i + 0.5) / steps
+        for i in range(_SPLIT_STEPS):
+            s = (i + 0.5) / _SPLIT_STEPS
             p = 1.0 - (1.0 - s**rows) ** bands
             if s < threshold:
-                fp += p / steps
+                fp += p / _SPLIT_STEPS
             else:
-                fn += (1.0 - p) / steps
+                fn += (1.0 - p) / _SPLIT_STEPS
         balanced = 0.5 * fp + 0.5 * fn
         if best_balanced is None or balanced < best_balanced[0]:
             best_balanced = (balanced, bands, rows)
@@ -221,23 +222,11 @@ class DedupReport:
     verified_pairs: int = 0  # candidate pairs at or above the threshold
 
     def to_json(self) -> str:
-        payload = {
-            "clusters": [{"kept": kept, "removed": removed} for kept, removed in self.clusters],
-            "exact_removed": self.exact_removed,
-            "near_removed": self.near_removed,
-            "tokens_before": self.tokens_before,
-            "tokens_after": self.tokens_after,
-            "candidate_pairs": self.candidate_pairs,
-            "verified_pairs": self.verified_pairs,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return report_json(self, clusters=[{"kept": kept, "removed": removed} for kept, removed in self.clusters])
 
 
 def write_cluster_dump(report: DedupReport, path) -> None:
-    with atomic_write(path) as fh:
-        for kept, removed in report.clusters:
-            for rid in removed:
-                fh.write(f"{kept}\t{rid}\n")
+    write_lines((f"{kept}\t{rid}" for kept, removed in report.clusters for rid in removed), path)
 
 
 def _band_pairs(keys: np.ndarray) -> np.ndarray:

@@ -17,12 +17,13 @@ import math
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .corpus import Document, atomic_write
+from .corpus import Document, report_json, write_lines
 from .instruct import BackendError, ChatBackend, MalformedResponseError
+from .lm import PerplexityScore
 
 CATEGORIES = (
     "issue_spotting",
@@ -99,16 +100,9 @@ def load_tasks(task_dir: str | Path) -> List[EvalTask]:
 
 
 def save_task(task: EvalTask, path: str | Path) -> None:
-    payload = {
-        "name": task.name,
-        "category": task.category,
-        "label_set": task.label_set,
-        "prompt_template": task.prompt_template,
-        "instances": [{"text": text, "label": label} for text, label in task.instances],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload = asdict(task)
+    payload["instances"] = [{"text": text, "label": label} for text, label in task.instances]
+    write_lines([json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)], path)
 
 
 # -- prompt curation -----------------------------------------------------------
@@ -203,15 +197,10 @@ class PredictionRecord:
     failure: Optional[str] = None
 
     def to_json(self) -> str:
-        payload = {
-            "task": self.task,
-            "index": self.index,
-            "raw_output": self.raw_output,
-            "parsed": self.parsed,
-            "gold": self.gold,
-        }
-        if self.failure:
-            payload["failure"] = self.failure
+        """One compact dump line; `failure` only when there is one."""
+        payload = asdict(self)
+        if not self.failure:
+            del payload["failure"]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
 
@@ -224,17 +213,7 @@ class EvalReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "per_task": self.per_task,
-                "per_category": self.per_category,
-                "overall": self.overall,
-                "abstain_rate": self.abstain_rate,
-                "seed": self.seed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return report_json(self)
 
     def render_table(self) -> str:
         width = max([len("task")] + [len(name) for name in self.per_task])
@@ -311,10 +290,7 @@ def run_benchmark(
 
 
 def write_prediction_dump(records: Iterable[PredictionRecord], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        for record in records:
-            fh.write(record.to_json())
-            fh.write("\n")
+    write_lines((record.to_json() for record in records), path)
 
 
 # -- MMLU legal loader ----------------------------------------------------------
@@ -400,10 +376,7 @@ class UniformScorer(LogProbScorer):
 
 
 def _doc_perplexity(scorer: LogProbScorer, text: str) -> float:
-    log_probs = scorer.token_log_probs(text)
-    if not log_probs:
-        raise ValueError("document has no scorable tokens")
-    return math.exp(-math.fsum(log_probs) / len(log_probs))
+    return PerplexityScore.from_log_probs(scorer.token_log_probs(text)).perplexity
 
 
 @dataclass
@@ -413,11 +386,7 @@ class PerplexityReport:
     per_category: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"scorer": self.scorer, "baseline": self.baseline, "per_category": self.per_category},
-            indent=2,
-            sort_keys=True,
-        )
+        return report_json(self)
 
     def render_table(self) -> str:
         lines = []

@@ -18,12 +18,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from .cleaning import normalize_text
-from .corpus import Document, atomic_write, resolve_source
+from .cleaning import ngrams, normalize_text
+from .corpus import Document, resolve_source, write_lines
 
 if TYPE_CHECKING:
     import requests
@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
 AUTH_TOKEN_ENV = "LEXCORPUS_CHAT_TOKEN"
+
+T = TypeVar("T")
 
 
 class TemplateError(Exception):
@@ -144,16 +146,14 @@ def _metadata_sentence(meta: Dict[str, str]) -> str:
     return f" For context, the record carries these details — {rendered}."
 
 
-def scaffold_conversation(
-    ex: LabeledExample, templates: Optional[Dict[str, ScaffoldTemplate]] = None
-) -> Conversation:
-    """Render the three fixed turns for one labeled example.
+def scaffold_conversation(ex: LabeledExample) -> Conversation:
+    """Render the three fixed turns for one labeled example from its task
+    type's template in DEFAULT_TEMPLATES.
 
     The assistant turn always restates the label and every metadata value,
     whatever the template says, so downstream audits can rely on it.
     """
-    templates = templates if templates is not None else DEFAULT_TEMPLATES
-    tmpl = templates.get(ex.task_type)
+    tmpl = DEFAULT_TEMPLATES.get(ex.task_type)
     if tmpl is None:
         raise TemplateError(f"no scaffold template for task type {ex.task_type!r}")
     assistant_text = tmpl.assistant_answer.format(label=ex.label) + _metadata_sentence(ex.meta)
@@ -368,7 +368,6 @@ def generate_conversations(
     user_backend: ChatBackend,
     assistant_backend: ChatBackend,
     extra_turn_pairs: int = 2,
-    templates: Optional[Dict[str, ScaffoldTemplate]] = None,
     concurrency: int = 4,
 ) -> Tuple[List[Conversation], List[FailedConversation]]:
     """Scaffold and extend every example, with backend calls fanned out over
@@ -377,7 +376,7 @@ def generate_conversations(
     example_list = list(examples)
 
     def _one(ex: LabeledExample):
-        conv = scaffold_conversation(ex, templates)
+        conv = scaffold_conversation(ex)
         return extend_conversation(conv, user_backend, assistant_backend, extra_turn_pairs)
 
     conversations: List[Conversation] = []
@@ -398,10 +397,7 @@ def generate_conversations(
 
 
 def _shingles(text: str, n: int) -> Set[Tuple[str, ...]]:
-    tokens = normalize_text(text).split()
-    if len(tokens) < n:
-        return set()
-    return {tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
+    return set(ngrams(normalize_text(text).split(), n))
 
 
 def decontaminate(
@@ -432,74 +428,61 @@ def decontaminate(
 
 
 def conversation_to_json(conv: Conversation) -> str:
-    payload = {
-        "origin": conv.origin,
-        "generator": conv.generator,
-        "turns": [{"role": t.role, "text": t.text} for t in conv.turns],
-    }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True)
+    return json.dumps(asdict(conv), ensure_ascii=False, sort_keys=True)
 
 
 def write_conversations(conversations: Iterable[Conversation], path: str | Path) -> int:
-    count = 0
-    with atomic_write(path) as fh:
-        for conv in conversations:
-            fh.write(conversation_to_json(conv))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_lines(map(conversation_to_json, conversations), path)
 
 
-def read_conversations(path: str | Path) -> List[Conversation]:
-    out: List[Conversation] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            turns = [Turn(t["role"], t["text"]) for t in payload["turns"]]
-            out.append(
-                Conversation(
-                    turns=turns,
-                    origin=payload["origin"],
-                    generator=payload.get("generator", "scaffold"),
-                )
-            )
-    return out
-
-
-def load_examples(path: str | Path) -> List[LabeledExample]:
-    """Read labeled examples from JSONL with fields id, input_text, label,
-    optional meta (flat string map) and task_type."""
-    out: List[LabeledExample] = []
+def _read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> List[T]:
+    """The records of a JSONL file: `build(value)` of the JSON value of each
+    non-blank line. A line that is not JSON, or whose value `build` rejects
+    with KeyError, TypeError or ValueError, raises ValueError naming the
+    path and line: "PATH:LINE: bad <what>: <cause>"."""
+    out: List[T] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-                out.append(
-                    LabeledExample(
-                        id=str(payload["id"]),
-                        input_text=payload["input_text"],
-                        label=payload["label"],
-                        meta=dict(payload.get("meta", {})),
-                        task_type=payload.get("task_type", "classification"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad labeled example: {exc}") from exc
+                out.append(build(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return out
 
 
-def conversations_to_documents(
-    conversations: Iterable[Conversation], source_name: str = "instruction"
-) -> List[Document]:
-    """Flatten conversations into corpus documents (one per conversation) so
-    the mix assembler can blend instruction data into a pretraining mix."""
-    source = resolve_source(source_name)
+def _conversation(payload: dict) -> Conversation:
+    turns = [Turn(t["role"], t["text"]) for t in payload["turns"]]
+    return Conversation(turns=turns, origin=payload["origin"], generator=payload.get("generator", "scaffold"))
+
+
+def _labeled_example(payload: dict) -> LabeledExample:
+    return LabeledExample(
+        id=str(payload["id"]),
+        input_text=payload["input_text"],
+        label=payload["label"],
+        meta=dict(payload.get("meta", {})),
+        task_type=payload.get("task_type", "classification"),
+    )
+
+
+def read_conversations(path: str | Path) -> List[Conversation]:
+    return _read_jsonl(path, "conversation", _conversation)
+
+
+def load_examples(path: str | Path) -> List[LabeledExample]:
+    """Read labeled examples from JSONL with fields id, input_text, label,
+    optional meta (flat string map) and task_type."""
+    return _read_jsonl(path, "labeled example", _labeled_example)
+
+
+def conversations_to_documents(conversations: Iterable[Conversation]) -> List[Document]:
+    """Flatten conversations into `instruction` corpus documents (one per
+    conversation) so the mix assembler can blend instruction data into a
+    pretraining mix."""
+    source = resolve_source("instruction")
     docs: List[Document] = []
     for conv in conversations:
         text = "\n\n".join(f"{t.role}: {t.text}" for t in conv.turns)

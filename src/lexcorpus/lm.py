@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cleaning import split_paragraphs
-from .corpus import Document, Tokenizer, atomic_write
+from .corpus import Document, Tokenizer, atomic_write, report_json
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -370,14 +370,7 @@ class FilterReport:
                 bucket[key] += value
 
     def to_json(self) -> str:
-        payload = {
-            "threshold": self.threshold,
-            "granularity": self.granularity,
-            "kept_docs": self.kept_docs,
-            "dropped_docs": self.dropped_docs,
-            "per_source": self.per_source,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return report_json(self)
 
 
 def filter_by_perplexity(
@@ -517,15 +510,24 @@ def load_lm(path: str | Path) -> NGramLM:
     missing = {"order", "discounts", "vocab", "counts"} - payload.keys()
     if missing:
         raise ValueError(f"{path}: model lacks {', '.join(sorted(missing))}")
-    order = payload["order"]
-    tokens = payload["vocab"]
-    if not (isinstance(order, int) and order >= 1 and len(payload["discounts"]) == order == len(payload["counts"])):
+    order, discounts, tokens, tables = (payload[key] for key in ("order", "discounts", "vocab", "counts"))
+    for name, items, kind, what in (
+        ("discounts", discounts, (int, float), "numbers"),
+        ("vocab", tokens, str, "strings"),
+        ("counts", tables, dict, "objects"),
+    ):
+        if not (isinstance(items, list) and all(isinstance(item, kind) for item in items)):
+            raise ValueError(f"{path}: {name} must be a list of {what}")
+    if not (isinstance(order, int) and order >= 1 and len(discounts) == order == len(tables)):
         raise ValueError(f"{path}: order {order!r} needs that many discounts and count tables")
     if tokens[:3] != [UNK, BOS, EOS] or len(set(tokens)) != len(tokens):
         raise ValueError(f"{path}: vocab must start with {UNK}, {BOS}, {EOS} and repeat no token")
     counts: List[Dict[NGram, int]] = []
-    for k, table in enumerate(payload["counts"], start=1):
-        grams = {tuple(map(int, key.split())): c for key, c in table.items()}
+    for k, table in enumerate(tables, start=1):
+        try:
+            grams = {tuple(map(int, key.split())): c for key, c in table.items()}
+        except ValueError:
+            raise ValueError(f"{path}: order-{k} counts hold a key that is not space-joined token ids") from None
         if set(map(len, grams)) - {k}:
             raise ValueError(f"{path}: order-{k} counts hold a key of another length")
         if grams and not 0 <= min(map(min, grams)) <= max(map(max, grams)) < len(tokens):
@@ -533,7 +535,7 @@ def load_lm(path: str | Path) -> NGramLM:
         if grams and (set(map(type, grams.values())) != {int} or min(grams.values()) < 1):
             raise ValueError(f"{path}: order-{k} counts must be positive integers")
         counts.append(grams)
-    discounts = [float(d) for d in payload["discounts"]]
+    discounts = [float(d) for d in discounts]
     if not all(0.0 <= d < 1.0 for d in discounts):
         raise ValueError(f"{path}: discounts must lie in [0, 1)")
     return NGramLM(

@@ -21,7 +21,9 @@ from .corpus import (
     DuplicateIdError,
     Tokenizer,
     WhitespaceTokenizer,
+    report_json,
     resolve_source,
+    write_lines,
 )
 
 FRACTION_SUM_TOLERANCE = 1e-9
@@ -87,14 +89,8 @@ def load_mix_spec(path: str | Path) -> MixSpec:
 
 
 def save_mix_spec(spec: MixSpec, path: str | Path) -> None:
-    payload = {
-        "entries": [{"source": name, "fraction": fraction} for name, fraction in spec.entries],
-        "token_budget": spec.token_budget,
-        "seed": spec.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    entries = [{"source": name, "fraction": fraction} for name, fraction in spec.entries]
+    write_lines([report_json(spec, entries=entries)], path)
 
 
 @dataclass
@@ -109,12 +105,7 @@ class MixManifest:
         return int(self.per_source[name]["realized_tokens"]) / self.total_tokens
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "total_tokens": self.total_tokens,
-            "per_source": self.per_source,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return report_json(self)
 
 
 def _ids_digest(ids: List[str]) -> str:
@@ -194,11 +185,7 @@ class MixValidation:
         return all(entry["pass"] for entry in self.per_source.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"tolerance": self.tolerance, "passed": self.passed, "per_source": self.per_source},
-            indent=2,
-            sort_keys=True,
-        )
+        return report_json(self, passed=self.passed)
 
 
 def validate_mix(manifest: MixManifest, spec: MixSpec, tolerance: float) -> MixValidation:

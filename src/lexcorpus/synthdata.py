@@ -17,11 +17,11 @@ import argparse
 import json
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import Document, resolve_source, write_documents
+from .corpus import Document, resolve_source, write_documents, write_lines
 from .evaluation import EvalTask, closing_instruction, save_task
 from .instruct import (
     LabeledExample,
@@ -538,13 +538,8 @@ def write_pipeline_inputs(out_dir: str | Path, seed: int = 7, n_docs: int = 1000
 
     examples = generate_labeled_examples(seed=seed, n=24)
     paths["examples"] = out_dir / "examples.jsonl"
-    with open(paths["examples"], "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({
-                "id": ex.id, "input_text": ex.input_text, "label": ex.label,
-                "meta": ex.meta, "task_type": ex.task_type,
-            }, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    lines = (json.dumps(asdict(ex), ensure_ascii=False, sort_keys=True) for ex in examples)
+    write_lines(lines, paths["examples"])
 
     paths["task_dir"] = out_dir / "tasks"
     write_task_suite(paths["task_dir"], seed=seed)
@@ -571,9 +566,7 @@ def write_pipeline_inputs(out_dir: str | Path, seed: int = 7, n_docs: int = 1000
         },
     }
     paths["config"] = out_dir / "config.json"
-    with open(paths["config"], "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines([json.dumps(config, indent=2, sort_keys=True)], paths["config"])
     return paths
 
 

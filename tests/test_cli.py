@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lexcorpus import cleaning, cli, corpus, dedup, lm, mix
+from lexcorpus import cleaning, cli, corpus, dedup, instruct, lm, mix
 from lexcorpus.corpus import CorpusError, WhitespaceTokenizer, read_documents, write_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
@@ -143,6 +143,20 @@ def test_gen_instructions_total_failure_exits_2(tmp_path):
         "m",
     )
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "bad_line", ['{"origin": "e2", "generator": "scaffold"}', '["turns"]'], ids=["no-turns", "array"]
+)
+def test_decontaminate_names_a_bad_conversation_line(tmp_path, capsys, bad_line):
+    conv = instruct.scaffold_conversation(instruct.LabeledExample(id="e1", input_text="Some clause.", label="x"))
+    convs = tmp_path / "conv.jsonl"
+    convs.write_text(f"{instruct.conversation_to_json(conv)}\n{bad_line}\n")
+    bench, out = tmp_path / "bench.txt", tmp_path / "clean.jsonl"
+    bench.write_text("alpha beta gamma delta epsilon zeta eta theta\n")
+    assert cli.main(["decontaminate", "-i", str(convs), "-o", str(out), "--benchmark-file", str(bench)]) == 1
+    assert capsys.readouterr().err.startswith(f"lexcorpus: {convs}:2: bad conversation: ")
+    assert not out.exists()
 
 
 def test_pipeline_end_to_end(pipeline_inputs):
@@ -516,6 +530,34 @@ def test_filter_ppl_rejects_inconsistent_model(ppl_inputs, tmp_path, edit):
     out = tmp_path / "kept.jsonl"
     argv = ["filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", broken, "--threshold", "100"]
     assert cli.main([str(a) for a in argv]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (["discounts"], 5, "discounts must be a list of numbers"),
+        (["discounts", 0], "0.5", "discounts must be a list of numbers"),
+        (["vocab"], "<unk>", "vocab must be a list of strings"),
+        (["vocab", 3], 3, "vocab must be a list of strings"),
+        (["counts"], {}, "counts must be a list of objects"),
+        (["counts", 1], [["3 4", 1]], "counts must be a list of objects"),
+        (["counts", 0, "x"], 1, "order-1 counts hold a key that is not space-joined token ids"),
+    ],
+    ids=["discounts-int", "discount-string", "vocab-string", "token-int", "counts-object", "table-list", "key-x"],
+)
+def test_filter_ppl_rejects_mistyped_model(ppl_inputs, tmp_path, capsys, where, value, message):
+    model = json.loads((ppl_inputs / "lm.json").read_text())
+    target = model
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    broken = tmp_path / "lm.json"
+    broken.write_text(json.dumps(model))
+    out = tmp_path / "kept.jsonl"
+    argv = ["filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", broken, "--threshold", "100"]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"lexcorpus: {broken}: {message}\n"
     assert not out.exists()
 
 

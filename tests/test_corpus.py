@@ -23,6 +23,7 @@ from lexcorpus.corpus import (
     resolve_source,
     encode_line,
     write_documents,
+    write_lines,
 )
 
 
@@ -299,6 +300,23 @@ def test_failed_write_leaves_path_untouched(tmp_path, make_doc):
             write_documents([make_doc("other", doc_id="new"), bad], path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_lines_failing_partway_leaves_old_file(tmp_path):
+    path = tmp_path / "dump.tsv"
+    assert write_lines(["old 1", "old 2"], path) == 2
+    before = path.read_bytes()
+    assert before == b"old 1\nold 2\n"
+
+    def lines():
+        yield "new 1"
+        yield "x" * (1 << 17)  # past the write buffer, so part of the new text reaches the disk
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        write_lines(lines(), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_write_through_symlink_updates_target(tmp_path, make_doc):

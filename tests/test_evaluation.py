@@ -24,6 +24,7 @@ from lexcorpus.evaluation import (
     save_task,
 )
 from lexcorpus.instruct import HttpChatBackend
+from lexcorpus.lm import ScoreError
 from lexcorpus.synthdata import (
     build_task_suite,
     generate_seed_corpus,
@@ -253,6 +254,11 @@ def test_uniform_scorer_is_exact():
     report = perplexity_report(docs, scorer)
     assert report.per_category["statutes"]["median"] == pytest.approx(4.0)
     assert report.per_category["statutes"]["iqr"] == pytest.approx(0.0)
+
+
+def test_perplexity_report_rejects_a_document_without_tokens(make_doc):
+    with pytest.raises(ScoreError, match="^cannot score zero tokens$"):
+        perplexity_report({"blank": [make_doc(" \n ")]}, UniformScorer(vocab_size=4))
 
 
 def test_reduction_arithmetic():

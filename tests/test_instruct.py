@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -139,6 +140,16 @@ def test_load_examples(tmp_path):
     examples = load_examples(path)
     assert [e.id for e in examples] == ["a", "b"]
     assert examples[1].meta == {"court": "9th"}
+
+
+def test_jsonl_readers_name_the_bad_line(tmp_path):
+    path = tmp_path / "ex.jsonl"
+    path.write_text('{"id":"a","input_text":"T","label":"contracts"}\n\n{"id":"b","input_text":"U"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad labeled example: 'label'$"):
+        load_examples(path)
+    path.write_text("not json\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad conversation: Expecting value"):
+        read_conversations(path)
 
 
 def test_conversations_to_documents():
