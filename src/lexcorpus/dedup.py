@@ -8,7 +8,9 @@ for k bins, one row of a (docs x k) matrix. Banded LSH (Leskovec et al.,
 *Mining of Massive Datasets*, ch. 3) groups documents by band key with a
 sort; the new pairs of each band are verified in batches against the
 threshold on the estimate and joined into connected components with numpy,
-so the first document in stream order survives per cluster.
+so the first document in stream order survives per cluster. Bands and
+verification only test bins for equality, so the matrix keeps the low 16
+bits of each sketch value: b-bit minwise hashing (Li and König, WWW 2010).
 
 `Deduplicator` is the one implementation: documents are added a batch at a
 time and resolved at the end. `exact_dedup`, `near_dedup` and
@@ -53,7 +55,7 @@ _EMPTY = np.iinfo(np.uint64).max
 @dataclass
 class MinHashSignature:
     doc_id: str
-    values: np.ndarray  # shape (permutations,), dtype uint64
+    values: np.ndarray  # shape (permutations,), dtype uint16, the low bits of the sketch's
     shingle_count: int
     token_count: int
     shingle_n: int
@@ -160,10 +162,12 @@ def minhash_signature(
 
 
 def estimate_jaccard(sig_a: MinHashSignature, sig_b: MinHashSignature) -> float:
-    """Fraction of equal signature bins. Barring 32-bit hash ties, two
-    sketches agree in a bin just when the least value landing there from
-    their shingle union is a shared shingle's, so with random hashing this
-    is an unbiased Jaccard estimate, concentrated like k-permutation MinHash."""
+    """Fraction of equal signature bins. Two sketches agree in a bin when
+    the least value landing there from their shingle union is a shared
+    shingle's, and by chance with probability 2^-16 otherwise, as a bin
+    stores 16 bits. So with random hashing this estimates Jaccard J with a
+    bias of (1 - J) * 2^-16, at most 1.5e-5, concentrated like k-permutation
+    MinHash."""
     if (sig_a.shingle_n, sig_a.permutations, sig_a.seed) != (sig_b.shingle_n, sig_b.permutations, sig_b.seed):
         raise ValueError("signatures built with different parameters are not comparable")
     return float(np.count_nonzero(sig_a.values == sig_b.values)) / sig_a.permutations
@@ -285,7 +289,7 @@ class Deduplicator:
         self._exact_copies: Dict[int, List[int]] = {}  # kept index -> its copies
         self._signed: List[int] = []  # document index of each signature row
         if near:
-            self._sigs = np.empty((0, permutations), dtype=np.uint64)
+            self._sigs = np.empty((0, permutations), dtype=np.uint16)
             self._params = np.random.default_rng(seed).integers(0, 2**64, (2, permutations), dtype=np.uint64)
             self._params[0] |= np.uint64(1)  # odd multipliers a over offsets b, for `_sketch`
             self._token_hashes = _TokenHashes()
@@ -319,7 +323,7 @@ class Deduplicator:
             # realloc grows the matrix in place; no view of it outlives a call
             self._sigs.resize((max(end, start + start // 8), self.permutations), refcheck=False)
         hashes, doc = _shingles(to_sign, self.shingle_n, self._token_hashes)
-        self._sigs[start:end] = _sketch(hashes, doc, len(to_sign), *self._params)
+        self._sigs[start:end] = _sketch(hashes, doc, len(to_sign), *self._params).astype(np.uint16)
 
     def resolve(self) -> Tuple[Set[int], DedupReport]:
         """The indices, in add order, of the documents to remove, and the

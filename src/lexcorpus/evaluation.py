@@ -79,7 +79,10 @@ class EvalTask:
 
 def load_task(path: str | Path) -> EvalTask:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TaskFormatError(f"task file {path} is not valid JSON: {exc}") from None
     try:
         return EvalTask(
             name=payload["name"],

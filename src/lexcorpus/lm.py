@@ -506,7 +506,7 @@ def load_lm(path: str | Path) -> NGramLM:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')}")
+        raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
     missing = {"order", "discounts", "vocab", "counts"} - payload.keys()
     if missing:
         raise ValueError(f"{path}: model lacks {', '.join(sorted(missing))}")

@@ -76,7 +76,10 @@ class MixSpec:
 
 def load_mix_spec(path: str | Path) -> MixSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MixError(f"mix spec {path} is not valid JSON: {exc}") from None
     try:
         entries = [(e["source"], float(e["fraction"])) for e in payload["entries"]]
         return MixSpec(

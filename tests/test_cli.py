@@ -543,8 +543,12 @@ def test_filter_ppl_rejects_inconsistent_model(ppl_inputs, tmp_path, edit):
         (["counts"], {}, "counts must be a list of objects"),
         (["counts", 1], [["3 4", 1]], "counts must be a list of objects"),
         (["counts", 0, "x"], 1, "order-1 counts hold a key that is not space-joined token ids"),
+        (["version"], 2, "unsupported model version 2"),
     ],
-    ids=["discounts-int", "discount-string", "vocab-string", "token-int", "counts-object", "table-list", "key-x"],
+    ids=[
+        "discounts-int", "discount-string", "vocab-string", "token-int", "counts-object", "table-list", "key-x",
+        "version-2",
+    ],
 )
 def test_filter_ppl_rejects_mistyped_model(ppl_inputs, tmp_path, capsys, where, value, message):
     model = json.loads((ppl_inputs / "lm.json").read_text())
@@ -559,6 +563,23 @@ def test_filter_ppl_rejects_mistyped_model(ppl_inputs, tmp_path, capsys, where, 
     assert cli.main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == f"lexcorpus: {broken}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "mix"])
+def test_task_and_mix_spec_files_that_are_not_json_are_named(tmp_path, capsys, command):
+    broken = tmp_path / "tasks" / "broken.json"
+    broken.parent.mkdir()
+    broken.write_text("{not json\n")
+    argv = {
+        "eval": ["eval", "--task-dir", broken.parent],
+        "mix": ["mix", "--spec", broken, "-i", f"freelaw={broken}", "-o", tmp_path / "mix.jsonl", "--manifest",
+                tmp_path / "manifest.json"],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 1
+    what = {"eval": "task file", "mix": "mix spec"}[command]
+    decoder = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert capsys.readouterr().err == f"lexcorpus: {what} {broken} is not valid JSON: {decoder}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["tasks"]
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])

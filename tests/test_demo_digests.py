@@ -31,7 +31,10 @@ _MIX_SPEC = (
     '{"entries": [{"source": "freelaw", "fraction": 0.9}, {"source": "wikipedia", "fraction": 0.1}],'
     ' "token_budget": 20000, "seed": 3}\n'
 )
-_PROMPT = "Decide.\n\nQuestion: Is a verbal lease binding?\nAnswer: Yes\n\nQuestion: Is a forged deed valid?\nAnswer: No\n"
+_PROMPT = (
+    "Decide.\n\nQuestion: Is a verbal lease binding?\nAnswer: Yes\n\n"
+    "Question: Is a forged deed valid?\nAnswer: No\n"
+)
 
 
 def _run(name: str, *argv: str, demo: Path) -> None:
