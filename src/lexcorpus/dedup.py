@@ -55,7 +55,7 @@ _EMPTY = np.iinfo(np.uint64).max
 @dataclass
 class MinHashSignature:
     doc_id: str
-    values: np.ndarray  # shape (permutations,), dtype uint16, the low bits of the sketch's
+    values: np.ndarray  # shape (permutations,), dtype uint16: the low 16 bits of each sketch value
     shingle_count: int
     token_count: int
     shingle_n: int
