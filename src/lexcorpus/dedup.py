@@ -6,11 +6,15 @@ sketch (Dahlgaard, Knudsen and Thorup, FOCS 2017) of its token shingles: a
 Jaccard estimate of MinHash quality (Broder 1997) in O(shingles + k) work
 for k bins, one row of a (docs x k) matrix. Banded LSH (Leskovec et al.,
 *Mining of Massive Datasets*, ch. 3) groups documents by band key with a
-sort; the new pairs of each band are verified in batches against the
-threshold on the estimate and joined into connected components with numpy,
-so the first document in stream order survives per cluster. Bands and
-verification only test bins for equality, so the matrix keeps the low 16
-bits of each sketch value: b-bit minwise hashing (Li and König, WWW 2010).
+sort. Each bucket's first document is verified against its other members,
+in batches against the threshold on the estimate, and the pairs that pass
+are joined into connected components with numpy; then only the pairs that
+the components still keep apart are verified. No pair is verified twice or
+once its documents are joined, so a cluster of n near-copies costs about n
+verifications, and the first document in stream order survives per
+cluster. Bands and verification only test bins for equality, so the matrix
+keeps the low 16 bits of each sketch value: b-bit minwise hashing (Li and
+König, WWW 2010).
 
 `Deduplicator` is the one implementation: documents are added a batch at a
 time and resolved at the end. `exact_dedup`, `near_dedup` and
@@ -35,7 +39,8 @@ DEFAULT_PERMUTATIONS = 128
 DEFAULT_THRESHOLD = 0.7
 
 # Candidate pairs per (pairs x permutations) temporary in verification: at
-# 128 permutations each temporary takes 1 MiB, little beside the matrix.
+# 128 permutations each temporary takes at most 256 KiB, little beside the
+# matrix.
 _CHUNK = 1024
 # Documents per add_batch call when a document list is deduplicated.
 _BATCH = 256
@@ -222,8 +227,8 @@ class DedupReport:
     near_removed: int = 0
     tokens_before: int = 0
     tokens_after: int = 0
-    candidate_pairs: int = 0  # distinct LSH candidate pairs verified
-    verified_pairs: int = 0  # candidate pairs at or above the threshold
+    candidate_pairs: int = 0  # distinct LSH candidate pairs verified, skipping those already joined
+    verified_pairs: int = 0  # verified pairs at or above the threshold
 
     def to_json(self) -> str:
         return report_json(self, clusters=[{"kept": kept, "removed": removed} for kept, removed in self.clusters])
@@ -231,25 +236,6 @@ class DedupReport:
 
 def write_cluster_dump(report: DedupReport, path) -> None:
     write_lines((f"{kept}\t{rid}" for kept, removed in report.clusters for rid in removed), path)
-
-
-def _band_pairs(keys: np.ndarray) -> np.ndarray:
-    """Sorted keys `a * docs + b`, a < b, of the document pairs whose rows
-    of `keys` (one band of the signature matrix) are equal."""
-    docs = len(keys)
-    # lexsort is stable, so each bucket lists its documents in stream order
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    starts_bucket = np.ones(docs, dtype=bool)
-    starts_bucket[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    starts = np.flatnonzero(starts_bucket)
-    sizes = np.diff(np.append(starts, docs))
-    position = np.arange(docs)
-    later = np.repeat(starts + sizes, sizes) - position - 1  # bucket members after each position
-    left = np.repeat(position, later)
-    first_of_left = np.repeat(np.cumsum(later) - later, later)
-    right = left + 1 + np.arange(len(left)) - first_of_left
-    return np.sort(order[left] * docs + order[right])
 
 
 class Deduplicator:
@@ -347,34 +333,90 @@ class Deduplicator:
 
     def _near_labels(self, report: DedupReport) -> np.ndarray:
         """The least signature row of each row's near-duplicate cluster;
-        counts the candidate and verified pairs into `report`.
+        counts the pairs verified and those that passed into `report`.
 
-        Candidate pairs come from LSH band collisions: per band, rows are
-        grouped by band key with a sort, and each pair not seen in an
-        earlier band is verified once, in batches, by the fraction of equal
-        signature positions >= threshold (estimate_jaccard's value).
-        Verified pairs are joined into connected components."""
+        Candidate pairs are rows that share a bucket in some LSH band. A
+        pair is verified by the fraction of equal signature positions >=
+        threshold (estimate_jaccard's value), and verified pairs are joined
+        into connected components. Per band, rows are grouped by band key
+        with a sort; each bucket's least row is verified against its other
+        members (a star), then, after that join, every pair of the other
+        members that still carry different labels. So no pair is verified
+        whose rows are joined already or that failed in an earlier band, and
+        a cluster of n near-copies costs about n verifications, not n^2 / 2."""
         rows_total = len(self._signed)
         sigs = self._sigs[:rows_total]
         bands, rows = optimal_band_split(self.permutations, self.threshold)
         labels = np.arange(rows_total)
-        # Sorted keys of the pairs verified so far, ending in a sentinel above
-        # every key so that each searchsorted position can be dereferenced.
-        seen = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+        # Sorted keys `a * rows_total + b`, a < b, of the pairs that failed,
+        # ending in a sentinel above every key so that each searchsorted
+        # position can be dereferenced.
+        failed = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+
+        def verify(keys: np.ndarray) -> np.ndarray:
+            """Verify the pairs of `keys` that did not fail before, in
+            batches, and join those that pass; returns the sorted keys of
+            those that fail."""
+            keys.sort()
+            keys = keys[failed[np.searchsorted(failed, keys)] != keys]
+            left, right = np.divmod(keys, rows_total)
+            passed = np.empty(len(keys), dtype=bool)
+            for start in range(0, len(keys), _CHUNK):
+                part = slice(start, start + _CHUNK)
+                equal = np.take(sigs, left[part], axis=0) == np.take(sigs, right[part], axis=0)
+                passed[part] = equal.sum(axis=1, dtype=np.int32) / self.permutations >= self.threshold
+            report.candidate_pairs += len(keys)
+            report.verified_pairs += int(np.count_nonzero(passed))
+            _join(labels, left[passed], right[passed])
+            return keys[~passed]
+
+        # one band of every row, zero-padded to whole 64-bit words, so that
+        # band keys sort and compare a word at a time
+        band_keys = np.zeros((rows_total, -(-rows // 4) * 4), dtype=np.uint16)
+        words = band_keys.view(np.uint64)
         for band in range(bands):
-            pairs = _band_pairs(sigs[:, band * rows : (band + 1) * rows])
-            pos = np.searchsorted(seen, pairs)
-            fresh = seen[pos] != pairs
-            pairs = pairs[fresh]
-            seen = np.insert(seen, pos[fresh], pairs)
-            for start in range(0, len(pairs), _CHUNK):
-                left, right = np.divmod(pairs[start : start + _CHUNK], rows_total)
-                matches = (sigs[left] == sigs[right]).sum(axis=1)
-                verified = matches / self.permutations >= self.threshold
-                report.verified_pairs += int(np.count_nonzero(verified))
-                _join(labels, left[verified], right[verified])
-        report.candidate_pairs = len(seen) - 1
+            band_keys[:, :rows] = sigs[:, band * rows : (band + 1) * rows]
+            order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+            ranked = words[order]
+            new_key = np.ones(rows_total + 1, dtype=bool)
+            new_key[1:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            shared = ~(new_key[:-1] & new_key[1:])  # in a bucket of two or more
+            if not shared.any():
+                continue
+            members = order[shared]
+            starts = np.flatnonzero(new_key[:-1][shared])
+            sizes = np.diff(np.append(starts, len(members)))
+            least = np.repeat(np.minimum.reduceat(members, starts), sizes)
+            star = (members != least) & (labels[members] != labels[least])
+            star_fails = verify(least[star] * rows_total + members[star])
+            # then the pairs of the other members that the star left apart;
+            # a bucket whose members now share one label has none
+            others = members != least
+            runs = np.repeat(np.arange(len(starts)) * rows_total, sizes)[others] + labels[members[others]]
+            rest_fails = verify(_cross_label_pairs(members[others], runs, rows_total))
+            # a stable sort merges the three sorted runs in linear time
+            failed = np.concatenate([failed, star_fails, rest_fails])
+            failed.sort(kind="stable")
         return labels
+
+
+def _cross_label_pairs(members: np.ndarray, runs: np.ndarray, rows_total: int) -> np.ndarray:
+    """Keys `a * rows_total + b`, a < b, of the pairs of `members` in the
+    same bucket with different labels, where `runs[i]` is `bucket *
+    rows_total + label` of `members[i]`: sorted by run, each member pairs
+    with those from the end of its label's run to the end of its bucket."""
+    by_run = np.argsort(runs)
+    members, runs = members[by_run], runs[by_run]
+    first = np.searchsorted(runs, runs, side="right")
+    counts = np.searchsorted(runs, (runs // rows_total + 1) * rows_total) - first
+    left = np.repeat(members, counts)
+    right = np.arange(len(left))
+    right += np.repeat(first - np.cumsum(counts) + counts, counts)
+    right = members[right]
+    keys = np.minimum(left, right)
+    keys *= rows_total
+    keys += np.maximum(left, right)
+    return keys
 
 
 def _join(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:

@@ -502,7 +502,10 @@ def load_lm(path: str | Path) -> NGramLM:
     """Read a model written by save_lm, rejecting one whose parts disagree
     (ValueError) so that scoring cannot fail on it later."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:

@@ -565,6 +565,22 @@ def test_filter_ppl_rejects_mistyped_model(ppl_inputs, tmp_path, capsys, where, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["filter-ppl", "ppl-report"])
+def test_model_file_that_is_not_json_is_named(ppl_inputs, tmp_path, capsys, command):
+    broken = tmp_path / "lm.json"
+    broken.write_text("{not json\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "filter-ppl": ["filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", broken,
+                       "--threshold", "100"],
+        "ppl-report": ["ppl-report", "--model", broken, "--category", f"x={ppl_inputs / 'corpus.jsonl'}", "-o", out],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 1
+    decoder = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert capsys.readouterr().err == f"lexcorpus: model {broken} is not valid JSON: {decoder}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "mix"])
 def test_task_and_mix_spec_files_that_are_not_json_are_named(tmp_path, capsys, command):
     broken = tmp_path / "tasks" / "broken.json"
