@@ -6,13 +6,14 @@ sketch (Dahlgaard, Knudsen and Thorup, FOCS 2017) of its token shingles: a
 Jaccard estimate of MinHash quality (Broder 1997) in O(shingles + k) work
 for k bins, one row of a (docs x k) matrix. Banded LSH (Leskovec et al.,
 *Mining of Massive Datasets*, ch. 3) groups documents by band key with a
-sort. Each bucket's first document is verified against its other members,
-in batches against the threshold on the estimate, and the pairs that pass
-are joined into connected components with numpy; then only the pairs that
-the components still keep apart are verified. No pair is verified twice or
-once its documents are joined, so a cluster of n near-copies costs about n
-verifications, and the first document in stream order survives per
-cluster. Bands and verification only test bins for equality, so the matrix
+sort. Each bucket is resolved in rounds: its first document is verified
+against its members of other components, in batches against the threshold
+on the estimate, then its next 2, then 4, and the pairs that pass are
+joined into connected components with numpy after each round. No pair is
+verified twice or once its documents are joined, so a cluster of n
+near-copies costs O(n) verifications, and the first document in stream
+order survives per cluster. Bands and verification only test bins for
+equality, so the matrix
 keeps the low 16 bits of each sketch value: b-bit minwise hashing (Li and
 König, WWW 2010).
 
@@ -228,7 +229,7 @@ class DedupReport:
     tokens_before: int = 0
     tokens_after: int = 0
     candidate_pairs: int = 0  # distinct LSH candidate pairs verified, skipping those already joined
-    verified_pairs: int = 0  # verified pairs at or above the threshold
+    verified_pairs: int = 0  # of those, the pairs at or above the threshold
 
     def to_json(self) -> str:
         return report_json(self, clusters=[{"kept": kept, "removed": removed} for kept, removed in self.clusters])
@@ -337,13 +338,16 @@ class Deduplicator:
 
         Candidate pairs are rows that share a bucket in some LSH band. A
         pair is verified by the fraction of equal signature positions >=
-        threshold (estimate_jaccard's value), and verified pairs are joined
-        into connected components. Per band, rows are grouped by band key
-        with a sort; each bucket's least row is verified against its other
-        members (a star), then, after that join, every pair of the other
-        members that still carry different labels. So no pair is verified
-        whose rows are joined already or that failed in an earlier band, and
-        a cluster of n near-copies costs about n verifications, not n^2 / 2."""
+        threshold (estimate_jaccard's value), and the clusters are the
+        connected components of the pairs that pass. A bucket is resolved
+        in rounds of stars: its first row in stream order is verified against
+        its rows of other labels, then its next 2 rows, then 4, and so on,
+        with a join after each round, until its remaining rows share one
+        label. Each band step opens the band's buckets and runs one round of
+        every open bucket. No pair is verified twice, or once its rows are
+        joined. So a bucket of n rows closes within log2(n) + 1 rounds, and
+        a cluster of n near-copies costs O(n) verifications, not n^2 / 2,
+        also when a few rows that fail against it come first."""
         rows_total = len(self._signed)
         sigs = self._sigs[:rows_total]
         bands, rows = optimal_band_split(self.permutations, self.threshold)
@@ -352,13 +356,30 @@ class Deduplicator:
         # ending in a sentinel above every key so that each searchsorted
         # position can be dereferenced.
         failed = np.array([np.iinfo(np.int64).max], dtype=np.int64)
-
-        def verify(keys: np.ndarray) -> np.ndarray:
-            """Verify the pairs of `keys` that did not fail before, in
-            batches, and join those that pass; returns the sorted keys of
-            those that fail."""
-            keys.sort()
-            keys = keys[failed[np.searchsorted(failed, keys)] != keys]
+        # The rows of the open buckets, a bucket's rows together and in
+        # stream order; the size of each bucket, and the number of its first
+        # rows that are the centres of its next round.
+        members = sizes = centres = np.empty(0, dtype=np.int64)
+        for band in itertools.count():
+            if band < bands:
+                opened, opened_sizes = _buckets(sigs[:, band * rows : (band + 1) * rows])
+                members = np.concatenate([members, opened])
+                sizes = np.concatenate([sizes, opened_sizes])
+                centres = np.concatenate([centres, np.ones_like(opened_sizes)])
+            elif not len(sizes):
+                return labels
+            # close the buckets whose rows all carry one label
+            starts = np.cumsum(sizes) - sizes
+            member_labels = labels[members]
+            mixed = np.minimum.reduceat(member_labels, starts) != np.maximum.reduceat(member_labels, starts)
+            members = members[np.repeat(mixed, sizes)]
+            sizes, centres = sizes[mixed], centres[mixed]
+            keys, centre = _star_keys(members, sizes, centres, labels)
+            # a pair in buckets of several bands comes up from each; it is
+            # verified once, and not again if it failed before
+            fresh = failed[np.searchsorted(failed, keys)] != keys
+            fresh[1:] &= keys[1:] != keys[:-1]
+            keys = keys[fresh]
             left, right = np.divmod(keys, rows_total)
             passed = np.empty(len(keys), dtype=bool)
             for start in range(0, len(keys), _CHUNK):
@@ -368,55 +389,63 @@ class Deduplicator:
             report.candidate_pairs += len(keys)
             report.verified_pairs += int(np.count_nonzero(passed))
             _join(labels, left[passed], right[passed])
-            return keys[~passed]
-
-        # one band of every row, zero-padded to whole 64-bit words, so that
-        # band keys sort and compare a word at a time
-        band_keys = np.zeros((rows_total, -(-rows // 4) * 4), dtype=np.uint16)
-        words = band_keys.view(np.uint64)
-        for band in range(bands):
-            band_keys[:, :rows] = sigs[:, band * rows : (band + 1) * rows]
-            order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
-            ranked = words[order]
-            new_key = np.ones(rows_total + 1, dtype=bool)
-            new_key[1:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)
-            shared = ~(new_key[:-1] & new_key[1:])  # in a bucket of two or more
-            if not shared.any():
-                continue
-            members = order[shared]
-            starts = np.flatnonzero(new_key[:-1][shared])
-            sizes = np.diff(np.append(starts, len(members)))
-            least = np.repeat(np.minimum.reduceat(members, starts), sizes)
-            star = (members != least) & (labels[members] != labels[least])
-            star_fails = verify(least[star] * rows_total + members[star])
-            # then the pairs of the other members that the star left apart;
-            # a bucket whose members now share one label has none
-            others = members != least
-            runs = np.repeat(np.arange(len(starts)) * rows_total, sizes)[others] + labels[members[others]]
-            rest_fails = verify(_cross_label_pairs(members[others], runs, rows_total))
-            # a stable sort merges the three sorted runs in linear time
-            failed = np.concatenate([failed, star_fails, rest_fails])
-            failed.sort(kind="stable")
-        return labels
+            if not passed.all():
+                # a stable sort merges the two sorted runs in linear time
+                failed = np.concatenate([failed, keys[~passed]])
+                failed.sort(kind="stable")
+            # the next round of a bucket has twice the centres
+            members = members[~centre]
+            sizes -= np.minimum(sizes, centres)
+            centres *= 2
+            still_open = sizes > 0
+            sizes, centres = sizes[still_open], centres[still_open]
 
 
-def _cross_label_pairs(members: np.ndarray, runs: np.ndarray, rows_total: int) -> np.ndarray:
-    """Keys `a * rows_total + b`, a < b, of the pairs of `members` in the
-    same bucket with different labels, where `runs[i]` is `bucket *
-    rows_total + label` of `members[i]`: sorted by run, each member pairs
-    with those from the end of its label's run to the end of its bucket."""
-    by_run = np.argsort(runs)
-    members, runs = members[by_run], runs[by_run]
-    first = np.searchsorted(runs, runs, side="right")
-    counts = np.searchsorted(runs, (runs // rows_total + 1) * rows_total) - first
-    left = np.repeat(members, counts)
-    right = np.arange(len(left))
-    right += np.repeat(first - np.cumsum(counts) + counts, counts)
-    right = members[right]
-    keys = np.minimum(left, right)
-    keys *= rows_total
-    keys += np.maximum(left, right)
-    return keys
+def _buckets(band: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of `band`, one band of the signature matrix, that share
+    their key with another row, those of a key together and in stream
+    order, and the number of rows of each key in turn."""
+    width = band.shape[1]
+    # zero-padded to whole 64-bit words, so that keys compare a word at a time
+    keys = np.zeros((len(band), -(-width // 4) * 4), dtype=np.uint16)
+    keys[:, :width] = band
+    # a stable sort, so that the rows of a key stay in stream order
+    order = np.lexsort(keys[:, :width].T)
+    ranked = keys.view(np.uint64)[order]
+    new_key = np.ones(len(band) + 1, dtype=bool)
+    new_key[1:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    shared = ~(new_key[:-1] & new_key[1:])
+    return order[shared], np.diff(np.flatnonzero(new_key[:-1][shared]), append=np.count_nonzero(shared))
+
+
+def _star_keys(
+    members: np.ndarray, sizes: np.ndarray, centres: np.ndarray, labels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted keys `a * len(labels) + b`, a < b, of the pairs that the
+    first `centres[i]` rows of bucket i form with its rows of other labels,
+    and the mask of those centres in `members`, which lists the `sizes[i]`
+    rows of each bucket in turn, in stream order. With the rows of a bucket
+    grouped by label, a centre pairs with those before and after its own
+    group; a pair of two centres comes up from both and is kept once, as
+    `a < b`, since a centre precedes the other rows of its bucket."""
+    rows_total = len(labels)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # of each row's bucket
+    centre = np.arange(len(members)) - first < np.repeat(centres, sizes)
+    groups = np.repeat(np.arange(len(sizes)) * rows_total, sizes) + labels[members]
+    by_group = np.argsort(groups)
+    sorted_groups = groups[by_group]
+    own = groups[centre]
+    low, high = np.searchsorted(sorted_groups, own), np.searchsorted(sorted_groups, own, side="right")
+    first, last = first[centre], (first + np.repeat(sizes, sizes))[centre]
+    counts = np.concatenate([low - first, last - high])
+    spans = np.arange(int(counts.sum()))  # positions in `by_group`, span by span
+    spans += np.repeat(np.concatenate([first, high]) - np.cumsum(counts) + counts, counts)
+    left = np.repeat(np.tile(members[centre], 2), counts)
+    right = members[by_group[spans]]
+    once = left < right
+    keys = left[once] * rows_total + right[once]
+    keys.sort()
+    return keys, centre
 
 
 def _join(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:

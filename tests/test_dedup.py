@@ -214,23 +214,69 @@ def test_near_labels_are_components_of_colliding_verified_pairs(seed, rows, valu
     assert near_removed <= report.verified_pairs <= report.candidate_pairs <= len(colliding)
 
 
+def _edited(tokens, edits, rng, vocab):
+    tokens = list(tokens)
+    for pos in rng.sample(range(len(tokens)), edits):
+        tokens[pos] = rng.choice(vocab)
+    return tokens
+
+
+def _template_and_copies(n):
+    """A 300-token template and n near-copies of it, 3 substitutions each."""
+    rng = random.Random(17)
+    vocab = [f"w{i}" for i in range(5000)]
+    template = [rng.choice(vocab) for _ in range(300)]
+    return template, [_edited(template, 3, rng, vocab) for _ in range(n)], vocab
+
+
 def test_near_copies_of_one_template_cost_verifications_linear_in_their_number(make_doc):
     """2,000 near-copies of one 300-token template, 3 substitutions each,
     form one cluster after at most 3 verifications per copy, where
     verifying every colliding pair would take about n^2 / 2."""
-    rng = random.Random(17)
-    vocab = [f"w{i}" for i in range(5000)]
-    template = [rng.choice(vocab) for _ in range(300)]
-    docs = []
-    for i in range(2000):
-        tokens = list(template)
-        for pos in rng.sample(range(len(tokens)), 3):
-            tokens[pos] = rng.choice(vocab)
-        docs.append(make_doc(" ".join(tokens), doc_id=f"c{i:04d}"))
+    _, copies, _ = _template_and_copies(2000)
+    docs = [make_doc(" ".join(tokens), doc_id=f"c{i:04d}") for i, tokens in enumerate(copies)]
     kept, report = near_dedup(docs)
     assert report.clusters == [("c0000", [doc.id for doc in docs[1:]])]
     assert [doc.id for doc in kept] == ["c0000"]
     assert report.candidate_pairs <= 3 * len(docs)
+
+
+def test_near_copies_behind_a_variant_that_fails_against_them_stay_linear(make_doc):
+    """A variant of the template, 15 substitutions off, comes first and
+    shares the first band's bucket with the template, so it is that
+    bucket's first row; it fails against every copy. The 2,000 copies
+    behind it still form one cluster after at most 4 verifications per
+    document, where verifying the bucket's other pairs at once would take
+    about n^2 / 2."""
+    template, copies, vocab = _template_and_copies(2000)
+    tok = WhitespaceTokenizer()
+    band = minhash_signature(" ".join(template), tok).values[:4]  # 4 rows per band at 128 x 0.7
+    rng = random.Random(5)
+    variant = _edited(template, 15, rng, vocab)
+    while not (minhash_signature(" ".join(variant), tok).values[:4] == band).all():
+        variant = _edited(template, 15, rng, vocab)
+    docs = [make_doc(" ".join(variant), doc_id="variant")]
+    docs += [make_doc(" ".join(tokens), doc_id=f"c{i:04d}") for i, tokens in enumerate(copies)]
+    kept, report = near_dedup(docs)
+    assert report.clusters == [("c0000", [doc.id for doc in docs[2:]])]
+    assert [doc.id for doc in kept] == ["variant", "c0000"]
+    assert report.candidate_pairs <= 4 * len(docs)
+
+
+def test_chain_of_revisions_costs_verifications_linear_in_its_length(make_doc):
+    """2,000 revisions of the template, each one substitution off the one
+    before, so that revisions far apart in the chain fail against each
+    other: they form one cluster after at most 6 verifications per
+    revision."""
+    template, _, vocab = _template_and_copies(0)
+    rng = random.Random(23)
+    chain = [template]
+    for _ in range(1999):
+        chain.append(_edited(chain[-1], 1, rng, vocab))
+    docs = [make_doc(" ".join(tokens), doc_id=f"r{i:04d}") for i, tokens in enumerate(chain)]
+    kept, report = near_dedup(docs)
+    assert report.clusters == [("r0000", [doc.id for doc in docs[1:]])]
+    assert report.verified_pairs < report.candidate_pairs <= 6 * len(docs)
 
 
 def test_near_clusters_listed_in_order_of_their_first_document(make_doc):
