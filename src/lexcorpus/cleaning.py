@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .corpus import Document, Tokenizer, write_lines
+from .corpus import Document, InputError, Tokenizer, write_lines
 
 RULE_ACTIONS = ("delete_match", "collapse_whitespace", "strip_html")
 
@@ -24,7 +24,7 @@ RULE_ACTIONS = ("delete_match", "collapse_whitespace", "strip_html")
 _MAX_PASSES = 25
 
 
-class RuleConfigError(Exception):
+class RuleConfigError(InputError):
     """A rule file or rule definition that cannot be compiled."""
 
 

@@ -13,31 +13,33 @@ Instruction generation and evaluation take a chat endpoint and therefore
 stay outside `pipeline`.
 
 Exit codes: 0 success, 1 validation failure (bad config, flags, or input
-files), 2 runtime failure mid-run. A failed `pipeline` stage exits with the
-code its cause gets from the stage's own subcommand.
+files: a corpus.InputError or one of the builtins in _VALIDATION_ERRORS),
+2 runtime failure mid-run. A failed `pipeline` stage exits with the code its
+cause gets from the stage's own subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import os
 import stat
 import sys
 from pathlib import Path
-from typing import IO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import IO, TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-# dedup, and with it numpy, is imported only where a dedup runs: by cmd_dedup
-# and PipelineConfig (a pipeline always deduplicates)
-from . import cleaning, corpus, evaluation, instruct, lm, mix
+# Every other stage module is imported by the commands that run it, so that a
+# command loads only what it runs: dedup brings numpy and OpenSSL (hashlib),
+# and a pipeline, which always deduplicates, never loads instruct or evaluation.
+from . import cleaning, corpus
 from .corpus import (
     BUFFER_SIZE,
     CorpusError,
     CorpusReader,
     Document,
+    InputError,
     WhitespaceTokenizer,
     atomic_write,
     canonical_prefix,
@@ -47,10 +49,13 @@ from .corpus import (
     write_lines,
 )
 
+if TYPE_CHECKING:
+    from . import instruct, lm, mix
+
 TOKENIZER = WhitespaceTokenizer()
 
 
-class ConfigError(Exception):
+class ConfigError(InputError):
     """Pipeline config missing, malformed, or referencing absent paths."""
 
 
@@ -61,21 +66,7 @@ class PipelineStageError(Exception):
         self.cause = cause
 
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    CorpusError,
-    cleaning.RuleConfigError,
-    lm.TrainingError,
-    lm.ScoreError,
-    mix.MixError,
-    instruct.TemplateError,
-    evaluation.TaskFormatError,
-    evaluation.CurationError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    ValueError,
-)
+_VALIDATION_ERRORS = (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,11 +132,15 @@ class PipelineConfig:
         self.mix_spec()
 
     def mix_spec(self) -> mix.MixSpec:
+        from . import mix
+
         if not self.mix_entries or self.mix_budget <= 0:
             raise ConfigError("config lacks a usable mix section (entries + token_budget)")
         return mix.MixSpec(entries=self.mix_entries, token_budget=self.mix_budget, seed=self.seed)
 
     def config_digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.path.read_bytes()).hexdigest()
 
 
@@ -332,6 +327,8 @@ def _load_ruleset(path: Optional[str | Path]) -> cleaning.RuleSet:
 
 
 def _chat_backend(endpoint: Optional[str], model: str) -> instruct.ChatBackend:
+    from . import instruct
+
     if endpoint:
         return instruct.HttpChatBackend(endpoint=endpoint, model=model)
     return instruct.StubChatBackend()
@@ -341,9 +338,12 @@ def _chat_backend(endpoint: Optional[str], model: str) -> instruct.ChatBackend:
 
 
 def _train_lm(
-    docs: Iterable[Document], order: int, output: Path | str, discount: Optional[float] = None
+    docs: Iterable[Document], order: int, output: Path | str, discount: Optional[float] = None,
+    corpus_name: str = "seed corpus",
 ) -> lm.NGramLM:
-    model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount)
+    from . import lm
+
+    model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount, corpus_name=corpus_name)
     lm.save_lm(model, output)
     return model
 
@@ -376,7 +376,9 @@ def cmd_filter_rules(args) -> int:
 def cmd_train_lm(args) -> int:
     reader = read_documents(args.input, strict=args.strict)
     try:
-        model = _train_lm(reader, args.order, args.output, discount=args.discount)
+        model = _train_lm(
+            reader, args.order, args.output, discount=args.discount, corpus_name=f"seed corpus {args.input}"
+        )
     finally:
         # also when the corpus is empty once its malformed records are skipped
         _report_skipped(reader, args.input)
@@ -385,6 +387,8 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_filter_ppl(args) -> int:
+    from . import lm
+
     model = lm.load_lm(args.model)
     if args.threshold is not None:
         threshold = args.threshold
@@ -392,7 +396,10 @@ def cmd_filter_ppl(args) -> int:
         if not args.calibration_corpus:
             raise ValueError("need --threshold or --calibration-corpus with --percentile")
         calib = _read_corpus(args.calibration_corpus, args.strict)
-        threshold = lm.calibrate_threshold(model, calib, TOKENIZER, percentile=args.percentile)
+        threshold = lm.calibrate_threshold(
+            model, calib, TOKENIZER, percentile=args.percentile,
+            corpus_name=f"calibration corpus {args.calibration_corpus}",
+        )
         del calib
     # checks the threshold and granularity before an output is opened, and
     # gives the empty report that each batch's report is merged into
@@ -450,6 +457,8 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    from . import mix
+
     spec = mix.load_mix_spec(args.spec)
     if args.seed is not None:
         spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
@@ -467,6 +476,8 @@ def cmd_mix(args) -> int:
 
 
 def cmd_gen_instructions(args) -> int:
+    from . import instruct
+
     examples = instruct.load_examples(args.examples)
     backend = _chat_backend(args.endpoint, args.model)
     conversations, failures = instruct.generate_conversations(
@@ -489,6 +500,8 @@ def cmd_gen_instructions(args) -> int:
 
 
 def _benchmark_texts(args) -> List[str]:
+    from . import evaluation
+
     texts: List[str] = []
     if args.benchmark_file:
         with open(args.benchmark_file, "r", encoding="utf-8") as fh:
@@ -502,15 +515,20 @@ def _benchmark_texts(args) -> List[str]:
 
 
 def cmd_decontaminate(args) -> int:
+    from . import instruct
+
     conversations = instruct.read_conversations(args.input)
     texts = _benchmark_texts(args)
-    kept, removed = instruct.decontaminate(conversations, texts, shingle_n=args.shingle_n)
+    shingle_n = getattr(args, "shingle_n", instruct.DECONTAMINATION_SHINGLE_N)
+    kept, removed = instruct.decontaminate(conversations, texts, shingle_n=shingle_n)
     instruct.write_conversations(kept, args.output)
     print(f"decontamination kept {len(kept)}, removed {removed} -> {args.output}")
     return 0
 
 
 def cmd_curate_prompts(args) -> int:
+    from . import evaluation
+
     original = Path(args.input).read_text(encoding="utf-8")
     write_lines([evaluation.curate_prompt(original, args.labels)], args.output)
     print(f"curated prompt -> {args.output}")
@@ -518,6 +536,8 @@ def cmd_curate_prompts(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     tasks = evaluation.load_tasks(args.task_dir)
     if args.mmlu_dir:
         tasks.extend(evaluation.load_mmlu_legal(args.mmlu_dir))
@@ -534,6 +554,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ppl_report(args) -> int:
+    from . import evaluation, lm
+
     scorer = evaluation.NgramScorer(lm.load_lm(args.model), TOKENIZER, name=Path(args.model).stem)
     baseline = None
     if args.baseline_model:
@@ -571,7 +593,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     pass replaces none of `01`-`03`, and a failure after the pass leaves
     them on disk.
     """
-    from . import dedup  # already loaded by PipelineConfig
+    from . import dedup, lm, mix  # dedup is already loaded by PipelineConfig
 
     cfg.validate()
     out = cfg.out_dir
@@ -782,7 +804,8 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--benchmark-file", help="one benchmark input text per line")
     p.add_argument("--task-dir", help="pull benchmark inputs from task files")
-    p.add_argument("--shingle-n", type=int, default=instruct.DECONTAMINATION_SHINGLE_N)
+    # absent, cmd_decontaminate takes instruct's default, so that the parser needs no instruct
+    p.add_argument("--shingle-n", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_decontaminate)
 
     p = sub.add_parser("curate-prompts", help="rewrite a few-shot prompt")

@@ -24,7 +24,12 @@ from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator
 
 
-class CorpusError(Exception):
+class InputError(Exception):
+    """Base of the package's own errors for bad input (a file, flag, config
+    or record), as against a failure mid-run: the CLI exits 1 on one."""
+
+
+class CorpusError(InputError):
     """Malformed corpus file or record."""
 
 
@@ -195,10 +200,12 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
 class CorpusReader:
     """Streaming iterator over a corpus file.
 
-    Memory use is bounded by the largest single record. In lenient mode
-    malformed records are skipped; ``.skipped`` holds the running count and
-    is final once the stream is exhausted. Duplicate ids are an error in
-    either mode.
+    Memory use is the record being decoded plus every id read so far, kept
+    to raise DuplicateIdError: it grows with the document count (about
+    3.9 MB for 30,000 eleven-character ids), not with the documents' size.
+    In lenient mode malformed records are skipped; ``.skipped`` holds the
+    running count and is final once the stream is exhausted. Duplicate ids
+    are an error in either mode.
     """
 
     def __init__(self, path: str | Path, strict: bool = False):

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .corpus import Document, report_json, write_lines
+from .corpus import Document, InputError, report_json, write_lines
 from .instruct import BackendError, ChatBackend, MalformedResponseError
 from .lm import PerplexityScore
 
@@ -41,11 +41,11 @@ PLACEHOLDER = "{text}"
 MMLU_LEGAL_SUBJECTS = ("international_law", "professional_law", "jurisprudence")
 
 
-class CurationError(Exception):
+class CurationError(InputError):
     """Prompt structure not recognizable; nothing was silently passed through."""
 
 
-class TaskFormatError(Exception):
+class TaskFormatError(InputError):
     """Malformed task file."""
 
 

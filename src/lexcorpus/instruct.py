@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .cleaning import ngrams, normalize_text
-from .corpus import Document, resolve_source, write_lines
+from .corpus import Document, InputError, resolve_source, write_lines
 
 if TYPE_CHECKING:
     import requests
@@ -35,7 +35,7 @@ AUTH_TOKEN_ENV = "LEXCORPUS_CHAT_TOKEN"
 T = TypeVar("T")
 
 
-class TemplateError(Exception):
+class TemplateError(InputError):
     """No scaffold template registered for an example's task type."""
 
 

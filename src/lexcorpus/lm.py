@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cleaning import split_paragraphs
-from .corpus import Document, Tokenizer, atomic_write, report_json
+from .corpus import Document, InputError, Tokenizer, atomic_write, report_json
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -69,11 +69,11 @@ _Entry = Tuple[float, float, int]
 _Tables = Tuple[List[Dict[str, _Entry]], List[float], List[int], int]
 
 
-class TrainingError(Exception):
+class TrainingError(InputError):
     """Seed corpus or parameters unusable for training."""
 
 
-class ScoreError(Exception):
+class ScoreError(InputError):
     """Text that cannot be scored (e.g. empty after tokenization)."""
 
 
@@ -283,12 +283,14 @@ def train_lm(
     tok: Tokenizer,
     order: int = 5,
     discount: Optional[float] = None,
+    corpus_name: str = "seed corpus",
 ) -> NGramLM:
     """Train an interpolated Kneser-Ney model on a seed corpus.
 
     discount=None estimates per-order discounts via n1/(n1 + 2*n2); passing
     an explicit value (e.g. 0.0 to disable discounting for maximum-likelihood
-    checks) applies it at every order.
+    checks) applies it at every order. `corpus_name` names the corpus in the
+    error for one with no tokens.
     """
     if order < 1:
         raise TrainingError("order must be >= 1")
@@ -309,7 +311,7 @@ def train_lm(
                 ids.append(vocab[t])
             paragraphs.append(ids)
     if not paragraphs:
-        raise TrainingError("seed corpus is empty after tokenization")
+        raise TrainingError(f"{corpus_name} is empty after tokenization")
 
     counts: List[Dict[NGram, int]] = [dict() for _ in range(order)]
     top = counts[order - 1]
@@ -451,9 +453,11 @@ def calibrate_threshold(
     docs: Iterable[Document],
     tok: Tokenizer,
     percentile: float = 99.0,
+    corpus_name: str = "calibration corpus",
 ) -> float:
     """Perplexity threshold at the given percentile of per-paragraph
-    perplexities over a corpus (linear interpolation between order stats)."""
+    perplexities over a corpus (linear interpolation between order stats).
+    `corpus_name` names the corpus in the error for one with no tokens."""
     if not 0 < percentile <= 100:
         raise ValueError("percentile must lie in (0, 100]")
     ppls: List[float] = []
@@ -463,7 +467,7 @@ def calibrate_threshold(
             if tokens:
                 ppls.append(PerplexityScore.from_log_probs(lm.paragraph_log_probs(tokens)).perplexity)
     if not ppls:
-        raise ValueError("no scorable paragraphs for calibration")
+        raise ValueError(f"{corpus_name} has no scorable paragraphs")
     ppls.sort()
     rank = (percentile / 100.0) * (len(ppls) - 1)
     low = int(math.floor(rank))

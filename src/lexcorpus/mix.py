@@ -19,6 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 from .corpus import (
     Document,
     DuplicateIdError,
+    InputError,
     Tokenizer,
     WhitespaceTokenizer,
     report_json,
@@ -31,7 +32,7 @@ FRACTION_SUM_TOLERANCE = 1e-9
 T = TypeVar("T")
 
 
-class MixError(Exception):
+class MixError(InputError):
     """Spec/stream mismatch or unsatisfiable mix."""
 
 

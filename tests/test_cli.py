@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from lexcorpus import cleaning, cli, corpus, dedup, instruct, lm, mix
-from lexcorpus.corpus import CorpusError, WhitespaceTokenizer, read_documents, write_documents
+from lexcorpus import cleaning, cli, corpus, dedup, evaluation, instruct, lm, mix
+from lexcorpus.corpus import CorpusError, InputError, WhitespaceTokenizer, read_documents, write_documents
 from lexcorpus.synthdata import write_pipeline_inputs
 
 
@@ -581,6 +581,31 @@ def test_model_file_that_is_not_json_is_named(ppl_inputs, tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_train_lm_names_an_empty_seed_corpus(pipeline_inputs, tmp_path, capsys):
+    empty, model = tmp_path / "empty.jsonl", tmp_path / "lm.json"
+    empty.write_text("")
+    assert _main("train-lm", "-i", empty, "-o", model) == 1
+    assert capsys.readouterr().err == f"lexcorpus: seed corpus {empty} is empty after tokenization\n"
+    assert not model.exists()
+    # pipeline names the stage instead
+    config = _moved_config(pipeline_inputs, tmp_path)
+    cfg = json.loads(config.read_text())
+    cfg["paths"]["seed_corpus"] = str(empty)
+    config.write_text(json.dumps(cfg))
+    assert _main("pipeline", "--config", config) == 1
+    assert capsys.readouterr().err == "lexcorpus: stage 'train-lm' failed: seed corpus is empty after tokenization\n"
+
+
+def test_filter_ppl_names_an_empty_calibration_corpus(ppl_inputs, tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "kept.jsonl"
+    empty.write_text("")
+    argv = ["filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", ppl_inputs / "lm.json",
+            "--calibration-corpus", empty]
+    assert _main(*argv) == 1
+    assert capsys.readouterr().err == f"lexcorpus: calibration corpus {empty} has no scorable paragraphs\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "mix"])
 def test_task_and_mix_spec_files_that_are_not_json_are_named(tmp_path, capsys, command):
     broken = tmp_path / "tasks" / "broken.json"
@@ -951,28 +976,75 @@ def test_streamed_subcommands_read_a_fifo_and_piped_stdin(pipeline_inputs, tmp_p
     assert (tmp_path / "piped.jsonl").read_bytes() == expected.read_bytes()
 
 
-# -- numpy is loaded only where a dedup runs ---------------------------------------
+# -- a command loads only the stage modules it runs ------------------------------
 
 
 def test_corpus_only_commands_do_not_import_numpy(pipeline_inputs, tmp_path):
-    # Measured on Linux, Python 3.11, when the import was made lazy: numpy
+    # Measured on Linux, Python 3.11, when each import was made lazy: numpy
     # raised the VmHWM of a process that imports lexcorpus.cli from about 22
-    # to 35 MiB, and only dedup, which every pipeline runs, uses it.
+    # to 35 MiB, and lm, mix, instruct, evaluation and OpenSSL (_hashlib)
+    # by another 8.8 MiB, for commands that run none of them.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     corpus = pipeline_inputs / "corpus.jsonl"
+    heavy = ["_hashlib", "lexcorpus.dedup", "lexcorpus.evaluation", "lexcorpus.instruct", "lexcorpus.lm",
+             "lexcorpus.mix", "numpy"]
     code = (
-        "import sys, lexcorpus.cli as cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "import json, sys, lexcorpus.cli as cli\n"
+        f"heavy = {heavy!r}\n"
+        "cli.build_parser()\n"
+        "loaded = [[m for m in heavy if m in sys.modules]]\n"
         f"assert cli.main(['normalize', '-i', {str(corpus)!r}, '-o', {str(tmp_path / 'n.jsonl')!r}]) == 0\n"
         f"assert cli.main(['filter-rules', '-i', {str(tmp_path / 'n.jsonl')!r}, '-o', {str(tmp_path / 'r.jsonl')!r}]) == 0\n"
-        "loaded.append('numpy' in sys.modules)\n"
+        "loaded.append([m for m in heavy if m in sys.modules])\n"
         f"cli.load_config({str(pipeline_inputs / 'config.json')!r})\n"
-        "loaded.append('numpy' in sys.modules)\n"
-        "print(loaded, file=sys.stderr)\n"
+        "loaded.append([m for m in heavy if m in sys.modules])\n"
+        f"assert cli.main(['pipeline', '--config', {str(_moved_config(pipeline_inputs, tmp_path))!r}]) == 0\n"
+        "loaded.append([m for m in heavy if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stderr == "[False, False, True]\n"
+    parsed, normalized, configured, piped = json.loads(out.stdout.splitlines()[-1])
+    assert parsed == normalized == []
+    assert configured == ["_hashlib", "lexcorpus.dedup", "numpy"]
+    assert piped == ["_hashlib", "lexcorpus.dedup", "lexcorpus.lm", "lexcorpus.mix", "numpy"]
+
+
+# -- exit codes -------------------------------------------------------------------
+
+INPUT_ERRORS = [
+    cli.ConfigError,
+    CorpusError,
+    cleaning.RuleConfigError,
+    lm.TrainingError,
+    lm.ScoreError,
+    mix.MixError,
+    instruct.TemplateError,
+    evaluation.TaskFormatError,
+    evaluation.CurationError,
+]
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(error, 1) for error in INPUT_ERRORS]
+    + [(instruct.BackendError, 2), (instruct.MalformedResponseError, 2), (instruct.ExtensionError, 2),
+       (RuntimeError, 2)],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_exit_code_of_each_error_class(pipeline_inputs, tmp_path, monkeypatch, capsys, error, code):
+    assert issubclass(error, InputError) == (code == 1)
+
+    def failing(docs, rules):
+        raise error("planted")
+
+    # normalize raises it directly; pipeline wraps it in PipelineStageError
+    monkeypatch.setattr(cli, "_clean", failing)
+    assert _main("normalize", "-i", pipeline_inputs / "corpus.jsonl", "-o", tmp_path / "n.jsonl") == code
+    assert _main("pipeline", "--config", _moved_config(pipeline_inputs, tmp_path)) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "lexcorpus: stage 'train-lm' failed: planted"
+    assert lines[0] == ("lexcorpus: planted" if code == 1 else "lexcorpus: unexpected failure: planted")
 
 
 def test_dedup_defaults_come_from_the_deduplicator(pipeline_inputs, tmp_path):

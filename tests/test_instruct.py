@@ -374,7 +374,7 @@ def test_cli_does_not_import_requests_until_an_http_backend_is_built():
     code = (
         "import sys, lexcorpus.cli\n"
         "print('requests' in sys.modules)\n"
-        "backend = lexcorpus.instruct.HttpChatBackend('http://x', model='m')\n"
+        "backend = lexcorpus.cli._chat_backend('http://x', model='m')\n"
         "import requests\n"
         "print(type(backend.session) is requests.Session)\n"
     )
