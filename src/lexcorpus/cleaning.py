@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .corpus import Document, InputError, Tokenizer, write_lines
+from .corpus import Document, InputError, Tokenizer, load_json, write_lines
 
 RULE_ACTIONS = ("delete_match", "collapse_whitespace", "strip_html")
 
@@ -133,6 +133,11 @@ class Rule:
             compiled = re.compile(self.pattern)
         except re.error as exc:
             raise RuleConfigError(f"pattern {self.pattern!r} does not compile: {exc}") from None
+        if self.action == "collapse_whitespace":
+            try:
+                compiled.sub(self.replacement, "")  # a bad replacement fails here, not mid-stream
+            except re.error as exc:
+                raise RuleConfigError(f"replacement {self.replacement!r} does not compile: {exc}") from None
         object.__setattr__(self, "_compiled", compiled)
         object.__setattr__(self, "_guard", _GUARDS.get((self.pattern, self.action, self.replacement)))
 
@@ -227,29 +232,17 @@ def split_paragraphs(text: str) -> List[str]:
 def load_ruleset(path: str | Path) -> RuleSet:
     """Load rules from a JSON file: a list of {pattern, action, replacement?, note?}.
 
-    Configuration errors (bad action, pattern that fails to compile) raise
-    here, never mid-stream.
+    Configuration errors (bad action, pattern or replacement that fails to
+    compile, a missing or mistyped field) raise here, never mid-stream.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RuleConfigError(f"rule file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise RuleConfigError("rule file must contain a JSON list")
-    rules = []
-    for entry in raw:
-        if not isinstance(entry, dict) or "pattern" not in entry or "action" not in entry:
-            raise RuleConfigError(f"rule entry must have pattern and action: {entry!r}")
-        rules.append(
-            Rule(
-                pattern=entry["pattern"],
-                action=entry["action"],
-                replacement=entry.get("replacement", ""),
-                note=entry.get("note", ""),
-            )
-        )
-    return RuleSet(rules=tuple(rules))
+
+    def build(raw: list) -> RuleSet:
+        if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
+            raise TypeError("expected a JSON list of rule objects")
+        rules = (Rule(e["pattern"], e["action"], e.get("replacement", ""), e.get("note", "")) for e in raw)
+        return RuleSet(rules=tuple(rules))
+
+    return load_json(path, "rule file", RuleConfigError, build)
 
 
 def save_ruleset(rules: RuleSet, path: str | Path) -> None:

@@ -56,7 +56,7 @@ TOKENIZER = WhitespaceTokenizer()
 
 
 class ConfigError(InputError):
-    """Pipeline config missing, malformed, or referencing absent paths."""
+    """Pipeline config malformed, or referencing absent paths."""
 
 
 class PipelineStageError(Exception):
@@ -90,35 +90,32 @@ class PipelineConfig:
 
         self.base_dir = base_dir
         self.path = path
-        try:
-            self.seed = int(payload["seed"])
-            paths = payload["paths"]
-            self.corpus = self._resolve(paths["corpus"])
-            self.seed_corpus = self._resolve(paths["seed_corpus"])
-            self.out_dir = self._resolve(paths.get("out_dir", "out"))
-            cleaning_cfg = payload.get("cleaning", {})
-            ruleset = cleaning_cfg.get("ruleset")
-            self.ruleset_path = self._resolve(ruleset) if ruleset else None
-            lm_cfg = payload.get("lm", {})
-            self.lm_order = int(lm_cfg.get("order", 5))
-            self.lm_percentile = float(lm_cfg.get("percentile", 99.0))
-            self.lm_granularity = lm_cfg.get("granularity", "paragraph")
-            dd = payload.get("dedup", {})
-            self.dedup_shingle_n = int(dd.get("shingle_n", dedup.DEFAULT_SHINGLE_N))
-            self.dedup_permutations = int(dd.get("permutations", dedup.DEFAULT_PERMUTATIONS))
-            self.dedup_threshold = float(dd.get("threshold", dedup.DEFAULT_THRESHOLD))
-            mix_cfg = payload.get("mix", {})
-            entries = [(e["source"], float(e["fraction"])) for e in mix_cfg.get("entries", [])]
-            self.mix_entries = entries
-            self.mix_budget = int(mix_cfg.get("token_budget", 0))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        self.seed = int(payload["seed"])
+        paths = payload["paths"]
+        self.corpus = self._resolve(paths["corpus"])
+        self.seed_corpus = self._resolve(paths["seed_corpus"])
+        self.out_dir = self._resolve(paths.get("out_dir", "out"))
+        ruleset = payload.get("cleaning", {}).get("ruleset")
+        self.ruleset_path = self._resolve(ruleset) if ruleset else None
+        lm_cfg = payload.get("lm", {})
+        self.lm_order = int(lm_cfg.get("order", 5))
+        self.lm_percentile = float(lm_cfg.get("percentile", 99.0))
+        self.lm_granularity = lm_cfg.get("granularity", "paragraph")
+        dd = payload.get("dedup", {})
+        self.dedup_shingle_n = int(dd.get("shingle_n", dedup.DEFAULT_SHINGLE_N))
+        self.dedup_permutations = int(dd.get("permutations", dedup.DEFAULT_PERMUTATIONS))
+        self.dedup_threshold = float(dd.get("threshold", dedup.DEFAULT_THRESHOLD))
+        mix_cfg = payload.get("mix", {})
+        self.mix_entries = [(e["source"], float(e["fraction"])) for e in mix_cfg.get("entries", [])]
+        self.mix_budget = int(mix_cfg.get("token_budget", 0))
 
     def _resolve(self, p: str) -> Path:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else self.base_dir / candidate
 
     def validate(self) -> None:
+        from . import lm
+
         for label, p in (("corpus", self.corpus), ("seed_corpus", self.seed_corpus)):
             if not p.exists():
                 raise ConfigError(f"config path {label} does not resolve: {p}")
@@ -128,6 +125,8 @@ class PipelineConfig:
             raise ConfigError(f"ruleset file missing: {self.ruleset_path}")
         if self.ruleset_path and self.ruleset_path.is_dir():
             raise ConfigError(f"ruleset file is a directory: {self.ruleset_path}")
+        lm.check_percentile(self.lm_percentile)
+        lm.check_granularity(self.lm_granularity)
         # constructing the spec runs the fraction/source checks
         self.mix_spec()
 
@@ -146,13 +145,9 @@ class PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return PipelineConfig(payload, base_dir=path.parent.resolve(), path=path)
+    return corpus.load_json(
+        path, "config", ConfigError, lambda payload: PipelineConfig(payload, base_dir=path.parent.resolve(), path=path)
+    )
 
 
 # -- shared helpers -------------------------------------------------------------

@@ -21,7 +21,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import IO, Dict, Iterable, Iterator
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class InputError(Exception):
@@ -319,6 +321,24 @@ def write_lines(lines: Iterable[str], path: str | Path) -> int:
             fh.write(f"{line}\n")
             count += 1
     return count
+
+
+def load_json(
+    path: str | Path, what: str, error: type = InputError, build: Callable[[Any], T] = lambda value: value
+) -> T:
+    """`build` of the value in the JSON file at `path`, the one reader of the
+    JSON input files. Raises `error` naming the file as `what` if it is not
+    UTF-8 JSON, or if `build` fails on a missing or mistyped field: KeyError,
+    TypeError, ValueError or AttributeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+            raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return build(value)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
 
 
 def report_json(report, **fields) -> str:

@@ -354,7 +354,12 @@ class Deduplicator:
         labels = np.arange(rows_total)
         # Sorted keys `a * rows_total + b`, a < b, of the pairs that failed,
         # ending in a sentinel above every key so that each searchsorted
-        # position can be dereferenced.
+        # position can be dereferenced. Without it (only the repeat drop within
+        # a step below) the labels are the same and resolve is faster, but a
+        # row that fails against a cluster is verified against it again in
+        # every band they share: 6.1 verifications per row in
+        # test_near_copies_behind_a_variant_that_fails_against_them_stay_linear,
+        # which bounds them at 4, and candidate_pairs counts those repeats.
         failed = np.array([np.iinfo(np.int64).max], dtype=np.int64)
         # The rows of the open buckets, a bucket's rows together and in
         # stream order; the size of each bucket, and the number of its first

@@ -12,6 +12,7 @@ records with a reason instead of aborting the run.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .corpus import Document, InputError, report_json, write_lines
+from .corpus import Document, InputError, load_json, report_json, write_lines
 from .instruct import BackendError, ChatBackend, MalformedResponseError
 from .lm import PerplexityScore
 
@@ -58,6 +59,9 @@ class EvalTask:
     instances: List[Tuple[str, str]]
 
     def __post_init__(self):
+        fields = [self.name, self.category, self.prompt_template, *self.label_set, *itertools.chain(*self.instances)]
+        if not all(isinstance(value, str) for value in fields):
+            raise TypeError(f"task {self.name!r}: name, category, template, labels and instances must be strings")
         if self.category not in CATEGORIES:
             raise TaskFormatError(f"task {self.name!r}: unknown category {self.category!r}")
         if not self.instances:
@@ -78,12 +82,7 @@ class EvalTask:
 
 
 def load_task(path: str | Path) -> EvalTask:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TaskFormatError(f"task file {path} is not valid JSON: {exc}") from None
-    try:
+    def build(payload: dict) -> EvalTask:
         return EvalTask(
             name=payload["name"],
             category=payload["category"],
@@ -91,8 +90,8 @@ def load_task(path: str | Path) -> EvalTask:
             prompt_template=payload["prompt_template"],
             instances=[(inst["text"], inst["label"]) for inst in payload["instances"]],
         )
-    except (KeyError, TypeError) as exc:
-        raise TaskFormatError(f"malformed task file {path}: {exc}") from exc
+
+    return load_json(path, "task file", TaskFormatError, build)
 
 
 def load_tasks(task_dir: str | Path) -> List[EvalTask]:

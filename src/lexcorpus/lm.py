@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cleaning import split_paragraphs
-from .corpus import Document, InputError, Tokenizer, atomic_write, report_json
+from .corpus import Document, InputError, Tokenizer, atomic_write, load_json, report_json
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -298,42 +298,27 @@ def train_lm(
         raise TrainingError("discount must lie in [0, 1)")
 
     vocab: Dict[str, int] = {UNK: UNK_ID, BOS: BOS_ID, EOS: EOS_ID}
-    paragraphs: List[List[int]] = []
+    counts: List[Dict[NGram, int]] = [dict() for _ in range(order)]
+    top = counts[order - 1]
+    # each paragraph is counted as it is read, padded except at order 1,
+    # where markers carry no information
+    pad, end = ((BOS_ID,) * (order - 1), (EOS_ID,)) if order > 1 else ((), ())
     for doc in docs:
         for para in split_paragraphs(doc.text):
             tokens = tok.tokenize(para)
-            if not tokens:
-                continue
-            ids = []
-            for t in tokens:
-                if t not in vocab:
-                    vocab[t] = len(vocab)
-                ids.append(vocab[t])
-            paragraphs.append(ids)
-    if not paragraphs:
+            if tokens:
+                seq = (*pad, *[vocab.setdefault(t, len(vocab)) for t in tokens], *end)
+                for gram in zip(*(seq[k:] for k in range(order))):
+                    top[gram] = top.get(gram, 0) + 1
+    if not top:
         raise TrainingError(f"{corpus_name} is empty after tokenization")
-
-    counts: List[Dict[NGram, int]] = [dict() for _ in range(order)]
-    top = counts[order - 1]
-    if order == 1:
-        for ids in paragraphs:
-            for w in ids:
-                key = (w,)
-                top[key] = top.get(key, 0) + 1
-    else:
-        pad = (BOS_ID,) * (order - 1)
-        for ids in paragraphs:
-            seq = pad + tuple(ids) + (EOS_ID,)
-            for i in range(len(seq) - order + 1):
-                gram = seq[i : i + order]
-                top[gram] = top.get(gram, 0) + 1
-        # Continuation counts: at order k, count distinct left extensions
-        # present at order k+1.
-        for k in range(order - 1, 0, -1):
-            lower = counts[k - 1]
-            for gram in counts[k]:
-                suffix = gram[1:]
-                lower[suffix] = lower.get(suffix, 0) + 1
+    # Continuation counts: at order k, count distinct left extensions
+    # present at order k+1.
+    for k in range(order - 1, 0, -1):
+        lower = counts[k - 1]
+        for gram in counts[k]:
+            suffix = gram[1:]
+            lower[suffix] = lower.get(suffix, 0) + 1
 
     if discount is not None:
         discounts = [discount] * order
@@ -375,6 +360,18 @@ class FilterReport:
         return report_json(self)
 
 
+def check_granularity(granularity: str) -> None:
+    """Raise ValueError unless `granularity` is one filter_by_perplexity takes."""
+    if granularity not in ("paragraph", "document"):
+        raise ValueError("granularity must be 'paragraph' or 'document'")
+
+
+def check_percentile(percentile: float) -> None:
+    """Raise ValueError unless `percentile` is one calibrate_threshold takes."""
+    if not 0 < percentile <= 100:  # also false for NaN
+        raise ValueError("percentile must lie in (0, 100]")
+
+
 def filter_by_perplexity(
     docs: Iterable[Document],
     lm: NGramLM,
@@ -397,8 +394,7 @@ def filter_by_perplexity(
     """
     if not 0 < threshold < math.inf:  # also false for NaN
         raise ValueError(f"threshold must be finite and positive, not {threshold}")
-    if granularity not in ("paragraph", "document"):
-        raise ValueError("granularity must be 'paragraph' or 'document'")
+    check_granularity(granularity)
 
     report = FilterReport(threshold=threshold, granularity=granularity)
     kept_docs: List[Document] = []
@@ -458,8 +454,7 @@ def calibrate_threshold(
     """Perplexity threshold at the given percentile of per-paragraph
     perplexities over a corpus (linear interpolation between order stats).
     `corpus_name` names the corpus in the error for one with no tokens."""
-    if not 0 < percentile <= 100:
-        raise ValueError("percentile must lie in (0, 100]")
+    check_percentile(percentile)
     ppls: List[float] = []
     for doc in docs:
         for para in split_paragraphs(doc.text):
@@ -505,11 +500,7 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
 def load_lm(path: str | Path) -> NGramLM:
     """Read a model written by save_lm, rejecting one whose parts disagree
     (ValueError) so that scoring cannot fail on it later."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"model {path} is not valid JSON: {exc}") from None
+    payload = load_json(path, "model", ValueError)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:

@@ -10,7 +10,6 @@ derives from the spec seed via stable hashing, so reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from .corpus import (
     InputError,
     Tokenizer,
     WhitespaceTokenizer,
+    load_json,
     report_json,
     resolve_source,
     write_lines,
@@ -76,20 +76,11 @@ class MixSpec:
 
 
 def load_mix_spec(path: str | Path) -> MixSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MixError(f"mix spec {path} is not valid JSON: {exc}") from None
-    try:
+    def build(payload: dict) -> MixSpec:
         entries = [(e["source"], float(e["fraction"])) for e in payload["entries"]]
-        return MixSpec(
-            entries=entries,
-            token_budget=int(payload["token_budget"]),
-            seed=int(payload["seed"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MixError(f"malformed mix spec {path}: {exc}") from exc
+        return MixSpec(entries=entries, token_budget=int(payload["token_budget"]), seed=int(payload["seed"]))
+
+    return load_json(path, "mix spec", MixError, build)
 
 
 def save_mix_spec(spec: MixSpec, path: str | Path) -> None:

@@ -170,6 +170,17 @@ def test_bad_ruleset_rejected(tmp_path):
         load_ruleset(path)
 
 
+def test_bad_replacement_rejected_at_load_not_mid_stream(tmp_path):
+    with pytest.raises(RuleConfigError, match="replacement .* does not compile: invalid group reference 9"):
+        Rule(pattern="a", action="collapse_whitespace", replacement="\\9")
+    path = tmp_path / "rules.json"
+    path.write_text('[{"pattern": "a", "action": "collapse_whitespace", "replacement": 5}]')
+    with pytest.raises(RuleConfigError, match=f"^malformed rule file {re.escape(str(path))}: "):
+        load_ruleset(path)
+    # the erasing actions never use the replacement
+    assert apply_rules("a b", RuleSet(rules=(Rule(pattern="a", action="delete_match", replacement="\\9"),))) == "b"
+
+
 # --- n-gram mining -----------------------------------------------------------
 
 def _brute_force_ngrams(texts, n):

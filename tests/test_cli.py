@@ -327,14 +327,21 @@ def test_pipeline_reports_skipped_records_of_streamed_corpus(pipeline_inputs, tm
     assert str(excinfo.value.cause).startswith("line 301: ")
 
 
-def _moved_config(pipeline_inputs, tmp_path, **edits):
-    """The fixture config with absolute input paths, out_dir under tmp_path,
-    and top-level sections replaced (None deletes one). Path fields resolve
-    relative to the config file, so the inputs are made absolute."""
+def _config_value(pipeline_inputs, out_dir):
+    """The fixture config with absolute input paths and `out_dir`. Path
+    fields resolve relative to the config file, so the inputs are made
+    absolute."""
     cfg = json.loads((pipeline_inputs / "config.json").read_text())
     for key in ("corpus", "seed_corpus"):
         cfg["paths"][key] = str(pipeline_inputs / cfg["paths"][key])
-    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg["paths"]["out_dir"] = str(out_dir)
+    return cfg
+
+
+def _moved_config(pipeline_inputs, tmp_path, **edits):
+    """The fixture config with absolute input paths, out_dir under tmp_path,
+    and top-level sections replaced (None deletes one)."""
+    cfg = _config_value(pipeline_inputs, tmp_path / "out")
     for key, value in edits.items():
         if value is None:
             del cfg[key]
@@ -441,6 +448,23 @@ def test_config_without_mix_section_exits_1_before_any_stage(pipeline_inputs, tm
     assert result.returncode == 1
     assert "mix section" in result.stderr
     assert not (tmp_path / "out" / "01_normalized.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "lm_section, message",
+    [
+        ({"granularity": "sentence"}, "granularity must be 'paragraph' or 'document'"),
+        ({"percentile": 150}, "percentile must lie in (0, 100]"),
+    ],
+    ids=["granularity", "percentile"],
+)
+def test_config_with_a_bad_lm_section_exits_1_before_any_output(
+    pipeline_inputs, tmp_path, capsys, lm_section, message
+):
+    config = _moved_config(pipeline_inputs, tmp_path, lm=lm_section)
+    assert _main("pipeline", "--config", config) == 1
+    assert capsys.readouterr().err == f"lexcorpus: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class _TextReport:
@@ -606,21 +630,88 @@ def test_filter_ppl_names_an_empty_calibration_corpus(ppl_inputs, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "mix"])
-def test_task_and_mix_spec_files_that_are_not_json_are_named(tmp_path, capsys, command):
-    broken = tmp_path / "tasks" / "broken.json"
+def _json_input(kind, ppl_inputs, out):
+    """A valid value of each kind of JSON input file."""
+    if kind == "config":
+        return _config_value(ppl_inputs, out)
+    if kind == "rule file":
+        return [{"pattern": "x{3,}", "action": "delete_match"}]
+    if kind == "model":
+        return json.loads((ppl_inputs / "lm.json").read_text())
+    if kind == "task file":
+        return json.loads(sorted((ppl_inputs / "tasks").iterdir())[0].read_text())
+    return {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 100, "seed": 3}
+
+
+def _argv(kind, broken, ppl_inputs, out):
+    corpus_path = ppl_inputs / "corpus.jsonl"
+    return {
+        "config": ["pipeline", "--config", broken],
+        "rule file": ["filter-rules", "-i", corpus_path, "-o", out / "ruled.jsonl", "--ruleset", broken],
+        "model": ["filter-ppl", "-i", corpus_path, "-o", out / "kept.jsonl", "--model", broken, "--threshold", "100"],
+        "task file": ["eval", "--task-dir", broken.parent, "--report", out / "eval.json"],
+        "mix spec": ["mix", "--spec", broken, "-i", f"freelaw={corpus_path}", "-o", out / "mix.jsonl",
+                     "--manifest", out / "manifest.json"],
+    }[kind]
+
+
+def _drop(key):
+    return lambda value: {k: v for k, v in value.items() if k != key}
+
+
+def _set(key, item):
+    return lambda value: {**value, key: item}
+
+
+_NOT_JSON = (
+    b"{not json\n", " is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+)
+_NOT_UTF8 = (b"\xff{}", " is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+_TASK_NOT_STRINGS = ": task 'argument_tone': name, category, template, labels and instances must be strings"
+
+
+def _case(kind, case, edit, message=None):
+    """`edit` makes a valid value malformed, or is a (file bytes, message)
+    pair; `message` is the error's end after the file's path."""
+    return pytest.param(kind, edit, message, id=f"{kind}-{case}")
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        *(_case(kind, case, raw) for kind in ("config", "rule file", "model", "task file", "mix spec")
+          for case, raw in (("not-json", _NOT_JSON), ("not-utf8", _NOT_UTF8))),
+        _case("config", "missing", _drop("paths"), ": 'paths'"),
+        _case("config", "mistyped", _set("seed", "x"), ": invalid literal for int() with base 10: 'x'"),
+        _case("config", "mistyped-section", _set("lm", 5), ": 'int' object has no attribute 'get'"),
+        _case("rule file", "missing", lambda rules: [_drop("pattern")(rules[0])], ": 'pattern'"),
+        _case("rule file", "mistyped", lambda rules: [_set("pattern", 5)(rules[0])],
+              ": first argument must be string or compiled pattern"),
+        _case("rule file", "not-a-list", lambda rules: {"x": 1}, ": expected a JSON list of rule objects"),
+        _case("model", "missing", _drop("counts"), ": model lacks counts"),
+        _case("model", "mistyped", _set("order", "3"), ": order '3' needs that many discounts and count tables"),
+        _case("task file", "missing", _drop("instances"), ": 'instances'"),
+        _case("task file", "mistyped", _set("prompt_template", 5), _TASK_NOT_STRINGS),
+        _case("task file", "mistyped-instance", lambda task: {**task, "instances": [{"text": 5, "label": "Yes"}]},
+              _TASK_NOT_STRINGS),
+        _case("mix spec", "missing", _drop("seed"), ": 'seed'"),
+        _case("mix spec", "mistyped", _set("seed", "x"), ": invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_every_malformed_json_input_exits_1_naming_its_file(ppl_inputs, tmp_path, capsys, kind, edit, message):
+    broken, out = tmp_path / "in" / "broken.json", tmp_path / "out"
     broken.parent.mkdir()
-    broken.write_text("{not json\n")
-    argv = {
-        "eval": ["eval", "--task-dir", broken.parent],
-        "mix": ["mix", "--spec", broken, "-i", f"freelaw={broken}", "-o", tmp_path / "mix.jsonl", "--manifest",
-                tmp_path / "manifest.json"],
-    }[command]
-    assert cli.main([str(a) for a in argv]) == 1
-    what = {"eval": "task file", "mix": "mix spec"}[command]
-    decoder = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
-    assert capsys.readouterr().err == f"lexcorpus: {what} {broken} is not valid JSON: {decoder}\n"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["tasks"]
+    if isinstance(edit, tuple):
+        (raw, message), prefix = edit, f"{kind} "
+        broken.write_bytes(raw)
+    else:
+        # load_lm's own checks put the path first; the loaders' build errors are "malformed ..."
+        prefix = "" if kind == "model" else f"malformed {kind} "
+        broken.write_text(json.dumps(edit(_json_input(kind, ppl_inputs, out))))
+    assert cli.main([str(a) for a in _argv(kind, broken, ppl_inputs, out)]) == 1
+    assert capsys.readouterr().err == f"lexcorpus: {prefix}{broken}{message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in"]
+    assert [path.name for path in broken.parent.iterdir()] == ["broken.json"]
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,29 @@ def test_mle_monotone_in_data(make_doc, tok):
     before = train_lm(base_docs, tok, order=1, discount=0.0)
     after = train_lm(base_docs + [make_doc(para)], tok, order=1, discount=0.0)
     assert score(after, para, tok).perplexity <= score(before, para, tok).perplexity + 1e-9
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_counts_are_padded_windows_and_continuation_counts(make_doc, tok, order):
+    paragraphs = [["a", "b", "a", "b", "c"], ["b", "c", "a"], ["c", "c", "c"], ["a"]]
+    texts = ["\n\n".join(map(" ".join, paragraphs[:2])), "\n\n\n".join(map(" ".join, paragraphs[2:]))]
+    # top order: every window of a paragraph padded with order-1 begin
+    # markers and one end marker, none at order 1
+    pad, end = ([BOS] * (order - 1), [EOS]) if order > 1 else ([], [])
+    expected = [Counter() for _ in range(order)]
+    for words in paragraphs:
+        seq = pad + words + end
+        expected[-1].update(tuple(seq[i : i + order]) for i in range(len(seq) - order + 1))
+    # lower orders: the number of distinct left extensions one order up
+    for k in range(order - 1, 0, -1):
+        expected[k - 1] = Counter(gram[1:] for gram in expected[k])
+    model = train_lm([make_doc(text) for text in texts], tok, order=order)
+    assert model.id_to_token == [UNK, BOS, EOS, "a", "b", "c"]
+    words_of = model.id_to_token.__getitem__
+    counts = [Counter({tuple(map(words_of, gram)): c for gram, c in table.items()}) for table in model.counts]
+    assert counts == expected
+    if order == 2:  # "a" follows <s>, b and c
+        assert counts[0][("a",)] == 3
 
 
 def test_empty_seed_rejected(tok):
