@@ -35,15 +35,18 @@ def normalize_text(text: str) -> str:
 
 # Doubled punctuation, `cc` or `c c`: every run the shipped punctuation rules
 # delete starts this way. A five-character literal would be unsound, because
-# `( ?\1){4,}` also matches mixed runs such as `-- - --`.
-_PUNCT_PAIRS = tuple((c, c + c, c + " " + c) for c in "-.*=_")
+# `( ?\1){4,}` also matches mixed runs such as `-- - --`. One regex per
+# character finds both forms in one scan led by the character itself, where
+# a substring search for `..` or `. .` is slow on text full of periods.
+_PUNCT_PAIRS = tuple((c, re.compile(f"{re.escape(c)} ?{re.escape(c)}").search) for c in "-.*=_")
+_NEWLINE_THEN_SPACE = re.compile(r"\n[ \t]").search
 
 
 def _has_punct_pair(text: str) -> bool:
     # The single-character test first: it is one fast scan, and most texts
     # lack most of these characters.
-    for c, doubled, spaced in _PUNCT_PAIRS:
-        if c in text and (doubled in text or spaced in text):
+    for c, search_pair in _PUNCT_PAIRS:
+        if c in text and search_pair(text):
             return True
     return False
 
@@ -57,7 +60,9 @@ def _has_space_run(text: str) -> bool:
 
 
 def _has_space_by_newline(text: str) -> bool:
-    return " \n" in text or "\n " in text or "\t" in text
+    # `"\n " in text` as a search led by the rare "\n"; a tab is caught by
+    # the test before it.
+    return " \n" in text or "\t" in text or _NEWLINE_THEN_SPACE(text) is not None
 
 
 def _has_blank_run(text: str) -> bool:
@@ -65,9 +70,9 @@ def _has_blank_run(text: str) -> bool:
 
 
 # The shipped rules as (pattern, action, replacement, note, guard). A guard is
-# a cheap literal test that returns False only when the rule's `sub` would
-# leave the text unchanged. Guards are module-level functions so that rules
-# still pickle.
+# a cheap scan (`in` tests, or a regex led by a rare character) that returns
+# False only when the rule's `sub` would leave the text unchanged. Guards are
+# module-level functions so that rules still pickle.
 _SHIPPED_RULES = (
     (
         r"</?[A-Za-z][A-Za-z0-9]*(?:[^<>\n]*)?/?>",
@@ -146,9 +151,9 @@ class Rule:
 
         A rule equal in pattern, action and replacement to a shipped rule,
         whether built in code or loaded from a ruleset file, first runs that
-        rule's guard: a literal `in` test that is False only when the
-        rewrite cannot change the text. On False it returns `text` itself
-        without scanning. Every other rule always runs the regex.
+        rule's guard: a cheap scan that is False only when the rewrite
+        cannot change the text. On False it returns `text` itself without
+        running the rule's regex. Every other rule always runs the regex.
         """
         if self._guard is not None and not self._guard(text):
             return text
@@ -163,6 +168,12 @@ class Rule:
 class RuleSet:
     rules: Tuple[Rule, ...]
 
+    def __post_init__(self) -> None:
+        # The distinct guards of the rules, in rule order, or None when a rule
+        # has none: a text that no guard fires on is one no rule can change.
+        guards = tuple(rule._guard for rule in self.rules)
+        object.__setattr__(self, "_guards", None if None in guards else tuple(dict.fromkeys(guards)))
+
 
 def build_default_ruleset() -> RuleSet:
     """The shipped cleaning rules.
@@ -174,7 +185,7 @@ def build_default_ruleset() -> RuleSet:
     per paragraph.
 
     Each shipped rule carries a guard (see `Rule.apply`), so a text the rule
-    cannot change costs a few substring tests instead of a regex scan. The
+    cannot change costs a few cheap scans instead of the rule's regex. The
     guard is found from the rule's pattern, action and replacement, so these
     rules keep it after a `save_ruleset`/`load_ruleset` round trip; user
     rules run unguarded.
@@ -188,7 +199,19 @@ def build_default_ruleset() -> RuleSet:
 
 
 def apply_rules(text: str, rules: RuleSet) -> str:
-    """Apply the rule list repeatedly until the text stops changing."""
+    """Apply the rule list repeatedly until the text stops changing.
+
+    When every rule has a guard, each distinct guard runs once first; if
+    none fires, no rule can change the text, and a text with no whitespace
+    to strip is returned as it is without running any rule.
+    """
+    if rules._guards is not None:
+        for guard in rules._guards:
+            if guard(text):
+                break
+        else:  # no rule can change the text
+            if text.strip() == text:
+                return text
     for _ in range(_MAX_PASSES):
         new = text
         for rule in rules.rules:

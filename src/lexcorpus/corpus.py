@@ -19,7 +19,7 @@ import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from json.encoder import encode_basestring as _quote
+from json.encoder import encode_basestring as _quote, encode_basestring_ascii as _quote_ascii
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, TypeVar
 
@@ -181,7 +181,7 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
         raise CorpusError(f"line {lineno}: {_field_error(obj)}")
     # the decoder's own fresh dict, kept uncopied; JSON object keys are always strings
     meta = obj.get("meta", {})
-    if type(meta) is not dict or not all(type(v) is str for v in meta.values()):
+    if type(meta) is not dict or (meta and not all(type(v) is str for v in meta.values())):
         raise CorpusError(f"line {lineno}: meta must be a flat string-to-string object")
     # JSON smuggles lone surrogates ("\ud800") through the decoder, and they
     # cannot be written back as UTF-8. Valid UTF-8 holds no surrogate, so one
@@ -249,11 +249,15 @@ def document_to_json(doc: Document) -> str:
     """The canonical JSON of a document: exactly what
     json.dumps(record, ensure_ascii=False, sort_keys=True) gives for the
     record's four keys, built from the C string encoder that json.dumps
-    uses, without walking a record dict."""
-    meta = ", ".join(f"{_quote(k)}: {_quote(v)}" for k, v in sorted(doc.meta.items()))
+    uses, without walking a record dict. ASCII text goes through the faster
+    ASCII encoder, which writes the same bytes for every ASCII character but
+    DEL."""
+    meta = ", ".join(f"{_quote(k)}: {_quote(v)}" for k, v in sorted(doc.meta.items())) if doc.meta else ""
+    text = doc.text
+    quoted = _quote_ascii(text) if text.isascii() and "\x7f" not in text else _quote(text)
     return (
         f'{{"id": {_quote(doc.id)}, "meta": {{{meta}}}, '
-        f'"source": {_quote(doc.source.name)}, "text": {_quote(doc.text)}}}'
+        f'"source": {_quote(doc.source.name)}, "text": {quoted}}}'
     )
 
 
@@ -328,8 +332,9 @@ def load_json(
 ) -> T:
     """`build` of the value in the JSON file at `path`, the one reader of the
     JSON input files. Raises `error` naming the file as `what` if it is not
-    UTF-8 JSON, or if `build` fails on a missing or mistyped field: KeyError,
-    TypeError, ValueError or AttributeError."""
+    UTF-8 JSON, or if `build` fails on a missing or mistyped field (KeyError,
+    TypeError, ValueError or AttributeError) or on a value its own checks
+    reject (InputError)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             value = json.load(fh)
@@ -337,7 +342,7 @@ def load_json(
             raise error(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return build(value)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
 
 

@@ -488,12 +488,14 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
         "discounts": lm.discounts,
         "vocab": lm.id_to_token,
         "counts": [
-            {" ".join(map(str, gram)): c for gram, c in sorted(table.items())}
+            {" ".join(map(str, gram)): c for gram, c in table.items()}
             for table in lm.counts
         ],
     }
+    # json.dumps encodes in one call to the C encoder; json.dump to a file
+    # would run the pure-Python one. sort_keys orders every table.
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+        fh.write(json.dumps(payload, ensure_ascii=False, sort_keys=True))
         fh.write("\n")
 
 

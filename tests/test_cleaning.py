@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcorpus import cleaning
 from lexcorpus.cleaning import (
     NgramTable,
     Rule,
@@ -123,6 +124,7 @@ def _reference_clean_text(text, rules):
 _CLEANING_CHARS = "-.*=_ \t\n<>/abp\u00a0\u3000\u2024\u2025\u2026\uff0e\uff0d\uff1c\ufe4d\ufb01"
 _CLEANING_CHUNKS = [
     "<b>", "</p>", "<br/>", "-----", "- - - - -", "-- - --", ". . . .", "\n\n\n", " \n", "\t", "word",
+    "\n\t", "\t\n", " \n ", "..", ". .",
 ]
 _CLEANING_TEXT = st.lists(
     st.one_of(st.text(alphabet=_CLEANING_CHARS, max_size=12), st.sampled_from(_CLEANING_CHUNKS)),
@@ -135,6 +137,25 @@ _CLEANING_TEXT = st.lists(
 def test_clean_text_matches_unguarded_reference(text):
     rules = build_default_ruleset()
     assert clean_text(text, rules) == _reference_clean_text(text, rules)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CLEANING_TEXT)
+def test_guards_agree_with_their_substring_forms(text):
+    # The guards as plain substring tests, the form they had before their
+    # costly scans became regex searches.
+    punct_pair = any(c in text and (c + c in text or f"{c} {c}" in text) for c in "-.*=_")
+    assert cleaning._has_punct_pair(text) == punct_pair
+    assert cleaning._has_space_by_newline(text) == (" \n" in text or "\n " in text or "\t" in text)
+
+
+def test_unguarded_user_rule_runs_beside_the_shipped_rules():
+    text = "The court held that the contract was enforceable."
+    shipped = build_default_ruleset()
+    assert not any(rule._guard(text) for rule in shipped.rules)
+    rules = RuleSet(rules=(*shipped.rules, Rule(pattern="contract", action="delete_match")))
+    assert apply_rules(text, rules) == "The court held that the was enforceable."
+    assert clean_text(text, rules) == "The court held that the was enforceable."
 
 
 def test_user_rule_reusing_a_shipped_pattern_runs_unguarded():

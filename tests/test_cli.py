@@ -688,14 +688,22 @@ def _case(kind, case, edit, message=None):
         _case("rule file", "mistyped", lambda rules: [_set("pattern", 5)(rules[0])],
               ": first argument must be string or compiled pattern"),
         _case("rule file", "not-a-list", lambda rules: {"x": 1}, ": expected a JSON list of rule objects"),
+        _case("rule file", "bad-action", lambda rules: [_set("action", "explode")(rules[0])],
+              ": unknown rule action 'explode'"),
+        _case("rule file", "bad-pattern", lambda rules: [_set("pattern", "(")(rules[0])],
+              ": pattern '(' does not compile: missing ), unterminated subpattern at position 0"),
         _case("model", "missing", _drop("counts"), ": model lacks counts"),
         _case("model", "mistyped", _set("order", "3"), ": order '3' needs that many discounts and count tables"),
         _case("task file", "missing", _drop("instances"), ": 'instances'"),
         _case("task file", "mistyped", _set("prompt_template", 5), _TASK_NOT_STRINGS),
         _case("task file", "mistyped-instance", lambda task: {**task, "instances": [{"text": 5, "label": "Yes"}]},
               _TASK_NOT_STRINGS),
+        _case("task file", "bad-category", _set("category", "nope"),
+              ": task 'argument_tone': unknown category 'nope'"),
         _case("mix spec", "missing", _drop("seed"), ": 'seed'"),
         _case("mix spec", "mistyped", _set("seed", "x"), ": invalid literal for int() with base 10: 'x'"),
+        _case("mix spec", "bad-fraction", _set("entries", [{"source": "freelaw", "fraction": 1.5}]),
+              ": fraction for 'freelaw' outside [0, 1]"),
     ],
 )
 def test_every_malformed_json_input_exits_1_naming_its_file(ppl_inputs, tmp_path, capsys, kind, edit, message):

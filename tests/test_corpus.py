@@ -365,6 +365,11 @@ _FIELD = st.text(alphabet=st.one_of(st.characters(exclude_categories=()), _TRICK
     meta=st.dictionaries(_FIELD, _FIELD, max_size=4),
 )
 @example(doc_id="d", source="freelaw", text="", meta={})
+# ASCII text, which takes the ASCII encoder: plain, with characters both
+# encoders escape alike, and with DEL, which only the ASCII encoder escapes.
+@example(doc_id="d", source="freelaw", text="The court held.", meta={})
+@example(doc_id="d", source="freelaw", text='say "no" \\ \x00\x1f', meta={})
+@example(doc_id="d", source="freelaw", text="a\x7fb", meta={"k": "\x7f"})
 @example(
     doc_id="\U0001f600",
     source="edgar",
