@@ -39,7 +39,9 @@ def normalize_text(text: str) -> str:
 # character finds both forms in one scan led by the character itself, where
 # a substring search for `..` or `. .` is slow on text full of periods.
 _PUNCT_PAIRS = tuple((c, re.compile(f"{re.escape(c)} ?{re.escape(c)}").search) for c in "-.*=_")
-_NEWLINE_THEN_SPACE = re.compile(r"\n[ \t]").search
+# A newline with a space or tab on either side: exactly the texts that the
+# `[ \t]*\n[ \t]*` rule changes, found in one scan led by the rare "\n".
+_SPACE_BY_NEWLINE = re.compile(r"\n(?:[ \t]|(?<=[ \t]\n))").search
 
 
 def _has_punct_pair(text: str) -> bool:
@@ -60,9 +62,8 @@ def _has_space_run(text: str) -> bool:
 
 
 def _has_space_by_newline(text: str) -> bool:
-    # `"\n " in text` as a search led by the rare "\n"; a tab is caught by
-    # the test before it.
-    return " \n" in text or "\t" in text or _NEWLINE_THEN_SPACE(text) is not None
+    # A tab anywhere fires it too; `"\t" in text` is one fast scan.
+    return _SPACE_BY_NEWLINE(text) is not None or "\t" in text
 
 
 def _has_blank_run(text: str) -> bool:

@@ -34,10 +34,11 @@ pay for the tables; only the counts are saved.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -88,11 +89,13 @@ class PerplexityScore:
         if not log_probs:
             raise ScoreError("cannot score zero tokens")
         total = math.fsum(log_probs)
-        if total == float("-inf"):
-            ppl = float("inf")
-        else:
-            ppl = math.exp(-total / len(log_probs))
-        return cls(log_prob_sum=total, token_count=len(log_probs), perplexity=ppl)
+        return cls(log_prob_sum=total, token_count=len(log_probs), perplexity=_perplexity(total, len(log_probs)))
+
+
+def _perplexity(total: float, n: int) -> float:
+    """Perplexity of n tokens whose log-probs sum (math.fsum) to total;
+    infinite when some token has probability 0."""
+    return math.inf if total == -math.inf else math.exp(-total / n)
 
 
 class NGramLM:
@@ -303,22 +306,21 @@ def train_lm(
     # each paragraph is counted as it is read, padded except at order 1,
     # where markers carry no information
     pad, end = ((BOS_ID,) * (order - 1), (EOS_ID,)) if order > 1 else ((), ())
+    # Counter.update counts an iterable into a plain dict in one C call,
+    # inserting each key where the loop `d[key] = d.get(key, 0) + 1` would
+    count = Counter.update
     for doc in docs:
         for para in split_paragraphs(doc.text):
             tokens = tok.tokenize(para)
             if tokens:
                 seq = (*pad, *[vocab.setdefault(t, len(vocab)) for t in tokens], *end)
-                for gram in zip(*(seq[k:] for k in range(order))):
-                    top[gram] = top.get(gram, 0) + 1
+                count(top, zip(*(seq[k:] for k in range(order))))
     if not top:
         raise TrainingError(f"{corpus_name} is empty after tokenization")
     # Continuation counts: at order k, count distinct left extensions
     # present at order k+1.
     for k in range(order - 1, 0, -1):
-        lower = counts[k - 1]
-        for gram in counts[k]:
-            suffix = gram[1:]
-            lower[suffix] = lower.get(suffix, 0) + 1
+        count(counts[k - 1], map(itemgetter(slice(1, None)), counts[k]))
 
     if discount is not None:
         discounts = [discount] * order
@@ -345,7 +347,10 @@ class FilterReport:
     per_source: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def _bucket(self, source: str) -> Dict[str, int]:
-        return self.per_source.setdefault(source, {"kept_tokens": 0, "dropped_tokens": 0})
+        bucket = self.per_source.get(source)
+        if bucket is None:
+            bucket = self.per_source[source] = {"kept_tokens": 0, "dropped_tokens": 0}
+        return bucket
 
     def merge(self, other: "FilterReport") -> None:
         """Add the counts of a report on another part of the same corpus."""
@@ -399,31 +404,32 @@ def filter_by_perplexity(
     report = FilterReport(threshold=threshold, granularity=granularity)
     kept_docs: List[Document] = []
     dropped_docs: List[Document] = []
+    score = lm.paragraph_log_probs
+    tokenize = tok.tokenize
+    fsum = math.fsum
 
     for doc in docs:
         bucket = report._bucket(doc.source.name)
-        if granularity == "document":
-            parts = [doc.text]
-        else:
-            parts = split_paragraphs(doc.text)
+        parts = [doc.text] if granularity == "document" else split_paragraphs(doc.text)
         kept_parts: List[str] = []
         dropped_parts: List[str] = []
-        kept_part_tokens: List[List[str]] = []
-        dropped_tokens = 0
+        kept_tokens: List[str] = []  # built only for _kept_tokens, else counted
+        kept_count = dropped_count = 0
         for part in parts:
-            tokens = tok.tokenize(part)
+            tokens = tokenize(part)
             if not tokens:
                 kept_parts.append(part)
-                continue
-            ppl = PerplexityScore.from_log_probs(lm.paragraph_log_probs(tokens)).perplexity
-            if ppl > threshold:
+            elif _perplexity(fsum(score(tokens)), len(tokens)) > threshold:
                 dropped_parts.append(part)
-                dropped_tokens += len(tokens)
+                dropped_count += len(tokens)
             else:
                 kept_parts.append(part)
-                kept_part_tokens.append(tokens)
-        bucket["kept_tokens"] += sum(map(len, kept_part_tokens))
-        bucket["dropped_tokens"] += dropped_tokens
+                if _kept_tokens is None:
+                    kept_count += len(tokens)
+                else:
+                    kept_tokens += tokens
+        bucket["kept_tokens"] += kept_count + len(kept_tokens)
+        bucket["dropped_tokens"] += dropped_count
         if kept_parts:
             text = "\n\n".join(kept_parts)
             kept_docs.append(
@@ -433,7 +439,7 @@ def filter_by_perplexity(
             )
             report.kept_docs += 1
             if _kept_tokens is not None:
-                _kept_tokens.append(list(itertools.chain.from_iterable(kept_part_tokens)))
+                _kept_tokens.append(kept_tokens)
         if dropped_parts:
             text = "\n\n".join(dropped_parts)
             dropped_docs.append(
@@ -460,7 +466,7 @@ def calibrate_threshold(
         for para in split_paragraphs(doc.text):
             tokens = tok.tokenize(para)
             if tokens:
-                ppls.append(PerplexityScore.from_log_probs(lm.paragraph_log_probs(tokens)).perplexity)
+                ppls.append(_perplexity(math.fsum(lm.paragraph_log_probs(tokens)), len(tokens)))
     if not ppls:
         raise ValueError(f"{corpus_name} has no scorable paragraphs")
     ppls.sort()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -13,16 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexcorpus
-from lexcorpus.corpus import Document, WhitespaceTokenizer
+from lexcorpus.cleaning import split_paragraphs
+from lexcorpus.corpus import Document, WhitespaceTokenizer, resolve_source
 from lexcorpus.lm import (
     BOS,
     BOS_ID,
     EOS,
+    EOS_ID,
     UNK,
     UNK_ID,
+    FilterReport,
     NGramLM,
     ScoreError,
     TrainingError,
+    _estimate_discount,
     calibrate_threshold,
     filter_by_perplexity,
     load_lm,
@@ -401,3 +406,157 @@ def test_lm_module_does_not_import_numpy():
     code = "import sys, lexcorpus.lm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# --- the LM stage against the loops it replaced -------------------------------
+
+
+def _reference_perplexity(log_probs):
+    """The body of PerplexityScore.from_log_probs, which the filter and the
+    calibration once ran per paragraph."""
+    total = math.fsum(log_probs)
+    return float("inf") if total == float("-inf") else math.exp(-total / len(log_probs))
+
+
+def _reference_filter(docs, model, tok, threshold, granularity):
+    """filter_by_perplexity as a plain loop: a score per paragraph, and each
+    kept document's tokens as a list per kept part, chained at its end."""
+    report = FilterReport(threshold=threshold, granularity=granularity)
+    kept_docs, dropped_docs, kept_tokens = [], [], []
+    for doc in docs:
+        bucket = report.per_source.setdefault(doc.source.name, {"kept_tokens": 0, "dropped_tokens": 0})
+        parts = [doc.text] if granularity == "document" else split_paragraphs(doc.text)
+        kept_parts, dropped_parts, kept_part_tokens = [], [], []
+        for part in parts:
+            tokens = tok.tokenize(part)
+            if tokens and _reference_perplexity(model.paragraph_log_probs(tokens)) > threshold:
+                dropped_parts.append(part)
+                bucket["dropped_tokens"] += len(tokens)
+            else:
+                kept_parts.append(part)
+                kept_part_tokens.append(tokens)
+        bucket["kept_tokens"] += sum(map(len, kept_part_tokens))
+        if kept_parts:
+            text = "\n\n".join(kept_parts)
+            kept_docs.append(doc if text == doc.text else Document(doc.id, doc.source, text, dict(doc.meta)))
+            kept_tokens.append(list(itertools.chain.from_iterable(kept_part_tokens)))
+            report.kept_docs += 1
+        if dropped_parts:
+            dropped_docs.append(Document(doc.id, doc.source, "\n\n".join(dropped_parts), dict(doc.meta)))
+            report.dropped_docs += not kept_parts
+    return kept_docs, dropped_docs, report, kept_tokens
+
+
+def _reference_threshold(model, docs, tok, percentile):
+    ppls = sorted(
+        _reference_perplexity(model.paragraph_log_probs(tokens))
+        for doc in docs
+        for para in split_paragraphs(doc.text)
+        if (tokens := tok.tokenize(para))
+    )
+    rank = (percentile / 100.0) * (len(ppls) - 1)
+    low, high = math.floor(rank), math.ceil(rank)
+    frac = rank - low
+    return ppls[low] if low == high else ppls[low] * (1 - frac) + ppls[high] * frac
+
+
+@pytest.mark.parametrize("granularity", ["paragraph", "document"])
+@pytest.mark.parametrize("discount", [None, 0.0])
+@pytest.mark.parametrize("order", [1, 3, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_filter_and_calibration_equal_the_per_paragraph_score_loop(order, discount, granularity, data):
+    # Discount 0.0 scores a token unseen after its context -inf, so its
+    # paragraph's perplexity is inf and it drops at any threshold.
+    model, _, paragraphs = _cached_model(order, discount)
+    tok = WhitespaceTokenizer()
+    word = st.one_of(
+        st.sampled_from(model.predictable_tokens()), st.sampled_from([UNK, BOS, "never-seen", "zzqx"])
+    )
+    run = st.sampled_from(paragraphs).flatmap(
+        lambda p: st.tuples(st.integers(0, len(p) - 1), st.integers(1, 12)).map(lambda ij: p[ij[0] : ij[0] + ij[1]])
+    )
+    paragraph = st.one_of(
+        st.lists(st.one_of(word.map(lambda w: [w]), run), max_size=6).map(lambda chunks: sum(chunks, [])),
+        st.sampled_from([[], [" "], ["\t", " "]]),  # empty and whitespace-only
+    ).flatmap(lambda words: st.sampled_from([" ", "\t", " \n"]).map(lambda sep: sep.join(words)))
+    text = st.lists(paragraph, max_size=5).flatmap(
+        lambda paras: st.sampled_from(["\n\n", "\n \n", "\n\n\n", "\n"]).map(lambda sep: sep.join(paras))
+    )
+    docs = [
+        Document(id=f"d{i}", source=resolve_source(source), text=t, meta={"i": str(i)})
+        for i, (source, t) in enumerate(data.draw(st.lists(st.tuples(st.sampled_from(["freelaw", "wikipedia"]), text))))
+    ]
+    parts = [[d.text] if granularity == "document" else split_paragraphs(d.text) for d in docs]
+    scored = [tokens for part in itertools.chain.from_iterable(parts) if (tokens := tok.tokenize(part))]
+    finite = sorted({p for p in map(_reference_perplexity, map(model.paragraph_log_probs, scored)) if p < math.inf})
+    # a paragraph's own perplexity as the threshold tells `>` from `>=`
+    threshold = data.draw(st.sampled_from(finite) if finite and data.draw(st.booleans()) else st.floats(1.0, 1e4))
+
+    kept_tokens = []
+    kept, dropped, report = filter_by_perplexity(docs, model, tok, threshold, granularity, _kept_tokens=kept_tokens)
+    ref_kept, ref_dropped, ref_report, ref_kept_tokens = _reference_filter(docs, model, tok, threshold, granularity)
+    assert (kept, dropped, report, kept_tokens) == (ref_kept, ref_dropped, ref_report, ref_kept_tokens)
+    by_id = {d.id: d for d in docs}
+    assert [d is by_id[d.id] for d in kept] == [d is by_id[d.id] for d in ref_kept]
+    # without _kept_tokens the tokens are counted, not collected
+    assert filter_by_perplexity(docs, model, tok, threshold, granularity) == (ref_kept, ref_dropped, ref_report)
+
+    percentile = data.draw(st.floats(0.0, 100.0, exclude_min=True))
+    if any(split_paragraphs(d.text) for d in docs):
+        assert calibrate_threshold(model, docs, tok, percentile) == _reference_threshold(model, docs, tok, percentile)
+    else:
+        with pytest.raises(ValueError, match="no scorable paragraphs"):
+            calibrate_threshold(model, docs, tok, percentile)
+
+
+def _reference_counts(docs, tok, order):
+    """train_lm's counting as it was: one dict update per window, then one
+    per distinct n-gram for the continuation counts."""
+    vocab = {UNK: UNK_ID, BOS: BOS_ID, EOS: EOS_ID}
+    counts = [{} for _ in range(order)]
+    pad, end = ((BOS_ID,) * (order - 1), (EOS_ID,)) if order > 1 else ((), ())
+    for doc in docs:
+        for para in split_paragraphs(doc.text):
+            tokens = tok.tokenize(para)
+            if tokens:
+                seq = (*pad, *[vocab.setdefault(t, len(vocab)) for t in tokens], *end)
+                for gram in zip(*(seq[k:] for k in range(order))):
+                    counts[-1][gram] = counts[-1].get(gram, 0) + 1
+    for k in range(order - 1, 0, -1):
+        for gram in counts[k]:
+            counts[k - 1][gram[1:]] = counts[k - 1].get(gram[1:], 0) + 1
+    return vocab, counts
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_training_tables_keep_the_reference_loops_insertion_order(tmp_path, make_doc, tok, order):
+    docs = generate_seed_corpus(seed=5, docs=20)
+    docs.append(make_doc("b a b\n\n \n\na b a b a\n\n\n\tc  a\n\nb a b"))
+    model = train_lm(docs, tok, order=order)
+    vocab, counts = _reference_counts(docs, tok, order)
+    assert type(model.vocab) is dict and list(model.vocab.items()) == list(vocab.items())
+    assert [type(table) for table in model.counts] == [dict] * order
+    assert [list(table.items()) for table in model.counts] == [list(table.items()) for table in counts]
+    reference = NGramLM(order, vocab, counts, [_estimate_discount(table.values()) for table in counts])
+    save_lm(model, tmp_path / "model.json")
+    save_lm(reference, tmp_path / "reference.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([1, 2, 3, 5]),
+    texts=st.lists(st.lists(st.lists(st.sampled_from("abcd"), max_size=8).map(" ".join), max_size=4).map("\n\n".join)),
+)
+def test_training_tables_keep_the_reference_loops_order_on_any_text(order, texts):
+    tok = WhitespaceTokenizer()
+    docs = [Document(id=str(i), source=resolve_source("freelaw"), text=text) for i, text in enumerate(texts)]
+    vocab, counts = _reference_counts(docs, tok, order)
+    if not counts[-1]:
+        with pytest.raises(TrainingError):
+            train_lm(docs, tok, order=order)
+        return
+    model = train_lm(docs, tok, order=order)
+    assert list(model.vocab.items()) == list(vocab.items())
+    assert [list(table.items()) for table in model.counts] == [list(table.items()) for table in counts]
