@@ -1,21 +1,21 @@
 """Command-line front end binding every stage to config files and flags.
 
-Subcommands map 1:1 to module operations; `pipeline` chains the offline
-data path (normalize, rule filtering, LM training, perplexity filtering,
-dedup, mix) and writes a run manifest with the config hash, seed, and
-per-stage document/token counts. A stage's work is done by one body that
-both its subcommand and `pipeline` call (`_clean`, `lm.filter_by_perplexity`,
-`dedup.Deduplicator`, ...). `pipeline` streams the main corpus through
-normalize, filter-rules, filter-ppl and dedup in batches of documents, and
-the `normalize`, `filter-rules` and `filter-ppl` subcommands stream their
-input through the same batch loop; `dedup` reads its input twice.
-Instruction generation and evaluation take a chat endpoint and therefore
-stay outside `pipeline`.
+Subcommands map 1:1 to module operations; `pipeline` chains the offline data
+path (normalize, rule filtering, LM training, perplexity filtering, dedup,
+mix) and writes a run manifest with the config hash, seed, and one entry of
+document/token counts per stage, made up front and filled in by that stage.
+A stage's work is done by one body that both its subcommand and `pipeline`
+call (`_clean`, `lm.filter_by_perplexity`, `dedup.Deduplicator`, ...).
+`pipeline` streams the main corpus through normalize, filter-rules,
+filter-ppl and dedup in batches of documents, and the `normalize`,
+`filter-rules` and `filter-ppl` subcommands stream their input through the
+same batch loop; `dedup` reads its input twice. Instruction generation and
+evaluation take a chat endpoint and therefore stay outside `pipeline`.
 
 Exit codes: 0 success, 1 validation failure (bad config, flags, or input
 files: a corpus.InputError or one of the builtins in _VALIDATION_ERRORS),
-2 runtime failure mid-run. A failed `pipeline` stage exits with the code its
-cause gets from the stage's own subcommand.
+2 runtime failure mid-run. A failed `pipeline` stage, the one whose entry
+was running, exits with the code its cause gets from its own subcommand.
 """
 
 from __future__ import annotations
@@ -166,14 +166,22 @@ def _report_skipped(reader: CorpusReader, path: str | Path) -> None:
         sys.stderr.write(f"lexcorpus: skipped {reader.skipped} malformed records in {path}\n")
 
 
-def _refuse_write_through(source: str | Path, outputs: Iterable[str | Path]) -> None:
+def _refuse_write_through(source: Optional[str | Path], outputs: Iterable[Optional[str | Path]]) -> None:
     """Raise ValueError for an output that is the file `source` and that
     atomic_write would write straight through (a symlink, say): a stage
     that reads `source` while it writes would truncate it unread. A regular
-    file is safe, even as the input: it is replaced only once complete."""
-    for path in outputs:
+    file is safe, even as the input: it is replaced only once complete.
+    Also for two outputs that resolve to one path, unless it is a device or
+    FIFO: the output written last would replace the other. An output of
+    None, an option not given, is skipped."""
+    seen: Dict[str, str | Path] = {}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in seen and (os.path.isfile(path) or not os.path.exists(path)):
+            raise ValueError(f"outputs {seen[real]} and {path} are one file: write them to different paths")
+        seen[real] = path
         linked = os.path.exists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
-        if linked and os.path.samefile(path, source):
+        if linked and source is not None and os.path.samefile(path, source):
             raise ValueError(f"output {path} is the input {source}: write to another path")
 
 
@@ -384,6 +392,7 @@ def cmd_train_lm(args) -> int:
 def cmd_filter_ppl(args) -> int:
     from . import lm
 
+    _refuse_write_through(args.input, [args.output, args.dropped, args.report])
     model = lm.load_lm(args.model)
     if args.threshold is not None:
         threshold = args.threshold
@@ -426,7 +435,7 @@ def cmd_dedup(args) -> int:
 
     if not stat.S_ISREG(os.stat(args.input).st_mode):
         raise ValueError(f"dedup reads its input twice, so it must be a regular file: {args.input}")
-    _refuse_write_through(args.input, [args.output])
+    _refuse_write_through(args.input, [args.output, args.report, args.clusters])
     params = {k: v for k, v in vars(args).items() if k in ("shingle_n", "permutations", "threshold")}
     index = dedup.Deduplicator(near=not args.exact_only, seed=args.seed, **params)
 
@@ -454,6 +463,7 @@ def cmd_dedup(args) -> int:
 def cmd_mix(args) -> int:
     from . import mix
 
+    _refuse_write_through(None, [args.output, args.manifest])
     spec = mix.load_mix_spec(args.spec)
     if args.seed is not None:
         spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
@@ -473,6 +483,7 @@ def cmd_mix(args) -> int:
 def cmd_gen_instructions(args) -> int:
     from . import instruct
 
+    _refuse_write_through(None, [args.output, args.corpus_out])
     examples = instruct.load_examples(args.examples)
     backend = _chat_backend(args.endpoint, args.model)
     conversations, failures = instruct.generate_conversations(
@@ -533,6 +544,7 @@ def cmd_curate_prompts(args) -> int:
 def cmd_eval(args) -> int:
     from . import evaluation
 
+    _refuse_write_through(None, [args.report, args.dump])
     tasks = evaluation.load_tasks(args.task_dir)
     if args.mmlu_dir:
         tasks.extend(evaluation.load_mmlu_legal(args.mmlu_dir))
@@ -571,22 +583,22 @@ def cmd_ppl_report(args) -> int:
 def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     """normalize -> filter-rules -> train-lm -> filter-ppl -> dedup -> mix.
 
-    The run manifest lists the stages in that order, each with its document
-    and token counts, and is deterministic: same config bytes + seed give
-    identical JSON. They execute in another order, so that the main corpus
-    is read once and never held whole. First the seed corpus is
-    rule-cleaned, the LM trained on it (`lm.json`) and the perplexity
+    The run manifest's entries, one per stage in that order, are made before any
+    stage runs, and each stage fills its own with its document and token counts;
+    same config bytes + seed give identical JSON. The stages run in another
+    order, so that the main corpus is read once and never held whole. First the
+    seed corpus is rule-cleaned, the LM trained on it (`lm.json`) and the
     threshold calibrated. Then one pass streams the main corpus in batches
-    of documents through normalize, filter-rules and filter-ppl, writing
-    `01`, `02`, `03` and `03_dropped` as it goes, and signs the kept
-    documents of each batch into the dedup index from filter-ppl's tokens.
-    Then the near-duplicate clusters are resolved and `04` is written by
-    copying the surviving lines of `03` undecoded. The mix samples the
-    survivors by index, from the ids and token counts that the index holds
-    and the source names the pass collected, and decodes only the lines of
-    `03` it takes. Each file is replaced only once it is complete: a failed
-    pass replaces none of `01`-`03`, and a failure after the pass leaves
-    them on disk.
+    through normalize, filter-rules and filter-ppl, writing `01`, `02`, `03` and
+    `03_dropped`, and signs each batch's kept documents into the dedup index
+    from filter-ppl's tokens. Then the clusters are resolved, `04` copies the
+    surviving lines of `03` undecoded, and the mix samples the survivors by
+    index and decodes only the lines of `03` it takes. Each file is replaced
+    only once it is complete: a failed pass replaces none of `01`-`03`, and a
+    failure after the pass leaves them on disk. A failure raises
+    PipelineStageError naming the `running` entry: train-lm for the seed corpus,
+    filter-ppl for the calibration and the filter report, normalize for the main
+    corpus's read and the writes of `01`-`03`, and in a batch the stage at work.
     """
     from . import dedup, lm, mix  # dedup is already loaded by PipelineConfig
 
@@ -602,75 +614,65 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         threshold=cfg.dedup_threshold,
         seed=cfg.seed,
     )
-    stages: List[dict] = []
-    manifest: dict = {"config_sha256": cfg.config_digest(), "seed": cfg.seed, "stages": stages}
+    names = ("normalize", "filter-rules", "train-lm", "filter-ppl", "dedup", "mix")
+    stages = [{"stage": name, "documents": 0, "tokens": 0} for name in names]
+    normalizing, rule_filtering, training, ppl_filtering, deduping, mixing = stages
+    manifest = {"config_sha256": cfg.config_digest(), "seed": cfg.seed, "stages": stages}
 
-    def record(stage: str, documents: int, tokens: int, **extra) -> None:
-        stages.append({"stage": stage, "documents": documents, "tokens": tokens, **extra})
-
-    stage = "train-lm"
+    running = training
     try:
         seed_docs = _clean(_read_corpus(cfg.seed_corpus, strict), rules)
         model = _train_lm(seed_docs, cfg.lm_order, out / "lm.json")
-        seed_counts = (len(seed_docs), _token_total(seed_docs))
+        training.update(documents=len(seed_docs), tokens=_token_total(seed_docs), order=cfg.lm_order)
 
-        stage = "filter-ppl"
+        running = ppl_filtering
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
         del seed_docs
         _, _, filter_report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, cfg.lm_granularity)
-        # filter-ppl counts every token of 02, and 01 has the same tokens but
-        # for the documents that filter-rules changed or emptied: their
-        # tokens in 01 less their tokens in 02
-        rule_removed_tokens = 0
         kept_sources: List[str] = []  # the source name of each document the index takes
 
         def run_stages(batch: List[Document]) -> Tuple[List[Document], ...]:
-            nonlocal stage, rule_removed_tokens
+            nonlocal running
             normalized = _clean(batch, None)
 
-            stage = "filter-rules"
+            running = rule_filtering
             rulefiltered = _clean(normalized, rules)
+            # 01's tokens are 02's (added after the pass) but for the documents filter-rules changed or emptied
             in_01, in_02 = set(map(id, normalized)), set(map(id, rulefiltered))
-            rule_removed_tokens += _token_total([doc for doc in normalized if id(doc) not in in_02])
-            rule_removed_tokens -= _token_total([doc for doc in rulefiltered if id(doc) not in in_01])
+            normalizing["tokens"] += _token_total([doc for doc in normalized if id(doc) not in in_02])
+            normalizing["tokens"] -= _token_total([doc for doc in rulefiltered if id(doc) not in in_01])
 
-            stage = "filter-ppl"
+            running = ppl_filtering
             kept_token_lists: List[List[str]] = []
             kept, dropped, batch_report = lm.filter_by_perplexity(
                 rulefiltered, model, TOKENIZER, threshold, cfg.lm_granularity, _kept_tokens=kept_token_lists
             )
             filter_report.merge(batch_report)
 
-            stage = "dedup"
+            running = deduping
             # whitespace tokens of the kept parts are the kept text's tokens
             index.add_batch([doc.id for doc in kept], [doc.text for doc in kept], kept_token_lists)
             kept_sources.extend(doc.source.name for doc in kept)
-            stage = "normalize"  # the next batch is read as normalize's input
+            running = normalizing  # the next batch is read as normalize's input
             return normalized, rulefiltered, kept, dropped
 
-        stage = "normalize"
-        names = ("01_normalized.jsonl", "02_rulefiltered.jsonl", "03_pplfiltered.jsonl", "03_dropped.jsonl")
-        _, (normalized_docs, rulefiltered_docs, _, _) = _stream(
-            cfg.corpus, strict, [out / name for name in names], run_stages
+        running = normalizing
+        files = ("01_normalized.jsonl", "02_rulefiltered.jsonl", "03_pplfiltered.jsonl", "03_dropped.jsonl")
+        _, (normalizing["documents"], rule_filtering["documents"], ppl_filtering["documents"], _) = _stream(
+            cfg.corpus, strict, [out / name for name in files], run_stages
         )
         del model
 
-        stage = "filter-ppl"
+        running = ppl_filtering
         _write_report(out / "filter_report.json", filter_report)
-        kept_tokens = sum(bucket["kept_tokens"] for bucket in filter_report.per_source.values())
-        dropped_tokens = sum(bucket["dropped_tokens"] for bucket in filter_report.per_source.values())
-        record("normalize", normalized_docs, kept_tokens + dropped_tokens + rule_removed_tokens)
+        buckets = filter_report.per_source.values()
+        ppl_filtering.update(tokens=sum(bucket["kept_tokens"] for bucket in buckets), threshold=threshold)
         # filter-ppl splits every token of 02 into kept or dropped
-        record(
-            "filter-rules",
-            rulefiltered_docs,
-            kept_tokens + dropped_tokens,
-            emptied=normalized_docs - rulefiltered_docs,
-        )
-        record("train-lm", *seed_counts, order=cfg.lm_order)
-        record("filter-ppl", filter_report.kept_docs, kept_tokens, threshold=threshold)
+        rule_filtering["tokens"] = ppl_filtering["tokens"] + sum(bucket["dropped_tokens"] for bucket in buckets)
+        rule_filtering["emptied"] = normalizing["documents"] - rule_filtering["documents"]
+        normalizing["tokens"] += rule_filtering["tokens"]
 
-        stage = "dedup"
+        running = deduping
         removed, report = index.resolve()
         ids, token_counts = index.ids, index.token_counts
         del index  # frees the signature matrix before the mix's documents are read
@@ -678,15 +680,10 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         with atomic_write(out / "04_deduped.jsonl", binary=True) as fh:
             starts = _copy_survivors(pplfiltered, ids, removed, fh)
         _write_report(out / "dedup_report.json", report)
-        record(
-            stage,
-            len(ids) - len(removed),
-            report.tokens_after,
-            exact_removed=report.exact_removed,
-            near_removed=report.near_removed,
-        )
+        deduping.update(documents=len(ids) - len(removed), tokens=report.tokens_after)
+        deduping.update(exact_removed=report.exact_removed, near_removed=report.near_removed)
 
-        stage = "mix"
+        running = mixing
         # a spec source with no surviving documents is short of tokens, not unknown
         survivors: Dict[str, List[int]] = {name: [] for name, _ in spec.entries}
         for idx, name in enumerate(kept_sources):
@@ -696,9 +693,9 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         mixed = _decode_lines(pplfiltered, starts, picked, ids)
         write_documents(mixed, out / "05_mix.jsonl")
         _write_report(out / "mix_manifest.json", mix_manifest)
-        record(stage, len(mixed), mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
+        mixing.update(documents=len(mixed), tokens=mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
     except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
+        raise PipelineStageError(running["stage"], exc) from exc
 
     write_lines([json.dumps(manifest, indent=2, sort_keys=True)], out / "run_manifest.json")
     return manifest

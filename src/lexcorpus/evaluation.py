@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -360,21 +359,6 @@ class NgramScorer(LogProbScorer):
 
     def token_log_probs(self, text: str) -> List[float]:
         return self.lm.token_log_probs(text, self.tok)
-
-
-class UniformScorer(LogProbScorer):
-    """Assigns p = 1/vocab_size to every whitespace token; a calibration
-    fixture (every document's perplexity equals vocab_size exactly)."""
-
-    def __init__(self, vocab_size: int, name: str = "uniform"):
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        self.vocab_size = vocab_size
-        self.name = name
-
-    def token_log_probs(self, text: str) -> List[float]:
-        lp = -math.log(self.vocab_size)
-        return [lp for _ in text.split()]
 
 
 def _doc_perplexity(scorer: LogProbScorer, text: str) -> float:

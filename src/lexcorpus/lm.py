@@ -205,17 +205,6 @@ class NGramLM:
             _, p, node = tables[node].get(t) or _look_up(tables, gamma, parent, node, t)
         return p
 
-    def predictable_tokens(self) -> List[str]:
-        """All tokens a conditional distribution ranges over (begin marker excluded)."""
-        return [t for t in self.id_to_token if t != BOS]
-
-    def observed_contexts(self, order: Optional[int] = None) -> List[Tuple[str, ...]]:
-        """Every context seen at `order` (default: the model's), in the order
-        the counts first show it."""
-        k = order or self.order
-        contexts = dict.fromkeys(gram[:-1] for gram in self.counts[k - 1])
-        return [tuple(self.id_to_token[i] for i in ctx) for ctx in contexts]
-
     # -- scoring -----------------------------------------------------------
 
     def paragraph_log_probs(self, tokens: Sequence[str]) -> List[float]:

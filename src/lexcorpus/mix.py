@@ -24,7 +24,6 @@ from .corpus import (
     load_json,
     report_json,
     resolve_source,
-    write_lines,
 )
 
 FRACTION_SUM_TOLERANCE = 1e-9
@@ -81,11 +80,6 @@ def load_mix_spec(path: str | Path) -> MixSpec:
         return MixSpec(entries=entries, token_budget=int(payload["token_budget"]), seed=int(payload["seed"]))
 
     return load_json(path, "mix spec", MixError, build)
-
-
-def save_mix_spec(spec: MixSpec, path: str | Path) -> None:
-    entries = [{"source": name, "fraction": fraction} for name, fraction in spec.entries]
-    write_lines([report_json(spec, entries=entries)], path)
 
 
 @dataclass

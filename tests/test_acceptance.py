@@ -43,7 +43,7 @@ from lexcorpus.instruct import (
     extend_conversation,
     scaffold_conversation,
 )
-from lexcorpus.lm import calibrate_threshold, filter_by_perplexity, score, train_lm
+from lexcorpus.lm import BOS, calibrate_threshold, filter_by_perplexity, score, train_lm
 from lexcorpus.mix import MixSpec, assemble_mix
 from lexcorpus.synthdata import (
     build_task_suite,
@@ -102,11 +102,14 @@ def test_c03_kneser_ney_normalization_and_hand_unigram():
     docs = generate_seed_corpus(seed=23, docs=200, min_tokens=50_000)
     assert sum(len(d.text.split()) for d in docs) >= 50_000
     model = train_lm(docs, TOK, order=5)
-    vocab = model.predictable_tokens()
+    # every token a distribution ranges over (the begin marker excluded), and
+    # every context the counts show, by order and then first appearance
+    vocab = [t for t in model.id_to_token if t != BOS]
     rng = random.Random(0)
     all_contexts = []
     for order in range(1, 6):
-        all_contexts.extend(model.observed_contexts(order))
+        contexts = dict.fromkeys(gram[:-1] for gram in model.counts[order - 1])
+        all_contexts.extend(tuple(model.id_to_token[i] for i in ctx) for ctx in contexts)
     for ctx in rng.sample(all_contexts, 100):
         total = math.fsum(model.probability(ctx, t) for t in vocab)
         assert abs(total - 1.0) <= 1e-6, ctx

@@ -866,6 +866,68 @@ def test_output_linked_to_input_is_refused(pipeline_inputs, seed_lm, tmp_path, c
     assert not (tmp_path / "kept.jsonl").exists()
 
 
+def _multi_output_argv(command, pipeline_inputs, seed_lm, tmp_path):
+    """`command`'s arguments but for its outputs, and its required output flags."""
+    corpus = pipeline_inputs / "corpus.jsonl"
+    if command == "mix":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 100, "seed": 0}
+        ))
+        return ["mix", "--spec", spec, "-i", f"freelaw={corpus}"], ["-o", "--manifest"]
+    return {
+        "filter-ppl": (["filter-ppl", "-i", corpus, "--model", seed_lm, "--threshold", "1000"], ["-o"]),
+        "dedup": (["dedup", "-i", corpus], ["-o"]),
+        "gen-instructions": (["gen-instructions", "--examples", pipeline_inputs / "examples.jsonl"], ["-o"]),
+        "eval": (["eval", "--task-dir", pipeline_inputs / "tasks"], []),
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("filter-ppl", "-o", "--dropped"),
+        ("filter-ppl", "-o", "--report"),
+        ("filter-ppl", "--dropped", "--report"),
+        ("dedup", "-o", "--report"),
+        ("dedup", "-o", "--clusters"),
+        ("dedup", "--report", "--clusters"),
+        ("mix", "-o", "--manifest"),
+        ("gen-instructions", "-o", "--corpus-out"),
+        ("eval", "--report", "--dump"),
+    ],
+)
+def test_two_outputs_naming_one_file_are_refused(
+    pipeline_inputs, seed_lm, tmp_path, capsys, command, first, second
+):
+    """The output written last would replace the other, so two output flags
+    that resolve to one path exit 1 before any output is opened, whether the
+    file exists or not."""
+    argv, required = _multi_output_argv(command, pipeline_inputs, seed_lm, tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    same, spelled = out / "same", f"{out}/./same"
+    for flag in required:
+        if flag not in (first, second):
+            argv += [flag, out / flag.strip("-")]
+    for existing in (False, True):
+        if existing:
+            same.write_text("old\n")
+        capsys.readouterr()
+        assert _main(*argv, first, same, second, spelled) == 1
+        assert capsys.readouterr().err == (
+            f"lexcorpus: outputs {same} and {spelled} are one file: write them to different paths\n"
+        )
+        assert [p.name for p in out.iterdir()] == (["same"] if existing else [])
+        assert not existing or same.read_text() == "old\n"
+
+
+def test_two_outputs_to_one_device_are_written(pipeline_inputs, seed_lm, tmp_path):
+    argv, _ = _multi_output_argv("filter-ppl", pipeline_inputs, seed_lm, tmp_path)
+    assert _main(*argv, "-o", tmp_path / "kept.jsonl", "--dropped", os.devnull, "--report", os.devnull) == 0
+    assert (tmp_path / "kept.jsonl").stat().st_size > 0
+
+
 def test_pipeline_refuses_a_stage_output_linked_to_its_corpus(pipeline_inputs, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     shutil.copyfile(pipeline_inputs / "corpus.jsonl", corpus)
@@ -880,6 +942,54 @@ def test_pipeline_refuses_a_stage_output_linked_to_its_corpus(pipeline_inputs, t
     assert isinstance(excinfo.value.cause, ValueError)
     assert corpus.read_bytes() == before
     assert not (cfg.out_dir / "01_normalized.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "owner, name, stage",
+    [
+        (cleaning, "normalize_text", "normalize"),
+        (cleaning, "clean_text", "filter-rules"),
+        (lm, "calibrate_threshold", "filter-ppl"),
+        (lm.FilterReport, "to_json", "filter-ppl"),
+        (dedup.Deduplicator, "add_batch", "dedup"),
+        (dedup.Deduplicator, "resolve", "dedup"),
+        (mix, "sample_mix", "mix"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_pipeline_charges_a_failure_to_the_stage_it_happens_in(
+    pipeline_inputs, tmp_path, monkeypatch, capsys, owner, name, stage
+):
+    """A RuntimeError planted in one stage's work names that stage. The work
+    done per batch of the main corpus fails in its second batch, so that a
+    stage left running from the first batch would show."""
+    main_text = list(read_documents(pipeline_inputs / "corpus.jsonl"))[cli._BATCH].text
+    seed_docs = list(read_documents(pipeline_inputs / "seed.jsonl"))
+    # clean_text normalizes too, so normalize_text fails on the text that
+    # only the main corpus's normalize sees first; the seed corpus is
+    # rule-cleaned under train-lm, so clean_text fails only after it
+    assert main_text not in [doc.text for doc in seed_docs]
+    passing = {"clean_text": len(seed_docs) + cli._BATCH, "add_batch": 1}.get(name, 0)
+    calls = []
+    real = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        fails = args[0] == main_text if name == "normalize_text" else len(calls) > passing
+        if fails:
+            raise RuntimeError("planted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    config = _moved_config(pipeline_inputs, tmp_path)
+    with pytest.raises(cli.PipelineStageError) as excinfo:
+        cli.run_pipeline(cli.load_config(config))
+    assert excinfo.value.stage == stage
+    assert str(excinfo.value.cause) == "planted"
+    calls.clear()
+    capsys.readouterr()
+    assert _main("pipeline", "--config", config) == 2
+    assert capsys.readouterr().err == f"lexcorpus: stage {stage!r} failed: planted\n"
 
 
 def test_dedup_rejects_a_pipe_input(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from lexcorpus.evaluation import (
     ABSTAIN,
     CurationError,
     EvalTask,
+    LogProbScorer,
     NgramScorer,
     TaskFormatError,
-    UniformScorer,
     balanced_accuracy,
     closing_instruction,
     curate_prompt,
@@ -247,6 +248,20 @@ def test_mmlu_loader_requires_files(tmp_path):
 
 
 # --- perplexity reporting ----------------------------------------------------
+
+
+class UniformScorer(LogProbScorer):
+    """Assigns p = 1/vocab_size to every whitespace token; a calibration
+    fixture (every document's perplexity equals vocab_size exactly)."""
+
+    def __init__(self, vocab_size: int, name: str = "uniform"):
+        self.vocab_size = vocab_size
+        self.name = name
+
+    def token_log_probs(self, text: str) -> list:
+        lp = -math.log(self.vocab_size)
+        return [lp for _ in text.split()]
+
 
 def test_uniform_scorer_is_exact():
     scorer = UniformScorer(vocab_size=4)

@@ -38,6 +38,17 @@ from lexcorpus.lm import (
 from lexcorpus.synthdata import generate_seed_corpus
 
 
+def predictable_tokens(model: NGramLM) -> list:
+    """All tokens a conditional distribution ranges over (begin marker excluded)."""
+    return [t for t in model.id_to_token if t != BOS]
+
+
+def observed_contexts(model: NGramLM, order: int) -> list:
+    """Every context seen at `order`, in the order the counts first show it."""
+    contexts = dict.fromkeys(gram[:-1] for gram in model.counts[order - 1])
+    return [tuple(model.id_to_token[i] for i in ctx) for ctx in contexts]
+
+
 def _mle_unigram(make_doc, tok, text):
     """Order-1 model with discounting disabled is plain maximum likelihood."""
     return train_lm([make_doc(text)], tok, order=1, discount=0.0)
@@ -67,10 +78,10 @@ def test_uniform_model_perplexity_is_vocab_size(make_doc, tok):
 def test_normalization_all_orders(make_doc, tok):
     docs = generate_seed_corpus(seed=3, docs=30)
     model = train_lm(docs, tok, order=3)
-    vocab = model.predictable_tokens()
+    vocab = predictable_tokens(model)
     rng = random.Random(0)
     for order in (1, 2, 3):
-        contexts = model.observed_contexts(order)
+        contexts = observed_contexts(model, order)
         for ctx in rng.sample(contexts, min(25, len(contexts))):
             total = sum(model.probability(ctx, t) for t in vocab)
             assert total == pytest.approx(1.0, abs=1e-6), (order, ctx)
@@ -309,9 +320,9 @@ def test_compiled_scoring_equals_recursion_exactly(tok, order, discount):
         assert model.paragraph_log_probs(tokens) == _reference_log_probs(model, totals, tokens)
 
     rng = random.Random(order)
-    vocab = model.predictable_tokens()
+    vocab = predictable_tokens(model)
     for k in range(1, order + 1):
-        for ctx in model.observed_contexts(k):
+        for ctx in observed_contexts(model, k):
             # contexts below the top order are shorter than order - 1, so
             # probability() pads them with begin markers on the left
             ids = (BOS_ID,) * (order - 1 - len(ctx)) + tuple(_token_id(model, t) for t in ctx)
@@ -349,7 +360,7 @@ def test_carried_state_equals_recursion_on_any_tokens(order, discount, data):
     # any depth. Discount 0.0 gives unseen n-grams p = 0, so log p = -inf.
     model, totals, paragraphs = _cached_model(order, discount)
     single = st.one_of(
-        st.sampled_from(model.predictable_tokens()),
+        st.sampled_from(predictable_tokens(model)),
         st.sampled_from([BOS, EOS, UNK, "never-seen", "zzqx"]),
         st.text(alphabet="abz<>/", min_size=1, max_size=4),
     ).map(lambda t: [t])
@@ -393,7 +404,7 @@ def test_observed_contexts_follow_count_order(tok):
             ctx = tuple(model.id_to_token[i] for i in gram[:-1])
             if ctx not in seen:
                 seen.append(ctx)
-        assert model.observed_contexts(k) == seen
+        assert observed_contexts(model, k) == seen
 
 
 def test_lm_module_does_not_import_numpy():
@@ -471,7 +482,7 @@ def test_filter_and_calibration_equal_the_per_paragraph_score_loop(order, discou
     model, _, paragraphs = _cached_model(order, discount)
     tok = WhitespaceTokenizer()
     word = st.one_of(
-        st.sampled_from(model.predictable_tokens()), st.sampled_from([UNK, BOS, "never-seen", "zzqx"])
+        st.sampled_from(predictable_tokens(model)), st.sampled_from([UNK, BOS, "never-seen", "zzqx"])
     )
     run = st.sampled_from(paragraphs).flatmap(
         lambda p: st.tuples(st.integers(0, len(p) - 1), st.integers(1, 12)).map(lambda ij: p[ij[0] : ij[0] + ij[1]])

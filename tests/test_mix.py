@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lexcorpus.corpus import report_json, write_lines
 from lexcorpus.mix import (
     InsufficientTokensError,
     MixError,
@@ -11,7 +12,6 @@ from lexcorpus.mix import (
     assemble_mix,
     derive_seed,
     load_mix_spec,
-    save_mix_spec,
     validate_mix,
 )
 from lexcorpus.synthdata import generate_mix_inputs, generate_seed_corpus
@@ -36,6 +36,11 @@ def test_spec_rejects_nonpositive_budget_and_fractions():
 def test_spec_rejects_duplicate_sources():
     with pytest.raises(MixError):
         MixSpec(entries=[("legal", 0.5), ("legal", 0.5)], token_budget=100, seed=0)
+
+
+def save_mix_spec(spec: MixSpec, path) -> None:
+    entries = [{"source": name, "fraction": fraction} for name, fraction in spec.entries]
+    write_lines([report_json(spec, entries=entries)], path)
 
 
 def test_spec_roundtrip(tmp_path):
