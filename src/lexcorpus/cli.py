@@ -341,12 +341,11 @@ def _chat_backend(endpoint: Optional[str], model: str) -> instruct.ChatBackend:
 
 
 def _train_lm(
-    docs: Iterable[Document], order: int, output: Path | str, discount: Optional[float] = None,
-    corpus_name: str = "seed corpus",
+    docs: Iterable[Document], order: int, output: Path | str, corpus_name: str = "seed corpus"
 ) -> lm.NGramLM:
     from . import lm
 
-    model = lm.train_lm(docs, TOKENIZER, order=order, discount=discount, corpus_name=corpus_name)
+    model = lm.train_lm(docs, TOKENIZER, order=order, corpus_name=corpus_name)
     lm.save_lm(model, output)
     return model
 
@@ -379,9 +378,7 @@ def cmd_filter_rules(args) -> int:
 def cmd_train_lm(args) -> int:
     reader = read_documents(args.input, strict=args.strict)
     try:
-        model = _train_lm(
-            reader, args.order, args.output, discount=args.discount, corpus_name=f"seed corpus {args.input}"
-        )
+        model = _train_lm(reader, args.order, args.output, corpus_name=f"seed corpus {args.input}")
     finally:
         # also when the corpus is empty once its malformed records are skipped
         _report_skipped(reader, args.input)
@@ -741,7 +738,6 @@ def build_parser() -> _Parser:
     p.add_argument("-i", "--input", required=True, help="seed corpus")
     p.add_argument("-o", "--output", required=True, help="model JSON path")
     p.add_argument("--order", type=int, default=5)
-    p.add_argument("--discount", type=float, default=None, help="fixed discount (testing aid)")
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("filter-ppl", parents=[strict], help="drop high-perplexity paragraphs")

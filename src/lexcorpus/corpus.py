@@ -43,72 +43,37 @@ class UnknownSourceError(CorpusError):
     """Source name not present in the source registry."""
 
 
-SOURCE_KINDS = ("legal", "replay", "instruction")
-
 # Shipped registry: the legal collections the pretraining mix draws from,
 # the general-domain replay classes, and the instruction classes. Extend at
 # runtime with register_source().
-DEFAULT_SOURCES: Dict[str, str] = {
-    "freelaw": "legal",
-    "edgar": "legal",
-    "multilegal_pile": "legal",
-    "europarl": "legal",
-    "govinfo": "legal",
-    "law_stackexchange": "legal",
-    "australian_legal": "legal",
-    "eu_legislation": "legal",
-    "uk_legislation": "legal",
-    "court_transcripts": "legal",
-    "uspto": "legal",
-    "legal": "legal",
-    "wikipedia": "replay",
-    "stackexchange": "replay",
-    "github": "replay",
-    "replay": "replay",
-    "super_natural_instructions": "instruction",
-    "flan": "instruction",
-    "instruction": "instruction",
-}
-
-_registry: Dict[str, str] = dict(DEFAULT_SOURCES)
-# One SourceTag per registered name, made at its first lookup: a registered
-# name's kind never changes, so every record of a source shares its tag.
-_tags: Dict[str, "SourceTag"] = {}
-
-
-def register_source(name: str, kind: str) -> None:
-    """Add a source name to the registry (idempotent for identical kind)."""
-    if kind not in SOURCE_KINDS:
-        raise ValueError(f"unknown source kind {kind!r}, expected one of {SOURCE_KINDS}")
-    existing = _registry.get(name)
-    if existing is not None and existing != kind:
-        raise ValueError(f"source {name!r} already registered with kind {existing!r}")
-    _registry[name] = kind
-
-
-def resolve_source(name: str) -> "SourceTag":
-    tag = _tags.get(name)
-    if tag is None:
-        kind = _registry.get(name)
-        if kind is None:
-            raise UnknownSourceError(f"source {name!r} is not in the registry; call register_source() first")
-        tag = _tags[name] = SourceTag(name=name, kind=kind)
-    return tag
+DEFAULT_SOURCES = (
+    "freelaw", "edgar", "multilegal_pile", "europarl", "govinfo", "law_stackexchange",
+    "australian_legal", "eu_legislation", "uk_legislation", "court_transcripts", "uspto", "legal",
+    "wikipedia", "stackexchange", "github", "replay",
+    "super_natural_instructions", "flan", "instruction",
+)
 
 
 @dataclass(frozen=True)
 class SourceTag:
     name: str
-    kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in SOURCE_KINDS:
-            raise ValueError(f"invalid source kind {self.kind!r}")
-        registered = _registry.get(self.name)
-        if registered is not None and registered != self.kind:
-            raise ValueError(
-                f"source {self.name!r} is registered as {registered!r}, not {self.kind!r}"
-            )
+
+# The registry: one SourceTag per registered name, so every record of a
+# source shares its tag.
+_tags: Dict[str, SourceTag] = {name: SourceTag(name) for name in DEFAULT_SOURCES}
+
+
+def register_source(name: str) -> None:
+    """Add a source name to the registry (idempotent)."""
+    _tags.setdefault(name, SourceTag(name))
+
+
+def resolve_source(name: str) -> SourceTag:
+    tag = _tags.get(name)
+    if tag is None:
+        raise UnknownSourceError(f"source {name!r} is not in the registry; call register_source() first")
+    return tag
 
 
 @dataclass
@@ -129,16 +94,12 @@ class Document:
 class Tokenizer:
     """Deterministic text-to-token interface; subclass and implement tokenize()."""
 
-    name = "abstract"
-
     def tokenize(self, text: str) -> list[str]:
         raise NotImplementedError
 
 
 class WhitespaceTokenizer(Tokenizer):
     """Default tokenizer: split on runs of whitespace."""
-
-    name = "whitespace"
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()

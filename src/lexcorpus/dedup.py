@@ -155,7 +155,7 @@ def minhash_signature(
     Deterministic in (text, shingle_n, permutations, seed)."""
     index = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=seed)
     tokens = tok.tokenize(text)
-    index.add(doc_id, text, tokens)
+    index.add_batch([doc_id], [text], [tokens])
     return MinHashSignature(
         doc_id=doc_id,
         values=index._sigs[0].copy(),
@@ -240,8 +240,8 @@ def write_cluster_dump(report: DedupReport, path) -> None:
 
 
 class Deduplicator:
-    """Exact then near dedup, fed in stream order: `add_batch` (or `add`)
-    the documents, then `resolve` once.
+    """Exact then near dedup, fed in stream order: `add_batch` the
+    documents, then `resolve` once.
 
     With `exact`, a document whose normalized text has the SHA-256 of an
     earlier one's is that one's exact duplicate. With `near`, every other
@@ -280,10 +280,6 @@ class Deduplicator:
             self._params = np.random.default_rng(seed).integers(0, 2**64, (2, permutations), dtype=np.uint64)
             self._params[0] |= np.uint64(1)  # odd multipliers a over offsets b, for `_sketch`
             self._token_hashes = _TokenHashes()
-
-    def add(self, doc_id: str, text: str, tokens: Sequence[str]) -> None:
-        """Take the next document, given with its tokens."""
-        self.add_batch([doc_id], [text], [tokens])
 
     def add_batch(self, ids: Sequence[str], texts: Sequence[str], token_lists: Sequence[Sequence[str]]) -> None:
         """Take the next documents in stream order, `token_lists[i]` the

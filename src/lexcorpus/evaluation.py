@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .corpus import Document, InputError, load_json, report_json, write_lines
 from .instruct import BackendError, ChatBackend, MalformedResponseError
-from .lm import PerplexityScore
+from .lm import ScoreError, perplexity
 
 CATEGORIES = (
     "issue_spotting",
@@ -361,8 +361,11 @@ class NgramScorer(LogProbScorer):
         return self.lm.token_log_probs(text, self.tok)
 
 
-def _doc_perplexity(scorer: LogProbScorer, text: str) -> float:
-    return PerplexityScore.from_log_probs(scorer.token_log_probs(text)).perplexity
+def _doc_perplexity(scorer: LogProbScorer, category: str, doc: Document) -> float:
+    log_probs = scorer.token_log_probs(doc.text)
+    if not log_probs:
+        raise ScoreError(f"category {category!r}: document {doc.id!r} has no tokens to score")
+    return perplexity(log_probs)
 
 
 @dataclass
@@ -408,11 +411,11 @@ def perplexity_report(
     for category, docs in docs_by_category.items():
         if not docs:
             raise ValueError(f"category {category!r} has no documents")
-        ppls = [_doc_perplexity(scorer, doc.text) for doc in docs]
+        ppls = [_doc_perplexity(scorer, category, doc) for doc in docs]
         median, iqr = _median_iqr(ppls)
         stats: Dict[str, float] = {"median": median, "iqr": iqr, "documents": float(len(docs))}
         if baseline is not None:
-            base_ppls = [_doc_perplexity(baseline, doc.text) for doc in docs]
+            base_ppls = [_doc_perplexity(baseline, category, doc) for doc in docs]
             base_median, base_iqr = _median_iqr(base_ppls)
             stats["baseline_median"] = base_median
             stats["baseline_iqr"] = base_iqr

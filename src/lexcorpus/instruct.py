@@ -31,6 +31,10 @@ if TYPE_CHECKING:
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
 AUTH_TOKEN_ENV = "LEXCORPUS_CHAT_TOKEN"
+# Sampling settings of every chat request, and its timeout in seconds
+CHAT_TEMPERATURE = 0.7
+CHAT_MAX_TOKENS = 512
+CHAT_TIMEOUT_S = 30.0
 
 T = TypeVar("T")
 
@@ -100,9 +104,6 @@ class Conversation:
                     f"turn {i} has role {turn.role!r}, expected {expected!r} "
                     "(roles must alternate starting with user)"
                 )
-
-    def messages(self) -> List[Dict[str, str]]:
-        return [{"role": t.role, "content": t.text} for t in self.turns]
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,6 @@ class HttpChatBackend(ChatBackend):
         self,
         endpoint: str,
         model: str,
-        temperature: float = 0.7,
-        max_tokens: int = 512,
-        timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.5,
         session: Optional[requests.Session] = None,
@@ -243,9 +241,6 @@ class HttpChatBackend(ChatBackend):
 
         self.endpoint = endpoint
         self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.session = session or requests.Session()
@@ -255,8 +250,8 @@ class HttpChatBackend(ChatBackend):
         payload = {
             "model": self.model,
             "messages": list(messages),
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": CHAT_TEMPERATURE,
+            "max_tokens": CHAT_MAX_TOKENS,
         }
         headers = {}
         token = os.environ.get(AUTH_TOKEN_ENV)
@@ -270,7 +265,7 @@ class HttpChatBackend(ChatBackend):
             delay = self.backoff * (2**attempt)
             try:
                 resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=CHAT_TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = exc

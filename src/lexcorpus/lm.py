@@ -78,24 +78,17 @@ class ScoreError(InputError):
     """Text that cannot be scored (e.g. empty after tokenization)."""
 
 
-@dataclass
-class PerplexityScore:
-    log_prob_sum: float
-    token_count: int
-    perplexity: float
-
-    @classmethod
-    def from_log_probs(cls, log_probs: Sequence[float]) -> "PerplexityScore":
-        if not log_probs:
-            raise ScoreError("cannot score zero tokens")
-        total = math.fsum(log_probs)
-        return cls(log_prob_sum=total, token_count=len(log_probs), perplexity=_perplexity(total, len(log_probs)))
-
-
 def _perplexity(total: float, n: int) -> float:
     """Perplexity of n tokens whose log-probs sum (math.fsum) to total;
     infinite when some token has probability 0."""
     return math.inf if total == -math.inf else math.exp(-total / n)
+
+
+def perplexity(log_probs: Sequence[float]) -> float:
+    """Perplexity of the tokens with these log-probs."""
+    if not log_probs:
+        raise ScoreError("cannot score zero tokens")
+    return _perplexity(math.fsum(log_probs), len(log_probs))
 
 
 class NGramLM:
@@ -317,11 +310,6 @@ def train_lm(
         discounts = [_estimate_discount(counts[k].values()) for k in range(order)]
 
     return NGramLM(order=order, vocab=vocab, counts=counts, discounts=discounts)
-
-
-def score(lm: NGramLM, text: str, tok: Tokenizer) -> PerplexityScore:
-    """Perplexity of text under the model; unknown tokens map to <unk>."""
-    return PerplexityScore.from_log_probs(lm.token_log_probs(text, tok))
 
 
 # -- filtering --------------------------------------------------------------

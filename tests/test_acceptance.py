@@ -43,7 +43,7 @@ from lexcorpus.instruct import (
     extend_conversation,
     scaffold_conversation,
 )
-from lexcorpus.lm import BOS, calibrate_threshold, filter_by_perplexity, score, train_lm
+from lexcorpus.lm import BOS, calibrate_threshold, filter_by_perplexity, perplexity, train_lm
 from lexcorpus.mix import MixSpec, assemble_mix
 from lexcorpus.synthdata import (
     build_task_suite,
@@ -126,8 +126,8 @@ def test_c04_perplexity_filter_separates_gibberish():
     start = time.monotonic()
     fixture = generate_ppl_fixture(seed=0, seed_docs=150, n_eval=10)
     model = train_lm(fixture.seed_docs, TOK, order=3)
-    in_ppls = [score(model, d.text, TOK).perplexity for d in fixture.in_domain]
-    gib_ppls = [score(model, d.text, TOK).perplexity for d in fixture.gibberish]
+    in_ppls = [perplexity(model.token_log_probs(d.text, TOK)) for d in fixture.in_domain]
+    gib_ppls = [perplexity(model.token_log_probs(d.text, TOK)) for d in fixture.gibberish]
     assert statistics.median(gib_ppls) >= 5 * statistics.median(in_ppls)
     threshold = calibrate_threshold(model, fixture.seed_docs, TOK, percentile=99.0)
     kept, dropped, _ = filter_by_perplexity(

@@ -630,6 +630,14 @@ def test_filter_ppl_names_an_empty_calibration_corpus(ppl_inputs, tmp_path, caps
     assert not out.exists()
 
 
+def test_ppl_report_names_a_document_without_tokens(ppl_inputs, tmp_path, capsys):
+    category, out = tmp_path / "cat.jsonl", tmp_path / "report.json"
+    category.write_text('{"id": "e0", "source": "freelaw", "text": "a b"}\n{"id": "e1", "source": "freelaw", "text": "   "}\n')
+    assert _main("ppl-report", "--model", ppl_inputs / "lm.json", "--category", f"odd={category}", "-o", out) == 1
+    assert capsys.readouterr().err == "lexcorpus: category 'odd': document 'e1' has no tokens to score\n"
+    assert not out.exists()
+
+
 def _json_input(kind, ppl_inputs, out):
     """A valid value of each kind of JSON input file."""
     if kind == "config":

@@ -214,11 +214,12 @@ def test_unknown_source_rejected():
         resolve_source("never-registered-anywhere")
 
 
-def test_register_source_idempotent_but_kind_locked():
-    register_source("scratchpad", "replay")
-    register_source("scratchpad", "replay")  # same kind: fine
-    with pytest.raises(ValueError):
-        register_source("scratchpad", "legal")
+def test_register_source_is_idempotent():
+    register_source("scratchpad")
+    tag = resolve_source("scratchpad")
+    register_source("scratchpad")
+    assert resolve_source("scratchpad") is tag
+    assert tag.name == "scratchpad"
 
 
 def test_resolve_source_returns_one_tag_per_registered_name(tmp_path):
@@ -230,13 +231,10 @@ def test_resolve_source_returns_one_tag_per_registered_name(tmp_path):
     # a name looked up before it is registered resolves once it is
     with pytest.raises(UnknownSourceError):
         resolve_source("interned-later")
-    register_source("interned-later", "instruction")
+    register_source("interned-later")
     tag = resolve_source("interned-later")
-    assert (tag.name, tag.kind) == ("interned-later", "instruction")
+    assert tag.name == "interned-later"
     assert resolve_source("interned-later") is tag
-    with pytest.raises(ValueError, match="already registered"):
-        register_source("interned-later", "legal")
-    assert resolve_source("interned-later").kind == "instruction"
 
 
 def test_empty_id_rejected():

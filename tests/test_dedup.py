@@ -129,7 +129,7 @@ def test_add_batch_signs_each_document_as_alone(token_lists, shingle_n, permutat
     batch.add_batch(ids, texts, token_lists)
     alone = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=4)
     for doc_id, text, tokens in zip(ids, texts, token_lists):
-        alone.add(doc_id, text, tokens)
+        alone.add_batch([doc_id], [text], [tokens])
     rows = batch._sigs[: len(texts)]
     assert np.array_equal(rows, alone._sigs[: len(texts)])
     for row, text in zip(rows, texts):

@@ -272,8 +272,9 @@ def test_uniform_scorer_is_exact():
 
 
 def test_perplexity_report_rejects_a_document_without_tokens(make_doc):
-    with pytest.raises(ScoreError, match="^cannot score zero tokens$"):
-        perplexity_report({"blank": [make_doc(" \n ")]}, UniformScorer(vocab_size=4))
+    docs = [make_doc("a b"), make_doc(" \n ", doc_id="e1")]
+    with pytest.raises(ScoreError, match="^category 'blank': document 'e1' has no tokens to score$"):
+        perplexity_report({"blank": docs}, UniformScorer(vocab_size=4))
 
 
 def test_reduction_arithmetic():

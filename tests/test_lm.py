@@ -31,8 +31,8 @@ from lexcorpus.lm import (
     calibrate_threshold,
     filter_by_perplexity,
     load_lm,
+    perplexity,
     save_lm,
-    score,
     train_lm,
 )
 from lexcorpus.synthdata import generate_seed_corpus
@@ -62,17 +62,23 @@ def test_hand_unigram_mle(make_doc, tok):
 
 def test_hand_perplexity_sqrt_nine_halves(make_doc, tok):
     model = _mle_unigram(make_doc, tok, "a a b")
-    result = score(model, "a b", tok)
-    assert result.perplexity == pytest.approx(math.sqrt(9 / 2), abs=1e-9)
-    assert result.token_count == 2
+    log_probs = model.token_log_probs("a b", tok)
+    assert perplexity(log_probs) == pytest.approx(math.sqrt(9 / 2), abs=1e-9)
+    assert len(log_probs) == 2
 
 
 def test_uniform_model_perplexity_is_vocab_size(make_doc, tok):
     # one occurrence of each of 4 tokens -> uniform MLE unigram
     model = _mle_unigram(make_doc, tok, "w x y z")
-    result = score(model, "w x y z w x y z w x", tok)
-    assert result.token_count == 10
-    assert result.perplexity == pytest.approx(4.0, abs=1e-9)
+    log_probs = model.token_log_probs("w x y z w x y z w x", tok)
+    assert len(log_probs) == 10
+    assert perplexity(log_probs) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_perplexity_sums_the_log_probs_exactly():
+    """Each tiny log-prob is below half an ulp of 20, so a running float sum
+    drops all 999 of them; perplexity sums as math.fsum does."""
+    assert perplexity([-20.0] + [-1e-15] * 999) == math.exp(20.000000000001 / 1000)
 
 
 def test_normalization_all_orders(make_doc, tok):
@@ -98,7 +104,7 @@ def test_training_deterministic(make_doc, tok):
     a = train_lm(docs, tok, order=3)
     b = train_lm(docs, tok, order=3)
     probe = "the court held that the motion was denied"
-    assert score(a, probe, tok).log_prob_sum == score(b, probe, tok).log_prob_sum
+    assert math.fsum(a.token_log_probs(probe, tok)) == math.fsum(b.token_log_probs(probe, tok))
 
 
 def test_training_text_beats_shuffled_for_higher_orders(make_doc, tok):
@@ -109,7 +115,7 @@ def test_training_text_beats_shuffled_for_higher_orders(make_doc, tok):
     rng = random.Random(4)
     shuffled = tokens[:]
     rng.shuffle(shuffled)
-    assert score(model, text, tok).perplexity < score(model, " ".join(shuffled), tok).perplexity
+    assert perplexity(model.token_log_probs(text, tok)) < perplexity(model.token_log_probs(" ".join(shuffled), tok))
 
 
 def test_mle_monotone_in_data(make_doc, tok):
@@ -119,7 +125,7 @@ def test_mle_monotone_in_data(make_doc, tok):
     para = "the plaintiff moved for summary judgment on the contract claim"
     before = train_lm(base_docs, tok, order=1, discount=0.0)
     after = train_lm(base_docs + [make_doc(para)], tok, order=1, discount=0.0)
-    assert score(after, para, tok).perplexity <= score(before, para, tok).perplexity + 1e-9
+    assert perplexity(after.token_log_probs(para, tok)) <= perplexity(before.token_log_probs(para, tok)) + 1e-9
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -158,7 +164,7 @@ def test_bad_order_rejected(make_doc, tok):
 def test_empty_text_scores_error(make_doc, tok):
     model = _mle_unigram(make_doc, tok, "a a b")
     with pytest.raises(ScoreError):
-        score(model, "   ", tok)
+        perplexity(model.token_log_probs("   ", tok))
 
 
 def test_serialization_roundtrip(tmp_path, tok):
@@ -173,8 +179,8 @@ def test_serialization_roundtrip(tmp_path, tok):
         docs[3].text.split("\n\n")[0],
     ]
     for probe in probes:
-        assert score(loaded, probe, tok).log_prob_sum == pytest.approx(
-            score(model, probe, tok).log_prob_sum, abs=1e-9
+        assert math.fsum(loaded.token_log_probs(probe, tok)) == pytest.approx(
+            math.fsum(model.token_log_probs(probe, tok)), abs=1e-9
         )
 
 
@@ -423,8 +429,8 @@ def test_lm_module_does_not_import_numpy():
 
 
 def _reference_perplexity(log_probs):
-    """The body of PerplexityScore.from_log_probs, which the filter and the
-    calibration once ran per paragraph."""
+    """The body of lm.perplexity, which the filter and the calibration once
+    ran per paragraph."""
     total = math.fsum(log_probs)
     return float("inf") if total == float("-inf") else math.exp(-total / len(log_probs))
 
