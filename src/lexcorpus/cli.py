@@ -153,11 +153,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 # -- shared helpers -------------------------------------------------------------
 
 
-def _read_corpus(path: str | Path, strict: bool) -> List[Document]:
+def _documents(path: str | Path, strict: bool) -> Iterator[Document]:
+    """The documents of the corpus at `path`, read as they are taken; its
+    lenient-mode skips are reported once they are exhausted."""
     reader = read_documents(path, strict=strict)
-    docs = list(reader)
+    yield from reader
     _report_skipped(reader, path)
-    return docs
 
 
 def _report_skipped(reader: CorpusReader, path: str | Path) -> None:
@@ -301,6 +302,17 @@ def _name_path(value: str) -> Tuple[str, str]:
     return name, path
 
 
+def _by_name(pairs: Sequence[Tuple[str, str]], option: str) -> Dict[str, str]:
+    """The values of a repeatable NAME=PATH option by NAME; a NAME given
+    twice raises ValueError, since only one of its paths could be read."""
+    paths: Dict[str, str] = {}
+    for name, path in pairs:
+        if name in paths:
+            raise ValueError(f"{option} names {name!r} twice")
+        paths[name] = path
+    return paths
+
+
 def _clean(docs: Iterable[Document], rules: Optional[cleaning.RuleSet]) -> List[Document]:
     """normalize (rules None) or filter-rules: returns the cleaned
     documents, a document whose text did not change as itself; those
@@ -360,9 +372,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_mine_ngrams(args) -> int:
-    reader = read_documents(args.input, strict=args.strict)
-    table = cleaning.mine_ngrams(reader, TOKENIZER, n=args.n, top_k=args.top_k)
-    _report_skipped(reader, args.input)
+    table = cleaning.mine_ngrams(_documents(args.input, args.strict), TOKENIZER, n=args.n, top_k=args.top_k)
     cleaning.write_ngram_report(table, args.output)
     print(f"mined top {len(table.entries)} {args.n}-grams -> {args.output}")
     return 0
@@ -396,12 +406,10 @@ def cmd_filter_ppl(args) -> int:
     else:
         if not args.calibration_corpus:
             raise ValueError("need --threshold or --calibration-corpus with --percentile")
-        calib = _read_corpus(args.calibration_corpus, args.strict)
         threshold = lm.calibrate_threshold(
-            model, calib, TOKENIZER, percentile=args.percentile,
+            model, _documents(args.calibration_corpus, args.strict), TOKENIZER, percentile=args.percentile,
             corpus_name=f"calibration corpus {args.calibration_corpus}",
         )
-        del calib
     # checks the threshold and granularity before an output is opened, and
     # gives the empty report that each batch's report is merged into
     _, _, report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, args.granularity)
@@ -460,12 +468,13 @@ def cmd_dedup(args) -> int:
 def cmd_mix(args) -> int:
     from . import mix
 
+    paths = _by_name(args.input, "--input")
     _refuse_write_through(None, [args.output, args.manifest])
     spec = mix.load_mix_spec(args.spec)
     if args.seed is not None:
         spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
-    sources = {name: _read_corpus(path, args.strict) for name, path in args.input}
-    mixed, manifest = mix.assemble_mix(sources, spec, TOKENIZER)
+    sources = {name: list(_documents(path, args.strict)) for name, path in paths.items()}
+    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(TOKENIZER.tokenize(doc.text))))
     write_documents(mixed, args.output)
     _write_report(args.manifest, manifest)
     print(f"mixed {len(mixed)} documents, {manifest.total_tokens} tokens -> {args.output}")
@@ -560,13 +569,14 @@ def cmd_eval(args) -> int:
 def cmd_ppl_report(args) -> int:
     from . import evaluation, lm
 
+    paths = _by_name(args.category, "--category")
     scorer = evaluation.NgramScorer(lm.load_lm(args.model), TOKENIZER, name=Path(args.model).stem)
     baseline = None
     if args.baseline_model:
         baseline = evaluation.NgramScorer(
             lm.load_lm(args.baseline_model), TOKENIZER, name=Path(args.baseline_model).stem
         )
-    docs_by_category = {name: _read_corpus(path, args.strict) for name, path in args.category}
+    docs_by_category = {name: _documents(path, args.strict) for name, path in paths.items()}
     report = evaluation.perplexity_report(docs_by_category, scorer, baseline)
     if args.output:
         _write_report(args.output, report)
@@ -618,7 +628,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
 
     running = training
     try:
-        seed_docs = _clean(_read_corpus(cfg.seed_corpus, strict), rules)
+        seed_docs = _clean(_documents(cfg.seed_corpus, strict), rules)
         model = _train_lm(seed_docs, cfg.lm_order, out / "lm.json")
         training.update(documents=len(seed_docs), tokens=_token_total(seed_docs), order=cfg.lm_order)
 
@@ -686,7 +696,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         for idx, name in enumerate(kept_sources):
             if name in survivors and idx not in removed:
                 survivors[name].append(idx)
-        picked, mix_manifest = mix.sample_mix(survivors, spec, lambda idx: (ids[idx], token_counts[idx]))
+        picked, mix_manifest = mix.assemble_mix(survivors, spec, lambda idx: (ids[idx], token_counts[idx]))
         mixed = _decode_lines(pplfiltered, starts, picked, ids)
         write_documents(mixed, out / "05_mix.jsonl")
         _write_report(out / "mix_manifest.json", mix_manifest)

@@ -239,8 +239,14 @@ def run_benchmark(
 
     Backend failures are recorded as ABSTAIN with the failure reason and the
     run continues. Records are sorted by (task, index) before aggregation,
-    so a fixed backend yields a bit-identical report and dump.
+    so a fixed backend yields a bit-identical report and dump. Two tasks of
+    one name, whose records would merge, raise TaskFormatError.
     """
+    names: set = set()
+    for task in tasks:
+        if task.name in names:
+            raise TaskFormatError(f"two tasks are named {task.name!r}")
+        names.add(task.name)
     jobs = [
         (task, idx, text, gold)
         for task in tasks
@@ -400,22 +406,27 @@ def _median_iqr(values: List[float]) -> Tuple[float, float]:
 
 
 def perplexity_report(
-    docs_by_category: Dict[str, List[Document]],
+    docs_by_category: Dict[str, Iterable[Document]],
     scorer: LogProbScorer,
     baseline: Optional[LogProbScorer] = None,
 ) -> PerplexityReport:
     """Per-category median perplexity and interquartile range under the
     scorer; with a baseline scorer, also the relative median reduction
-    (baseline - scorer) / baseline per category."""
+    (baseline - scorer) / baseline per category. Each category's documents
+    are read once, scored by both in one pass."""
     report = PerplexityReport(scorer=scorer.name, baseline=baseline.name if baseline else None)
     for category, docs in docs_by_category.items():
-        if not docs:
+        ppls: List[float] = []
+        base_ppls: List[float] = []
+        for doc in docs:
+            ppls.append(_doc_perplexity(scorer, category, doc))
+            if baseline is not None:
+                base_ppls.append(_doc_perplexity(baseline, category, doc))
+        if not ppls:
             raise ValueError(f"category {category!r} has no documents")
-        ppls = [_doc_perplexity(scorer, category, doc) for doc in docs]
         median, iqr = _median_iqr(ppls)
-        stats: Dict[str, float] = {"median": median, "iqr": iqr, "documents": float(len(docs))}
+        stats: Dict[str, float] = {"median": median, "iqr": iqr, "documents": float(len(ppls))}
         if baseline is not None:
-            base_ppls = [_doc_perplexity(baseline, category, doc) for doc in docs]
             base_median, base_iqr = _median_iqr(base_ppls)
             stats["baseline_median"] = base_median
             stats["baseline_iqr"] = base_iqr

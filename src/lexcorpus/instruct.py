@@ -403,6 +403,8 @@ def decontaminate(
     """Drop any conversation sharing an n-token shingle with a benchmark
     input (exact overlap on normalized whitespace tokens). Benchmark texts
     shorter than one shingle cannot match and are ignored."""
+    if shingle_n < 1:
+        raise ValueError("shingle_n must be >= 1")
     benchmark_shingles: Set[Tuple[str, ...]] = set()
     for text in benchmark_texts:
         benchmark_shingles |= _shingles(text, shingle_n)

@@ -13,18 +13,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Tuple, TypeVar
 
-from .corpus import (
-    Document,
-    DuplicateIdError,
-    InputError,
-    Tokenizer,
-    WhitespaceTokenizer,
-    load_json,
-    report_json,
-    resolve_source,
-)
+from .corpus import DuplicateIdError, InputError, load_json, report_json, resolve_source
 
 FRACTION_SUM_TOLERANCE = 1e-9
 
@@ -102,28 +93,19 @@ def _ids_digest(ids: List[str]) -> str:
 
 
 def assemble_mix(
-    sources: Dict[str, Iterable[Document]],
-    spec: MixSpec,
-    tok: Optional[Tokenizer] = None,
-) -> Tuple[List[Document], MixManifest]:
-    """Sample each source to its token share and emit a globally shuffled mix.
-
-    Raises MixError for spec sources without a stream and
-    InsufficientTokensError when a source cannot reach its share.
-    """
-    tok = tok or WhitespaceTokenizer()
-    return sample_mix(sources, spec, lambda doc: (doc.id, len(tok.tokenize(doc.text))))
-
-
-def sample_mix(
     sources: Dict[str, Iterable[T]],
     spec: MixSpec,
     measure: Callable[[T], Tuple[str, int]],
 ) -> Tuple[List[T], MixManifest]:
-    """assemble_mix over items of any kind, `measure(item)` giving an item's
-    document id and token count; it is called only for the items a source's
-    walk reaches. A shuffle permutes by position alone, so the items of a
-    source, whatever they are, are picked in the order its documents would be.
+    """Sample each source to its token share and emit a globally shuffled mix.
+
+    The items may be of any kind, `measure(item)` giving an item's document
+    id and token count; it is called only for the items a source's walk
+    reaches. A shuffle permutes by position alone, so the items of a source,
+    whatever they are, are picked in the order its documents would be.
+
+    Raises MixError for spec sources without a stream and
+    InsufficientTokensError when a source cannot reach its share.
     """
     manifest = MixManifest(seed=spec.seed)
     mixed: List[T] = []

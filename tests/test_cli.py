@@ -159,6 +159,35 @@ def test_decontaminate_names_a_bad_conversation_line(tmp_path, capsys, bad_line)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shingle_n", ["0", "-3"])
+def test_decontaminate_refuses_a_shingle_size_below_one(tmp_path, capsys, shingle_n):
+    conv = instruct.scaffold_conversation(instruct.LabeledExample(id="e1", input_text="Some clause.", label="x"))
+    convs = tmp_path / "conv.jsonl"
+    convs.write_text(f"{instruct.conversation_to_json(conv)}\n")
+    bench, out = tmp_path / "bench.txt", tmp_path / "clean.jsonl"
+    bench.write_text("Zz qq\n")
+    argv = ["decontaminate", "-i", convs, "-o", out, "--benchmark-file", bench, "--shingle-n"]
+    assert _main(*argv, "1") == 0
+    assert capsys.readouterr().out == f"decontamination kept 1, removed 0 -> {out}\n"
+    out.unlink()
+    assert _main(*argv, shingle_n) == 1
+    assert capsys.readouterr().err == "lexcorpus: shingle_n must be >= 1\n"
+    assert not out.exists()
+
+
+def test_eval_refuses_two_tasks_of_one_name(ppl_inputs, tmp_path, capsys):
+    tasks = tmp_path / "tasks"
+    tasks.mkdir()
+    task = sorted((ppl_inputs / "tasks").iterdir())[0]
+    shutil.copyfile(task, tasks / "a.json")
+    shutil.copyfile(task, tasks / "b.json")
+    name = json.loads(task.read_text())["name"]
+    report, dump = tmp_path / "eval.json", tmp_path / "dump.jsonl"
+    assert _main("eval", "--task-dir", tasks, "--report", report, "--dump", dump) == 1
+    assert capsys.readouterr() == ("", f"lexcorpus: two tasks are named {name!r}\n")
+    assert not report.exists() and not dump.exists()
+
+
 def test_pipeline_end_to_end(pipeline_inputs):
     result = run_cli("pipeline", "--config", str(pipeline_inputs / "config.json"))
     assert result.returncode == 0, result.stderr
@@ -844,6 +873,39 @@ def test_streamed_subcommands_report_malformed_records_once(pipeline_inputs, see
     assert capsys.readouterr().err == f"lexcorpus: skipped 1 malformed records in {broken}\n"
 
 
+def _one_read_argv(command, broken, pipeline_inputs, seed_lm, tmp_path):
+    """argv of a subcommand that reads the corpus `broken` whole, in one pass."""
+    if command == "mix":
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 1000, "seed": 3}')
+        return ["mix", "--spec", spec, "-i", f"freelaw={broken}", "-o", tmp_path / "mix.jsonl",
+                "--manifest", tmp_path / "manifest.json"]
+    return {
+        "ppl-report": ["ppl-report", "--model", seed_lm, "--baseline-model", seed_lm, "--category", f"x={broken}",
+                       "-o", tmp_path / "report.json"],
+        "filter-ppl": ["filter-ppl", "-i", pipeline_inputs / "corpus.jsonl", "-o", tmp_path / "kept.jsonl",
+                       "--model", seed_lm, "--calibration-corpus", broken],
+        "mine-ngrams": ["mine-ngrams", "-i", broken, "-o", tmp_path / "ngrams.tsv", "-n", "3"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["ppl-report", "filter-ppl", "mix", "mine-ngrams"])
+def test_one_read_subcommands_report_malformed_records_once(pipeline_inputs, seed_lm, tmp_path, capsys, command):
+    broken = _with_malformed_line(pipeline_inputs, tmp_path)
+    capsys.readouterr()
+    assert _main(*_one_read_argv(command, broken, pipeline_inputs, seed_lm, tmp_path)) == 0
+    assert capsys.readouterr().err == f"lexcorpus: skipped 1 malformed records in {broken}\n"
+
+
+@pytest.mark.parametrize("command, option, name", [("mix", "--input", "freelaw"), ("ppl-report", "--category", "x")])
+def test_a_name_given_twice_is_refused(pipeline_inputs, seed_lm, tmp_path, capsys, command, option, name):
+    argv = _one_read_argv(command, pipeline_inputs / "corpus.jsonl", pipeline_inputs, seed_lm, tmp_path)
+    capsys.readouterr()
+    assert _main(*argv, option, f"{name}={os.devnull}") == 1
+    assert capsys.readouterr() == ("", f"lexcorpus: {option} names {name!r} twice\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["spec.json"] if command == "mix" else [])
+
+
 def test_normalize_in_place_matches_separate_output(pipeline_inputs, tmp_path):
     separate = tmp_path / "separate.jsonl"
     in_place = tmp_path / "in_place.jsonl"
@@ -961,7 +1023,7 @@ def test_pipeline_refuses_a_stage_output_linked_to_its_corpus(pipeline_inputs, t
         (lm.FilterReport, "to_json", "filter-ppl"),
         (dedup.Deduplicator, "add_batch", "dedup"),
         (dedup.Deduplicator, "resolve", "dedup"),
-        (mix, "sample_mix", "mix"),
+        (mix, "assemble_mix", "mix"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -1360,7 +1422,8 @@ def _mix_of(path: Path, spec) -> tuple:
     decoded corpus at `path`."""
     docs = list(read_documents(path))
     sources = {name: [doc for doc in docs if doc.source.name == name] for name, _ in spec.entries}
-    mixed, manifest = mix.assemble_mix(sources, spec, WhitespaceTokenizer())
+    tok = WhitespaceTokenizer()
+    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(tok.tokenize(doc.text))))
     out = path.parent / "assembled.jsonl"
     write_documents(mixed, out)
     return out.read_bytes(), manifest.to_json() + "\n"

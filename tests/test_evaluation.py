@@ -298,6 +298,20 @@ def test_perplexity_report_reduction_against_baseline(tok):
     assert stats["median"] < stats["baseline_median"]
 
 
+def test_perplexity_report_reads_each_category_once(tok):
+    from lexcorpus.lm import train_lm
+
+    docs = generate_seed_corpus(seed=6, docs=30)
+    scorer = NgramScorer(train_lm(docs, tok, order=2), tok, name="ours")
+    baseline = UniformScorer(vocab_size=5000, name="base")
+    categories = {"early": docs[:10], "late": docs[10:]}
+    over_lists = perplexity_report(categories, scorer, baseline)
+    one_shot = {name: (doc for doc in part) for name, part in categories.items()}
+    over_generators = perplexity_report(one_shot, scorer, baseline)
+    assert over_generators.to_json() == over_lists.to_json()
+    assert over_lists.per_category["late"]["documents"] == 20
+
+
 @pytest.mark.parametrize("body", ['["not", "an", "object"]', '{"completion": null}', "{}"])
 def test_run_benchmark_records_malformed_responses(fake_session, sleeps, body):
     suite = build_task_suite(seed=11)[:2]

@@ -17,6 +17,12 @@ from lexcorpus.mix import (
 from lexcorpus.synthdata import generate_mix_inputs, generate_seed_corpus
 
 
+@pytest.fixture()
+def measure(tok):
+    """A document's id and whitespace token count, as the mix subcommand measures it."""
+    return lambda doc: (doc.id, len(tok.tokenize(doc.text)))
+
+
 def _two_source_spec(budget=50_000, seed=7):
     return MixSpec(entries=[("legal", 0.98), ("replay", 0.02)], token_budget=budget, seed=seed)
 
@@ -60,18 +66,18 @@ def test_derive_seed_stable_across_runs():
     assert derive_seed(42, "legal") != derive_seed(43, "legal")
 
 
-def test_assemble_realizes_requested_fractions(tok):
+def test_assemble_realizes_requested_fractions(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, manifest = assemble_mix(sources, spec, tok)
+    _, manifest = assemble_mix(sources, spec, measure)
     assert manifest.realized_fraction("replay") == pytest.approx(0.02, abs=0.005)
     assert manifest.realized_fraction("legal") == pytest.approx(0.98, abs=0.005)
 
 
-def test_assemble_overshoot_bounded_by_one_document(tok):
+def test_assemble_overshoot_bounded_by_one_document(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, manifest = assemble_mix(sources, spec, tok)
+    _, manifest = assemble_mix(sources, spec, measure)
     for name, frac in spec.entries:
         requested = int(manifest.per_source[name]["requested_tokens"])
         realized = int(manifest.per_source[name]["realized_tokens"])
@@ -79,43 +85,43 @@ def test_assemble_overshoot_bounded_by_one_document(tok):
         assert requested <= realized < requested + max_doc
 
 
-def test_assemble_deterministic(tok):
+def test_assemble_deterministic(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    mixed_a, man_a = assemble_mix(sources, spec, tok)
-    mixed_b, man_b = assemble_mix(sources, spec, tok)
+    mixed_a, man_a = assemble_mix(sources, spec, measure)
+    mixed_b, man_b = assemble_mix(sources, spec, measure)
     assert [d.id for d in mixed_a] == [d.id for d in mixed_b]
     assert man_a.to_json() == man_b.to_json()
 
 
-def test_different_seed_changes_selection(tok):
+def test_different_seed_changes_selection(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
-    a, _ = assemble_mix(sources, _two_source_spec(seed=7), tok)
-    b, _ = assemble_mix(sources, _two_source_spec(seed=8), tok)
+    a, _ = assemble_mix(sources, _two_source_spec(seed=7), measure)
+    b, _ = assemble_mix(sources, _two_source_spec(seed=8), measure)
     assert [d.id for d in a] != [d.id for d in b]
 
 
-def test_insufficient_source_tokens_is_an_error(tok):
+def test_insufficient_source_tokens_is_an_error(measure):
     sources = {
         "legal": generate_seed_corpus(seed=1, docs=50),
         "replay": generate_seed_corpus(seed=2, docs=1, source="wikipedia"),
     }
     spec = MixSpec(entries=[("legal", 0.5), ("replay", 0.5)], token_budget=40_000, seed=0)
     with pytest.raises(InsufficientTokensError):
-        assemble_mix(sources, spec, tok)
+        assemble_mix(sources, spec, measure)
 
 
-def test_unknown_source_in_spec_is_an_error(tok):
+def test_unknown_source_in_spec_is_an_error(measure):
     sources = {"legal": generate_seed_corpus(seed=1, docs=10)}
     spec = MixSpec(entries=[("legal", 0.98), ("replay", 0.02)], token_budget=1000, seed=0)
     with pytest.raises(MixError):
-        assemble_mix(sources, spec, tok)
+        assemble_mix(sources, spec, measure)
 
 
-def test_validate_mix_tolerances(tok):
+def test_validate_mix_tolerances(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, manifest = assemble_mix(sources, spec, tok)
+    _, manifest = assemble_mix(sources, spec, measure)
     assert validate_mix(manifest, spec, tolerance=0.005).passed
     report = validate_mix(manifest, spec, tolerance=0.0)
     assert not report.passed
@@ -123,11 +129,11 @@ def test_validate_mix_tolerances(tok):
     assert payload["tolerance"] == 0.0
 
 
-def test_manifest_digest_tracks_document_identity(tok):
+def test_manifest_digest_tracks_document_identity(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, man_a = assemble_mix(sources, spec, tok)
-    _, man_b = assemble_mix(sources, _two_source_spec(seed=8), tok)
+    _, man_a = assemble_mix(sources, spec, measure)
+    _, man_b = assemble_mix(sources, _two_source_spec(seed=8), measure)
     assert (
         man_a.per_source["legal"]["ids_digest"]
         != man_b.per_source["legal"]["ids_digest"]
