@@ -111,7 +111,7 @@ class WhitespaceTokenizer(Tokenizer):
 BUFFER_SIZE = 64 * 1024
 
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-_decode_json = json.JSONDecoder().decode
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _field_error(obj: dict) -> str:
@@ -129,11 +129,18 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
         line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"line {lineno}: invalid UTF-8 ({exc})") from None
+    # One scanner call for a line in the shape every writer here emits: a
+    # value at its first character, then its newline. Any other line gets
+    # json.loads' verdict word for word. Nesting deeper than the recursion
+    # limit, or an integer too long to convert, is bad JSON, not a crash.
     try:
-        if line.startswith("\ufeff"):  # json.loads' own check, word for word
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-        obj = _decode_json(line)
-    except json.JSONDecodeError as exc:
+        try:
+            obj, end = _scan_json(line, 0)
+        except StopIteration:  # no value at the first character
+            end = len(line)
+        if line[end:] != "\n":
+            obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
         raise CorpusError(f"line {lineno}: invalid JSON ({exc})") from None
     if type(obj) is not dict:
         raise CorpusError(f"line {lineno}: record is not a JSON object")
@@ -146,8 +153,10 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
         raise CorpusError(f"line {lineno}: meta must be a flat string-to-string object")
     # JSON smuggles lone surrogates ("\ud800") through the decoder, and they
     # cannot be written back as UTF-8. Valid UTF-8 holds no surrogate, so one
-    # can only come from a \uD800-\uDFFF escape: only a line with one is checked.
-    if _SURROGATE_ESCAPE.search(raw):
+    # can only come from a \uD800-\uDFFF escape, and it is never ASCII: a
+    # record is checked only if its line has such an escape and it has a
+    # meta or a non-ASCII field.
+    if (meta or not (text.isascii() and doc_id.isascii() and source.isascii())) and _SURROGATE_ESCAPE.search(raw):
         try:
             for value in (doc_id, source, text, *meta, *meta.values()):
                 value.encode("utf-8")
@@ -157,7 +166,7 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
         tag = resolve_source(source)
     except UnknownSourceError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None
-    return Document(id=doc_id, source=tag, text=text, meta=meta)
+    return Document(doc_id, tag, text, meta)
 
 
 class CorpusReader:
@@ -168,7 +177,8 @@ class CorpusReader:
     3.9 MB for 30,000 eleven-character ids), not with the documents' size.
     In lenient mode malformed records are skipped; ``.skipped`` holds the
     running count and is final once the stream is exhausted. Duplicate ids
-    are an error in either mode.
+    are an error in either mode. Each iteration reads the file afresh and
+    counts from 0.
     """
 
     def __init__(self, path: str | Path, strict: bool = False):
@@ -183,9 +193,10 @@ class CorpusReader:
 
     def __iter__(self) -> Iterator[Document]:
         seen: set[str] = set()
+        self.skipped = self.count = 0
         with open(self.path, "rb", buffering=BUFFER_SIZE) as fh:
             for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
+                if raw.isspace():
                     continue
                 try:
                     doc = _parse_record(raw, lineno)
@@ -299,7 +310,7 @@ def load_json(
     with open(path, "r", encoding="utf-8") as fh:
         try:
             value = json.load(fh)
-        except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, or nesting too deep
             raise error(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return build(value)

@@ -287,7 +287,7 @@ class HttpChatBackend(ChatBackend):
 def _completion(resp) -> str:
     try:
         body = resp.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise MalformedResponseError(f"response body is {type(body).__name__}, not a JSON object")
@@ -445,7 +445,7 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> List
                 continue
             try:
                 out.append(build(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return out
 

@@ -106,6 +106,20 @@ def test_strict_flag_rejects_malformed_lines(tmp_path):
     assert strict.returncode == 1
 
 
+def test_normalize_skips_or_names_a_record_nested_too_deep(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    deep = "[" * 100000 + "]" * 100000
+    src.write_text(f'{{"id":"1","source":"freelaw","text":"ok"}}\n{{"id":"2","source":"freelaw","text":"t","meta":{deep}}}\n')
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["normalize", "-i", str(src), "-o", str(out)]) == 0
+    assert f"lexcorpus: skipped 1 malformed records in {src}" in capsys.readouterr().err
+    assert [doc.id for doc in read_documents(out)] == ["1"]
+    assert cli.main(["normalize", "--strict", "-i", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "lexcorpus: line 2: invalid JSON (maximum recursion depth exceeded while decoding a JSON array"
+    )
+
+
 def test_curate_prompts_subcommand(tmp_path):
     orig = tmp_path / "orig.txt"
     orig.write_text("Classify.\n\nQuestion: sample? \nAnswer: Yes\n\nQuestion: {text}\nAnswer:")
@@ -125,6 +139,15 @@ def test_gen_instructions_stub_backend(tmp_path):
     conv = json.loads(out.read_text())
     assert conv["origin"] == "e1"
     assert conv["turns"][0]["role"] == "user"
+
+
+def test_gen_instructions_names_an_example_line_nested_too_deep(tmp_path, capsys):
+    examples = tmp_path / "ex.jsonl"
+    examples.write_text('{"id":"e1","input_text":"Some clause.","label":"contracts"}\n' + "[" * 100000 + "]" * 100000 + "\n")
+    out = tmp_path / "conv.jsonl"
+    assert cli.main(["gen-instructions", "--examples", str(examples), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"lexcorpus: {examples}:2: bad labeled example: maximum recursion depth")
+    assert not out.exists()
 
 
 def test_gen_instructions_total_failure_exits_2(tmp_path):
@@ -704,6 +727,10 @@ _NOT_JSON = (
     b"{not json\n", " is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 )
 _NOT_UTF8 = (b"\xff{}", " is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+_TOO_DEEP = (
+    b"[" * 100000 + b"]" * 100000,
+    " is not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+)
 _TASK_NOT_STRINGS = ": task 'argument_tone': name, category, template, labels and instances must be strings"
 
 
@@ -717,7 +744,7 @@ def _case(kind, case, edit, message=None):
     "kind, edit, message",
     [
         *(_case(kind, case, raw) for kind in ("config", "rule file", "model", "task file", "mix spec")
-          for case, raw in (("not-json", _NOT_JSON), ("not-utf8", _NOT_UTF8))),
+          for case, raw in (("not-json", _NOT_JSON), ("not-utf8", _NOT_UTF8), ("too-deep", _TOO_DEEP))),
         _case("config", "missing", _drop("paths"), ": 'paths'"),
         _case("config", "mistyped", _set("seed", "x"), ": invalid literal for int() with base 10: 'x'"),
         _case("config", "mistyped-section", _set("lm", 5), ": 'int' object has no attribute 'get'"),

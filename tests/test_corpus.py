@@ -173,6 +173,19 @@ READER_MESSAGES = [
     (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"\\ud800": "v"}}', _SURROGATE_MESSAGE),
     (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\\ud800"}}', _SURROGATE_MESSAGE),
     (b'{"id": "m", "source": "nowhere", "text": "t"}', "source 'nowhere' is not in the registry; call register_source() first"),
+    (b' {"id": "m", "source": "freelaw", "text": "t"} {}', "invalid JSON (Extra data: line 1 column 48 (char 47))"),
+    (b'{"id": "m", "source": "freelaw", "text": "t"}{}', "invalid JSON (Extra data: line 1 column 46 (char 45))"),
+    (b'{"id": "m", "source": "freelaw", "text": "t"} {}\r', "invalid JSON (Extra data: line 1 column 47 (char 46))"),
+    (
+        b'{"id": "m", "source": "freelaw", "text": "t \\udfff"}',
+        "record is not valid Unicode: 'utf-8' codec can't encode character '\\udfff' in position 2: surrogates not allowed",
+    ),
+    (
+        b'{"id": "m", "source": "freelaw", "text": "\\ude00\\ud83d"}',
+        "record is not valid Unicode: 'utf-8' codec can't encode characters in position 0-1: surrogates not allowed",
+    ),
+    ('{"id": "m", "source": "freelaw", "text": "\u00e9", "meta": {"k": "\\ud800"}}'.encode(), _SURROGATE_MESSAGE),
+    ('{"id": "m", "source": "freelaw", "text": "\u00e9", "meta": {"\\ud800": "v"}}'.encode(), _SURROGATE_MESSAGE),
 ]
 
 
@@ -186,6 +199,165 @@ def test_reader_message_and_skip_count_for_each_malformed_record(tmp_path, line,
     reader = read_documents(path)
     assert [doc.id for doc in reader] == ["a"]
     assert (reader.skipped, reader.count) == (1, 1)
+
+
+# (a line as written, its ending included, and the (id, text, meta) it
+# reads as): every shape json.loads accepts, not only the writers' own.
+READER_ACCEPTS = [
+    pytest.param(b'{"id": "m", "source": "freelaw", "text": "t"}\r\n', ("m", "t", {}), id="crlf"),
+    pytest.param(b' \t{"id": "m", "source": "freelaw", "text": "t"}\n', ("m", "t", {}), id="leading-whitespace"),
+    pytest.param(b'{"id": "m", "source": "freelaw", "text": "t"}  \n', ("m", "t", {}), id="spaces-before-newline"),
+    pytest.param(b'{"id": "m", "source": "freelaw", "text": "t"}', ("m", "t", {}), id="no-final-newline"),
+    pytest.param(
+        b'{"id": "m", "source": "freelaw", "text": "\\ud83d\\ude00"}\n', ("m", "\U0001f600", {}), id="surrogate-pair-escape"
+    ),
+    pytest.param(
+        b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"\\ud83d\\ude00": "\\u00e9"}}\n',
+        ("m", "t", {"\U0001f600": "\u00e9"}),
+        id="escapes-in-meta",
+    ),
+    pytest.param(
+        '{"id": "\u00e9", "source": "freelaw", "text": "\u00e9 \U0001f600"}\n'.encode(),
+        ("\u00e9", "\u00e9 \U0001f600", {}),
+        id="utf-8",
+    ),
+    pytest.param(
+        b'{"id": "m", "source": "freelaw", "text": "t", "other": "\\ud800"}\n',
+        ("m", "t", {}),
+        id="lone-surrogate-in-an-ignored-key",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, fields", READER_ACCEPTS)
+def test_reader_accepts_each_line_shape_that_json_accepts(tmp_path, line, fields):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "a", "source": "freelaw", "text": "x"}\n' + line)
+    for strict in (True, False):
+        reader = read_documents(path, strict=strict)
+        assert [(doc.id, doc.text, doc.meta) for doc in reader] == [("a", "x", {}), fields]
+        assert (reader.skipped, reader.count) == (0, 2)
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b""], ids=["lf", "crlf", "no-newline"])
+@pytest.mark.parametrize(
+    "value, cause",
+    [
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded while decoding a JSON array"),
+        (b"1" * 5000, "Exceeds the limit (4300"),
+    ],
+    ids=["nested-too-deep", "integer-too-long"],
+)
+def test_reader_treats_json_it_cannot_decode_as_malformed(tmp_path, value, cause, ending):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(
+        b'{"id": "a", "source": "freelaw", "text": "x"}\n{"id": "m", "source": "freelaw", "text": "t", "meta": '
+        + value + b"}" + ending
+    )
+    with pytest.raises(CorpusError) as excinfo:
+        list(read_documents(path, strict=True))
+    assert str(excinfo.value).startswith(f"line 2: invalid JSON ({cause}")
+    reader = read_documents(path)
+    assert [doc.id for doc in reader] == ["a"]
+    assert (reader.skipped, reader.count) == (1, 1)
+
+
+def test_reader_counts_from_zero_on_each_iteration(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "a", "source": "freelaw", "text": "x"}\nnot json\n')
+    reader = read_documents(path)
+    for _ in range(2):
+        assert [doc.id for doc in reader] == ["a"]
+        assert (reader.count, reader.skipped) == (1, 1)
+
+
+# ASCII, or any code point, lone surrogates included, with the ones JSON
+# escapes or UTF-8 spells in several bytes drawn often.
+_ANY_TEXT = st.one_of(
+    st.text(st.characters(max_codepoint=0x7F), max_size=6),
+    st.text(
+        st.one_of(
+            st.characters(exclude_categories=()),
+            st.characters(categories=["Cs"]),
+            st.sampled_from("\x00\x1f\x7f\"\\\r\n\u00e9\u2028\U0001f600\ud83d\ude00"),
+        ),
+        max_size=6,
+    ),
+)
+_RECORD_LINES = st.lists(
+    st.tuples(
+        st.fixed_dictionaries(
+            {"id": _ANY_TEXT, "source": st.one_of(st.sampled_from(["freelaw", "wikipedia", "nowhere"]), _ANY_TEXT),
+             "text": _ANY_TEXT},
+            optional={"meta": st.dictionaries(_ANY_TEXT, _ANY_TEXT, max_size=2)},
+        ),
+        st.booleans(),  # ensure_ascii
+        st.sampled_from(["", " "]),
+        st.sampled_from(["\n", "\r\n"]),
+    ),
+    max_size=8,
+)
+
+
+def _reference_fields(line: bytes):
+    """The (id, source name, text, meta) that a corpus line holds, or None
+    if it is malformed: json.loads, then the reader's field checks."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except ValueError:  # bytes that are not UTF-8, or not JSON
+        return None
+    if type(obj) is not dict:
+        return None
+    doc_id, source, text, meta = obj.get("id"), obj.get("source"), obj.get("text"), obj.get("meta", {})
+    if not (type(doc_id) is str and doc_id and type(source) is str and type(text) is str):
+        return None
+    if type(meta) is not dict or not all(type(value) is str for value in meta.values()):
+        return None
+    try:
+        for value in (doc_id, source, text, *meta, *meta.values()):
+            value.encode("utf-8")
+        resolve_source(source)
+    except (UnicodeEncodeError, UnknownSourceError):
+        return None
+    return doc_id, source, text, meta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORD_LINES, st.booleans())
+@example(  # a lone surrogate in the id, and in meta, of an otherwise ASCII record
+    [
+        ({"id": "\udfff", "source": "freelaw", "text": "t"}, True, "", "\n"),
+        ({"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\ud800"}}, True, "", "\n"),
+    ],
+    True,
+)
+def test_reader_reads_each_line_as_json_loads_and_the_field_checks_do(records, final_newline):
+    lines = [
+        (lead + json.dumps({**record, "id": f"d{i}:{record['id']}"}, ensure_ascii=ascii_only) + end).encode(
+            "utf-8", "surrogatepass"
+        )
+        for i, (record, ascii_only, lead, end) in enumerate(records)
+    ]
+    if lines and not final_newline:
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    expected = [_reference_fields(line) for line in lines]
+    valid = [fields for fields in expected if fields is not None]
+    first_bad = next((i for i, fields in enumerate(expected) if fields is None), None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_bytes(b"".join(lines))
+        reader = read_documents(path)
+        assert [(d.id, d.source.name, d.text, d.meta) for d in reader] == valid
+        assert (reader.count, reader.skipped) == (len(valid), len(lines) - len(valid))
+        yielded = []
+        if first_bad is None:
+            yielded.extend(read_documents(path, strict=True))
+        else:
+            with pytest.raises(CorpusError) as excinfo:
+                for doc in read_documents(path, strict=True):
+                    yielded.append(doc)
+            assert str(excinfo.value).startswith(f"line {first_bad + 1}: ")
+        assert [(d.id, d.source.name, d.text, d.meta) for d in yielded] == expected[:first_bad]
 
 
 def test_reader_message_for_a_duplicate_id_in_either_mode(tmp_path):

@@ -19,6 +19,7 @@ from lexcorpus.instruct import (
     Conversation,
     HttpChatBackend,
     LabeledExample,
+    MalformedResponseError,
     StubChatBackend,
     Turn,
     conversations_to_documents,
@@ -319,6 +320,17 @@ def test_malformed_response_is_a_recorded_failure(fake_session, sleeps, body):
     assert convs == []
     assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
     assert session.calls == 1 and sleeps == []
+
+
+def test_response_nested_too_deep_is_a_recorded_failure(fake_session, sleeps):
+    session = fake_session((200, "[" * 100000 + "]" * 100000))
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+    with pytest.raises(MalformedResponseError, match="^response body is not JSON: maximum recursion depth exceeded"):
+        backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
+    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    assert convs == []
+    assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
+    assert session.calls == 2 and sleeps == []
 
 
 @pytest.mark.parametrize(
