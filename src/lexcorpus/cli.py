@@ -494,8 +494,7 @@ def cmd_gen_instructions(args) -> int:
     backend = _chat_backend(args.endpoint, args.model)
     conversations, failures = instruct.generate_conversations(
         examples,
-        user_backend=backend,
-        assistant_backend=backend,
+        backend,
         extra_turn_pairs=args.extra_turn_pairs,
         concurrency=args.concurrency,
     )

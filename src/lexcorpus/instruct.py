@@ -2,10 +2,10 @@
 
 Every conversation starts from a fixed three-turn scaffold rendered from
 templates (user request, assistant answer restating the label and metadata,
-user prompt to elaborate) and is then extended by alternating completions
-from a user-role backend and an assistant-role backend. A deterministic
-stub backend keeps tests and demos offline; the HTTP backend talks to any
-chat endpoint speaking the simple JSON protocol documented on the class.
+user prompt to elaborate) and is then extended by alternating user and
+assistant completions from one backend. A deterministic stub backend keeps
+tests and demos offline; the HTTP backend talks to any chat endpoint
+speaking the simple JSON protocol documented on the class.
 
 Decontamination removes conversations that share an n-token shingle with
 any benchmark input, so instruction data can never leak test questions.
@@ -310,15 +310,13 @@ def _retry_after(resp, default: float) -> float:
 
 
 def extend_conversation(
-    conv: Conversation,
-    user_backend: ChatBackend,
-    assistant_backend: ChatBackend,
-    extra_turn_pairs: int,
+    conv: Conversation, backend: ChatBackend, extra_turn_pairs: int
 ) -> Conversation:
     """Extend a scaffold by alternating completions, ending on an assistant
     turn: one assistant completion answers the scaffold's elaboration prompt,
     then each further pair adds (user, assistant). Total turns are therefore
-    3 + 2*extra_turn_pairs - 1.
+    3 + 2*extra_turn_pairs - 1. The generator names the backend once per
+    role: "user=<name>,assistant=<name>".
 
     Backend failures raise ExtensionError with reason "transport",
     "malformed_response" or "empty_completion"; the input conversation is
@@ -331,7 +329,7 @@ def extend_conversation(
 
     turns = list(conv.turns)
 
-    def _complete(backend: ChatBackend, role: str) -> Turn:
+    def _complete(role: str) -> Turn:
         messages = [{"role": t.role, "content": t.text} for t in turns]
         try:
             text = backend.complete(messages, role_hint=role)
@@ -343,11 +341,11 @@ def extend_conversation(
             raise ExtensionError("empty_completion", f"{backend.name} returned an empty {role} turn")
         return Turn(role, text)
 
-    turns.append(_complete(assistant_backend, "assistant"))
+    turns.append(_complete("assistant"))
     for _ in range(extra_turn_pairs - 1):
-        turns.append(_complete(user_backend, "user"))
-        turns.append(_complete(assistant_backend, "assistant"))
-    generator = f"user={user_backend.name},assistant={assistant_backend.name}"
+        turns.append(_complete("user"))
+        turns.append(_complete("assistant"))
+    generator = f"user={backend.name},assistant={backend.name}"
     return Conversation(turns=turns, origin=conv.origin, generator=generator)
 
 
@@ -360,8 +358,7 @@ class FailedConversation:
 
 def generate_conversations(
     examples: Iterable[LabeledExample],
-    user_backend: ChatBackend,
-    assistant_backend: ChatBackend,
+    backend: ChatBackend,
     extra_turn_pairs: int = 2,
     concurrency: int = 4,
 ) -> Tuple[List[Conversation], List[FailedConversation]]:
@@ -372,7 +369,7 @@ def generate_conversations(
 
     def _one(ex: LabeledExample):
         conv = scaffold_conversation(ex)
-        return extend_conversation(conv, user_backend, assistant_backend, extra_turn_pairs)
+        return extend_conversation(conv, backend, extra_turn_pairs)
 
     conversations: List[Conversation] = []
     failures: List[FailedConversation] = []
@@ -435,8 +432,9 @@ def write_conversations(conversations: Iterable[Conversation], path: str | Path)
 def _read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> List[T]:
     """The records of a JSONL file: `build(value)` of the JSON value of each
     non-blank line. A line that is not JSON, or whose value `build` rejects
-    with KeyError, TypeError or ValueError, raises ValueError naming the
-    path and line: "PATH:LINE: bad <what>: <cause>"."""
+    with KeyError, TypeError, ValueError or AttributeError (a number where a
+    string belongs), raises ValueError naming the path and line:
+    "PATH:LINE: bad <what>: <cause>"."""
     out: List[T] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -445,7 +443,7 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[dict], T]) -> List
                 continue
             try:
                 out.append(build(json.loads(line)))
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return out
 
@@ -471,8 +469,18 @@ def read_conversations(path: str | Path) -> List[Conversation]:
 
 def load_examples(path: str | Path) -> List[LabeledExample]:
     """Read labeled examples from JSONL with fields id, input_text, label,
-    optional meta (flat string map) and task_type."""
-    return _read_jsonl(path, "labeled example", _labeled_example)
+    optional meta (flat string map) and task_type. Ids must be unique: each
+    names the corpus document its conversation becomes."""
+    seen: Set[str] = set()
+
+    def build(payload: dict) -> LabeledExample:
+        ex = _labeled_example(payload)
+        if ex.id in seen:
+            raise ValueError(f"duplicate id {ex.id!r}")
+        seen.add(ex.id)
+        return ex
+
+    return _read_jsonl(path, "labeled example", build)
 
 
 def conversations_to_documents(conversations: Iterable[Conversation]) -> List[Document]:

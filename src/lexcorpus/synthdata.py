@@ -1,11 +1,10 @@
-"""Seeded synthetic-data generators for demos and tests.
+"""Seeded generators of the synthetic demo inputs.
 
 Everything here is deterministic in the seed: legal-flavored prose built
-from small word banks, corpora with planted cleaning artifacts, perplexity
-fixtures (in-domain vs gibberish paragraphs), dedup fixtures with known
-exact/near duplicates, labeled examples for instruction synthesis, a
-miniature benchmark task suite, MMLU-shaped CSV files, and a full input set
-for the pipeline subcommand.
+from small word banks, a seed corpus for LM training, a main corpus with
+planted artifacts, gibberish and exact and near duplicates, labeled
+examples for instruction synthesis, a miniature benchmark task suite,
+MMLU-shaped CSV files, and a pipeline config wired to them.
 
 Run `python -m lexcorpus.synthdata --out DIR` to materialize the demo
 inputs described in the README.
@@ -17,9 +16,9 @@ import argparse
 import json
 import random
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .corpus import Document, resolve_source, write_documents, write_lines
 from .evaluation import EvalTask, closing_instruction, save_task
@@ -81,8 +80,8 @@ def legal_paragraph(rng: random.Random, sentences: int = 4) -> str:
     return " ".join(legal_sentence(rng) for _ in range(sentences))
 
 
-def legal_text(rng: random.Random, paragraphs: int = 3, sentences: int = 4) -> str:
-    return "\n\n".join(legal_paragraph(rng, sentences) for _ in range(paragraphs))
+def legal_text(rng: random.Random, paragraphs: int = 3) -> str:
+    return "\n\n".join(legal_paragraph(rng) for _ in range(paragraphs))
 
 
 def gibberish_paragraph(rng: random.Random, tokens: int = 40) -> str:
@@ -93,8 +92,8 @@ def gibberish_paragraph(rng: random.Random, tokens: int = 40) -> str:
     return " ".join(words)
 
 
-def make_doc(doc_id: str, source_name: str, text: str, **meta: str) -> Document:
-    return Document(id=doc_id, source=resolve_source(source_name), text=text, meta=dict(meta))
+def make_doc(doc_id: str, source_name: str, text: str) -> Document:
+    return Document(id=doc_id, source=resolve_source(source_name), text=text, meta={})
 
 
 # -- seed corpus ----------------------------------------------------------------
@@ -135,8 +134,8 @@ def _metaish_sentence(rng: random.Random) -> str:
     )
 
 
-def _dialogue_paragraph(rng: random.Random, sentences: int = 4) -> str:
-    parts = [rng.choice(_DIALOGUE_OPENERS) for _ in range(max(1, sentences - 2))]
+def _dialogue_paragraph(rng: random.Random) -> str:
+    parts = [rng.choice(_DIALOGUE_OPENERS) for _ in range(2)]
     parts.append(_metaish_sentence(rng))
     parts.append(legal_sentence(rng))
     return " ".join(parts)
@@ -145,8 +144,6 @@ def _dialogue_paragraph(rng: random.Random, sentences: int = 4) -> str:
 def generate_seed_corpus(
     seed: int = 0,
     docs: int = 120,
-    paragraphs: int = 3,
-    sentences: int = 4,
     source: str = "freelaw",
     min_tokens: Optional[int] = None,
 ) -> List[Document]:
@@ -165,11 +162,11 @@ def generate_seed_corpus(
         elif total >= min_tokens:
             break
         paras = []
-        for _ in range(paragraphs):
+        for _ in range(3):
             if rng.random() < 0.15:
-                paras.append(_dialogue_paragraph(rng, sentences))
+                paras.append(_dialogue_paragraph(rng))
             else:
-                paras.append(legal_paragraph(rng, sentences))
+                paras.append(legal_paragraph(rng))
         text = "\n\n".join(paras)
         out.append(make_doc(f"seed-{i:05d}", source, text))
         total += len(text.split())
@@ -177,90 +174,7 @@ def generate_seed_corpus(
     return out
 
 
-# -- cleaning fixture -------------------------------------------------------------
-
-
-@dataclass
-class ArtifactFixture:
-    docs: List[Document]
-    clean_sentences: Dict[str, List[str]]
-    planted: Dict[str, List[str]]
-    artifact_total: int = 0
-
-
-def generate_artifact_corpus(seed: int = 0, n_docs: int = 200) -> ArtifactFixture:
-    """Corpus with pdf-extraction style artifacts planted between and around
-    known-clean sentences. Records exactly which artifact strings went into
-    each document and the sentences that must survive cleaning untouched."""
-    rng = _rng(seed)
-    fixture = ArtifactFixture(docs=[], clean_sentences={}, planted={})
-    for i in range(n_docs):
-        doc_id = f"art-{i:05d}"
-        sentences = [legal_sentence(rng) for _ in range(rng.randint(3, 6))]
-        planted: List[str] = []
-        pieces: List[str] = []
-        for j, sentence in enumerate(sentences):
-            if rng.random() < 0.5:
-                artifact = rng.choice(RUN_ARTIFACTS)
-                planted.append(artifact)
-                # standalone separator line before the sentence
-                pieces.append(artifact + "\n" + sentence)
-            elif rng.random() < 0.4:
-                tag = rng.choice(HTML_ARTIFACTS)
-                planted.append(tag)
-                pieces.append(tag + sentence)
-            else:
-                pieces.append(sentence)
-            if j + 1 < len(sentences) and rng.random() < 0.3:
-                # repeated whitespace between sentences
-                pieces[-1] = pieces[-1] + ("  " if rng.random() < 0.5 else "\t\t")
-        text = " ".join(pieces)
-        if rng.random() < 0.2:
-            extra = rng.choice(RUN_ARTIFACTS)
-            planted.append(extra)
-            text = text + "\n" + extra
-        fixture.docs.append(make_doc(doc_id, "freelaw", text))
-        fixture.clean_sentences[doc_id] = sentences
-        fixture.planted[doc_id] = planted
-        fixture.artifact_total += len(planted)
-    return fixture
-
-
-# -- perplexity fixture -------------------------------------------------------------
-
-
-@dataclass
-class PplFixture:
-    seed_docs: List[Document]
-    in_domain: List[Document]
-    gibberish: List[Document]
-
-
-def generate_ppl_fixture(seed: int = 0, seed_docs: int = 150, n_eval: int = 10) -> PplFixture:
-    """Seed corpus plus an evaluation set of in-domain and gibberish
-    paragraphs. In-domain paragraphs re-use sentences that literally occur in
-    the seed corpus, so their perplexity sits well inside the calibrated
-    threshold; gibberish paragraphs are random character strings."""
-    corpus = generate_seed_corpus(seed=seed, docs=seed_docs)
-    rng = _rng(seed + 1)
-    # pool whole paragraphs rather than loose sentences: the in-domain
-    # evaluation docs must also re-use sentence *transitions* the model saw,
-    # or the junction n-grams alone push them over a tight threshold
-    pool: List[str] = []
-    for doc in corpus:
-        pool.extend(doc.text.split("\n\n"))
-    in_domain = [
-        make_doc(f"eval-in-{i:03d}", "freelaw", rng.choice(pool))
-        for i in range(n_eval)
-    ]
-    gibberish = [
-        make_doc(f"eval-gib-{i:03d}", "freelaw", gibberish_paragraph(rng, tokens=35))
-        for i in range(n_eval)
-    ]
-    return PplFixture(seed_docs=corpus, in_domain=in_domain, gibberish=gibberish)
-
-
-# -- dedup fixture ---------------------------------------------------------------
+# -- near copies ---------------------------------------------------------------
 
 
 def shingle_jaccard(text_a: str, text_b: str, shingle_n: int = 5) -> float:
@@ -278,16 +192,9 @@ def shingle_jaccard(text_a: str, text_b: str, shingle_n: int = 5) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-@dataclass
-class DedupFixture:
-    docs: List[Document]
-    exact_pairs: List[Tuple[str, str]] = field(default_factory=list)
-    near_pairs: List[Tuple[str, str]] = field(default_factory=list)
-
-
-def _near_copy(rng: random.Random, text: str, target_jaccard: float = 0.84) -> str:
+def _near_copy(rng: random.Random, text: str) -> str:
     """Rewrite a contiguous span of tokens (about a tenth of the document)
-    and shrink the span until the true shingle Jaccard reaches the target."""
+    and shrink the span until the true shingle Jaccard reaches 0.84."""
     tokens = text.split()
     span = max(2, len(tokens) // 10)
     while True:
@@ -296,74 +203,12 @@ def _near_copy(rng: random.Random, text: str, target_jaccard: float = 0.84) -> s
         for pos in range(start, min(start + span, len(tokens))):
             edited[pos] = rng.choice(OBJECTS).split()[-1]
         candidate = " ".join(edited)
-        if shingle_jaccard(text, candidate) >= target_jaccard or span <= 1:
+        if shingle_jaccard(text, candidate) >= 0.84 or span <= 1:
             return candidate
         span -= 1
 
 
-def generate_dedup_fixture(
-    seed: int = 0, n_base: int = 70, n_exact: int = 20, n_near: int = 10
-) -> DedupFixture:
-    """n_base originals followed by n_exact byte-identical copies and n_near
-    near-duplicates with true shingle Jaccard >= 0.8 (verified during
-    generation). Originals precede their copies in stream order."""
-    if n_exact + n_near > n_base:
-        raise ValueError("need at least one distinct original per duplicate")
-    rng = _rng(seed)
-    fixture = DedupFixture(docs=[])
-    originals: List[Document] = []
-    for i in range(n_base):
-        # near-dup sources are long so a contiguous rewrite keeps Jaccard high
-        sentences = rng.randint(30, 40) if n_exact <= i < n_exact + n_near else rng.randint(8, 14)
-        text = legal_paragraph(rng, sentences=sentences)
-        doc = make_doc(f"base-{i:04d}", "freelaw", text)
-        originals.append(doc)
-        fixture.docs.append(doc)
-    for i in range(n_exact):
-        orig = originals[i]
-        dup = make_doc(f"exact-{i:04d}", "freelaw", orig.text)
-        fixture.docs.append(dup)
-        fixture.exact_pairs.append((orig.id, dup.id))
-    for i in range(n_near):
-        orig = originals[n_exact + i]
-        near_text = _near_copy(rng, orig.text)
-        assert shingle_jaccard(orig.text, near_text) >= 0.8
-        dup = make_doc(f"near-{i:04d}", "freelaw", near_text)
-        fixture.docs.append(dup)
-        fixture.near_pairs.append((orig.id, dup.id))
-    return fixture
-
-
-# -- mix inputs ------------------------------------------------------------------
-
-
-def generate_mix_inputs(
-    seed: int = 0,
-    fractions: Optional[Dict[str, float]] = None,
-    token_budget: int = 1_000_000,
-    headroom: float = 1.2,
-) -> Dict[str, List[Document]]:
-    """Per-source corpora with enough whitespace tokens to satisfy a mix at
-    the given budget (each source gets fraction*budget*headroom tokens)."""
-    fractions = fractions or {"legal": 0.98, "replay": 0.02}
-    out: Dict[str, List[Document]] = {}
-    for idx, (name, fraction) in enumerate(fractions.items()):
-        rng = _rng(seed + 1000 * idx)
-        need = int(fraction * token_budget * headroom)
-        docs: List[Document] = []
-        total = 0
-        i = 0
-        while total < need:
-            text = legal_paragraph(rng, sentences=rng.randint(8, 18))
-            doc = make_doc(f"{name}-{i:06d}", name, text)
-            docs.append(doc)
-            total += len(text.split())
-            i += 1
-        out[name] = docs
-    return out
-
-
-# -- instruction fixtures -----------------------------------------------------------
+# -- instruction examples --------------------------------------------------------
 
 
 def generate_labeled_examples(seed: int = 0, n: int = 20) -> List[LabeledExample]:
@@ -387,13 +232,13 @@ def generate_labeled_examples(seed: int = 0, n: int = 20) -> List[LabeledExample
     return out
 
 
-def generate_instruction_documents(seed: int = 0, n: int = 40, extra_turn_pairs: int = 2) -> List[Document]:
+def generate_instruction_documents(seed: int = 0, n: int = 40) -> List[Document]:
     """Stub-extended conversations flattened into corpus documents, ready to
     blend into a pretraining mix."""
     stub = StubChatBackend()
     examples = generate_labeled_examples(seed=seed, n=n)
     conversations = [
-        extend_conversation(scaffold_conversation(ex), stub, stub, extra_turn_pairs)
+        extend_conversation(scaffold_conversation(ex), stub, extra_turn_pairs=2)
         for ex in examples
     ]
     return conversations_to_documents(conversations)
@@ -415,14 +260,14 @@ _TASK_SPECS = (
 )
 
 
-def build_task_suite(seed: int = 0, instances_per_task: int = 6) -> List[EvalTask]:
+def build_task_suite(seed: int = 0) -> List[EvalTask]:
     """Miniature synthetic benchmark: one task per legal-ability category,
-    instances_per_task instances each (gold labels drawn uniformly)."""
+    six instances each (gold labels drawn uniformly)."""
     rng = _rng(seed)
     tasks: List[EvalTask] = []
     for name, category, label_set, preamble in _TASK_SPECS:
         instances = []
-        for _ in range(instances_per_task):
+        for _ in range(6):
             text = legal_paragraph(rng, sentences=2)
             instances.append((text, rng.choice(label_set)))
         template = (
@@ -441,37 +286,31 @@ def build_task_suite(seed: int = 0, instances_per_task: int = 6) -> List[EvalTas
     return tasks
 
 
-def write_task_suite(task_dir: str | Path, seed: int = 0, instances_per_task: int = 6) -> List[EvalTask]:
+def write_task_suite(task_dir: str | Path, seed: int = 0) -> None:
     task_dir = Path(task_dir)
     task_dir.mkdir(parents=True, exist_ok=True)
-    tasks = build_task_suite(seed=seed, instances_per_task=instances_per_task)
-    for task in tasks:
+    for task in build_task_suite(seed=seed):
         save_task(task, task_dir / f"{task.name}.json")
-    return tasks
 
 
 MMLU_COUNTS = {"international_law": 120, "professional_law": 1500, "jurisprudence": 110}
 
 
-def write_mmlu_csvs(
-    data_dir: str | Path, seed: int = 0, counts: Optional[Dict[str, int]] = None
-) -> Dict[str, int]:
-    """Write <subject>_test.csv files in the standard headerless MMLU shape.
-    Default row counts match the real legal subjects (120 / 1500 / 110)."""
+def write_mmlu_csvs(data_dir: str | Path, seed: int = 0) -> None:
+    """Write <subject>_test.csv files in the standard headerless MMLU shape,
+    with the row counts of the real legal subjects (120 / 1500 / 110)."""
     import csv as _csv
 
-    counts = counts or dict(MMLU_COUNTS)
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     rng = _rng(seed)
-    for subject, n_rows in counts.items():
+    for subject, n_rows in MMLU_COUNTS.items():
         with open(data_dir / f"{subject}_test.csv", "w", encoding="utf-8", newline="") as fh:
             writer = _csv.writer(fh)
             for _ in range(n_rows):
                 question = legal_sentence(rng)[:-1] + "?"
                 choices = [" ".join(legal_sentence(rng).split()[:4]) for _ in range(4)]
                 writer.writerow([question, *choices, rng.choice("ABCD")])
-    return counts
 
 
 # -- pipeline inputs ---------------------------------------------------------------

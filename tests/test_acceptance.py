@@ -47,14 +47,16 @@ from lexcorpus.lm import BOS, calibrate_threshold, filter_by_perplexity, perplex
 from lexcorpus.mix import MixSpec, assemble_mix
 from lexcorpus.synthdata import (
     build_task_suite,
-    generate_artifact_corpus,
-    generate_dedup_fixture,
-    generate_mix_inputs,
-    generate_ppl_fixture,
     generate_seed_corpus,
     shingle_jaccard,
     write_mmlu_csvs,
     write_pipeline_inputs,
+)
+from synth_fixtures import (
+    generate_artifact_corpus,
+    generate_dedup_fixture,
+    generate_mix_inputs,
+    generate_ppl_fixture,
 )
 
 TOK = WhitespaceTokenizer()
@@ -208,7 +210,7 @@ def test_c07_instruction_scaffold_and_golden_extension():
     assert "employment" in conv.turns[1].text
 
     stub = StubChatBackend()
-    extended = extend_conversation(conv, stub, stub, extra_turn_pairs=2)
+    extended = extend_conversation(conv, stub, extra_turn_pairs=2)
     golden = json.loads((DATA / "golden_extension.json").read_text())
     assert json.loads(conversation_to_json(extended)) == golden
 

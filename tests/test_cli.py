@@ -150,6 +150,45 @@ def test_gen_instructions_names_an_example_line_nested_too_deep(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "second_line, cause",
+    [
+        ('{"id":"a","input_text":"Other clause.","label":"housing"}', "duplicate id 'a'"),
+        ('{"id":"b","input_text":5,"label":"x"}', "'int' object has no attribute 'strip'"),
+    ],
+    ids=["repeated-id", "text-not-a-string"],
+)
+def test_gen_instructions_refuses_a_bad_example_before_any_backend_call(tmp_path, capsys, monkeypatch, second_line, cause):
+    examples = tmp_path / "ex.jsonl"
+    examples.write_text('{"id":"a","input_text":"Some clause.","label":"contracts"}\n' + second_line + "\n")
+    out, docs = tmp_path / "conv.jsonl", tmp_path / "docs.jsonl"
+    calls = []
+    monkeypatch.setattr(instruct.StubChatBackend, "complete", lambda self, messages, role_hint: calls.append(role_hint))
+    argv = ["gen-instructions", "--examples", str(examples), "-o", str(out), "--corpus-out", str(docs)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"lexcorpus: {examples}:2: bad labeled example: {cause}\n"
+    assert calls == []
+    assert not out.exists() and not docs.exists()
+
+
+def test_gen_instructions_corpus_out_reads_back_strictly_one_document_per_conversation(tmp_path):
+    examples = tmp_path / "ex.jsonl"
+    examples.write_text(
+        "".join(f'{{"id":"e{i}","input_text":"Clause {i} is unusual.","label":"contracts"}}\n' for i in range(3))
+    )
+    out, docs = tmp_path / "conv.jsonl", tmp_path / "docs.jsonl"
+    argv = ["gen-instructions", "--examples", examples, "-o", out, "--corpus-out", docs, "--extra-turn-pairs", "2"]
+    assert _main(*argv) == 0
+    conversations = instruct.read_conversations(out)
+    read_back = list(read_documents(docs, strict=True))
+    assert [d.id for d in read_back] == [f"instr-e{i}" for i in range(3)]
+    assert [d.id for d in read_back] == [f"instr-{c.origin}" for c in conversations]
+    assert {d.source.name for d in read_back} == {"instruction"}
+    assert [d.meta for d in read_back] == [
+        {"turns": str(len(c.turns)), "generator": "user=stub,assistant=stub"} for c in conversations
+    ]
+
+
 def test_gen_instructions_total_failure_exits_2(tmp_path):
     examples = tmp_path / "ex.jsonl"
     examples.write_text('{"id":"e1","input_text":"Some clause.","label":"contracts"}\n')
@@ -169,7 +208,14 @@ def test_gen_instructions_total_failure_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad_line", ['{"origin": "e2", "generator": "scaffold"}', '["turns"]'], ids=["no-turns", "array"]
+    "bad_line",
+    [
+        '{"origin": "e2", "generator": "scaffold"}',
+        '["turns"]',
+        '{"origin": "e2", "turns": [{"role": "user", "text": 5}, {"role": "assistant", "text": "b"}, '
+        '{"role": "user", "text": "c"}]}',
+    ],
+    ids=["no-turns", "array", "text-not-a-string"],
 )
 def test_decontaminate_names_a_bad_conversation_line(tmp_path, capsys, bad_line):
     conv = instruct.scaffold_conversation(instruct.LabeledExample(id="e1", input_text="Some clause.", label="x"))

@@ -30,7 +30,8 @@ from lexcorpus.dedup import (
     optimal_band_split,
     write_cluster_dump,
 )
-from lexcorpus.synthdata import generate_dedup_fixture, shingle_jaccard
+from lexcorpus.synthdata import shingle_jaccard
+from synth_fixtures import generate_dedup_fixture
 
 
 def test_identical_texts_identical_signatures(tok):
@@ -541,7 +542,7 @@ _HASHSEED_PROBE = """
 import hashlib
 from lexcorpus.corpus import WhitespaceTokenizer
 from lexcorpus.dedup import minhash_signature, near_dedup
-from lexcorpus.synthdata import generate_dedup_fixture
+from synth_fixtures import generate_dedup_fixture
 
 docs = generate_dedup_fixture(seed=0, n_base=70, n_exact=20, n_near=10).docs
 _, report = near_dedup(docs, threshold=0.7, seed=0)
@@ -556,7 +557,7 @@ def test_near_dedup_independent_of_python_hash_seed():
     outputs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, str(Path(__file__).parent), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c", _HASHSEED_PROBE], env=env, capture_output=True, check=True, timeout=120
         )

@@ -87,7 +87,7 @@ def test_extension_arity_and_final_role():
     conv = scaffold_conversation(_example())
     stub = StubChatBackend()
     for k in (1, 2, 3):
-        ext = extend_conversation(conv, stub, stub, extra_turn_pairs=k)
+        ext = extend_conversation(conv, stub, extra_turn_pairs=k)
         assert len(ext.turns) == 3 + 2 * k - 1
         assert ext.turns[-1].role == "assistant"
 
@@ -95,8 +95,8 @@ def test_extension_arity_and_final_role():
 def test_extension_is_deterministic():
     conv = scaffold_conversation(_example())
     stub = StubChatBackend()
-    a = extend_conversation(conv, stub, stub, extra_turn_pairs=2)
-    b = extend_conversation(conv, stub, stub, extra_turn_pairs=2)
+    a = extend_conversation(conv, stub, extra_turn_pairs=2)
+    b = extend_conversation(conv, stub, extra_turn_pairs=2)
     assert [t.text for t in a.turns] == [t.text for t in b.turns]
 
 
@@ -105,7 +105,7 @@ def test_extension_is_deterministic():
 def test_extension_alternates_for_any_depth(k):
     conv = scaffold_conversation(_example())
     stub = StubChatBackend()
-    ext = extend_conversation(conv, stub, stub, extra_turn_pairs=k)
+    ext = extend_conversation(conv, stub, extra_turn_pairs=k)
     for i, turn in enumerate(ext.turns):
         assert turn.role == ("user" if i % 2 == 0 else "assistant")
 
@@ -113,17 +113,27 @@ def test_extension_alternates_for_any_depth(k):
 def test_generate_conversations_stub_batch():
     examples = [_example(id=f"e{i}", input_text=f"Clause {i} is unusual.") for i in range(6)]
     stub = StubChatBackend()
-    convs, failures = generate_conversations(examples, stub, stub, extra_turn_pairs=1, concurrency=3)
+    convs, failures = generate_conversations(examples, stub, extra_turn_pairs=1, concurrency=3)
     assert failures == []
     assert [c.origin for c in convs] == [e.id for e in examples]
+
+
+def test_one_backend_names_itself_for_both_roles(tmp_path):
+    """The generator string keeps its two-role shape, which the written
+    conversations and corpus documents carry."""
+    convs, failures = generate_conversations([_example()], StubChatBackend(), extra_turn_pairs=2)
+    assert failures == []
+    assert [c.generator for c in convs] == ["user=stub,assistant=stub"]
+    path = tmp_path / "conv.jsonl"
+    write_conversations(convs, path)
+    assert json.loads(path.read_text())["generator"] == "user=stub,assistant=stub"
+    assert conversations_to_documents(convs)[0].meta["generator"] == "user=stub,assistant=stub"
 
 
 # --- persistence -------------------------------------------------------------
 
 def test_conversation_roundtrip(tmp_path):
-    conv = extend_conversation(
-        scaffold_conversation(_example()), StubChatBackend(), StubChatBackend(), 1
-    )
+    conv = extend_conversation(scaffold_conversation(_example()), StubChatBackend(), 1)
     path = tmp_path / "conv.jsonl"
     write_conversations([conv], path)
     back = read_conversations(path)
@@ -147,6 +157,9 @@ def test_jsonl_readers_name_the_bad_line(tmp_path):
     path = tmp_path / "ex.jsonl"
     path.write_text('{"id":"a","input_text":"T","label":"contracts"}\n\n{"id":"b","input_text":"U"}\n')
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad labeled example: 'label'$"):
+        load_examples(path)
+    path.write_text('{"id":"a","input_text":"T","label":"x"}\n{"id":"b","input_text":"U","label":"y"}\n{"id":"a","input_text":"V","label":"z"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad labeled example: duplicate id 'a'$"):
         load_examples(path)
     path.write_text("not json\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad conversation: Expecting value"):
@@ -284,7 +297,7 @@ def test_http_backend_gives_up_after_retries(chat_server, monkeypatch):
 
 def test_generation_failures_are_recorded_not_raised():
     backend = HttpChatBackend("http://127.0.0.1:1/unreachable", model="m", max_retries=1, backoff=0.0)
-    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert len(failures) == 1
     assert failures[0].origin == "ex-1"
@@ -297,7 +310,7 @@ def test_empty_completion_failure_reason():
             return "   "
 
     backend = EmptyBackend()
-    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert failures[0].reason == "empty_completion"
 
@@ -316,7 +329,7 @@ MALFORMED_BODIES = [
 def test_malformed_response_is_a_recorded_failure(fake_session, sleeps, body):
     session = fake_session((200, body))
     backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
-    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
     assert session.calls == 1 and sleeps == []
@@ -327,7 +340,7 @@ def test_response_nested_too_deep_is_a_recorded_failure(fake_session, sleeps):
     backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
     with pytest.raises(MalformedResponseError, match="^response body is not JSON: maximum recursion depth exceeded"):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
-    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
     assert session.calls == 2 and sleeps == []
@@ -349,7 +362,7 @@ def test_http_backend_retries_429_honouring_retry_after(fake_session, sleeps, re
 def test_http_backend_persistent_429_is_a_transport_failure(fake_session, sleeps):
     session = fake_session((429, "", {"Retry-After": "1"}))
     backend = HttpChatBackend("http://chat.invalid/v1", model="m", max_retries=3, session=session)
-    convs, failures = generate_conversations([_example()], backend, backend, extra_turn_pairs=1)
+    convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == [] and failures[0].reason == "transport"
     assert session.calls == 3 and sleeps == [1.0, 1.0]
 

@@ -14,7 +14,8 @@ from lexcorpus.mix import (
     load_mix_spec,
     validate_mix,
 )
-from lexcorpus.synthdata import generate_mix_inputs, generate_seed_corpus
+from lexcorpus.synthdata import generate_seed_corpus
+from synth_fixtures import generate_mix_inputs
 
 
 @pytest.fixture()
