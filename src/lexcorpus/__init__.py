@@ -3,12 +3,11 @@ legal-domain LLM corpora."""
 
 __version__ = "0.1.0"
 
-from .corpus import Document, SourceTag, WhitespaceTokenizer, read_documents, write_documents
+from .corpus import Document, SourceTag, read_documents, write_documents
 
 __all__ = [
     "Document",
     "SourceTag",
-    "WhitespaceTokenizer",
     "read_documents",
     "write_documents",
     "__version__",

@@ -13,9 +13,9 @@ import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .corpus import Document, InputError, Tokenizer, load_json, write_lines
+from .corpus import Document, InputError, load_json, write_lines
 
 RULE_ACTIONS = ("delete_match", "collapse_whitespace", "strip_html")
 
@@ -273,37 +273,25 @@ def save_ruleset(rules: RuleSet, path: str | Path) -> None:
     write_lines([json.dumps([asdict(r) for r in rules.rules], indent=2, ensure_ascii=False)], path)
 
 
-@dataclass
-class NgramTable:
-    """Top n-gram counts; keys are token tuples of length n, total is the
-    sum of the stored counts."""
-
-    n: int
-    entries: Dict[Tuple[str, ...], int]
-    total: int
-
-
 def ngrams(tokens: Sequence[str], n: int) -> Iterable[Tuple[str, ...]]:
     """The n-token windows of `tokens` in order, none if it is shorter."""
     for i in range(len(tokens) - n + 1):
         yield tuple(tokens[i : i + n])
 
 
-def mine_ngrams(docs: Iterable[Document], tok: Tokenizer, n: int, top_k: int) -> NgramTable:
-    """Exact top-k n-gram counts over a corpus; ties break lexicographically."""
+def mine_ngrams(docs: Iterable[Document], n: int, top_k: int) -> List[Tuple[Tuple[str, ...], int]]:
+    """Exact top-k `(ngram, count)` pairs of a corpus's whitespace tokens,
+    descending by count; ties break lexicographically."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     counts: Counter = Counter()
     for doc in docs:
-        counts.update(ngrams(tok.tokenize(doc.text), n))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    entries = dict(ranked)
-    return NgramTable(n=n, entries=entries, total=sum(entries.values()))
+        counts.update(ngrams(doc.text.split(), n))
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
 
 
-def write_ngram_report(table: NgramTable, path: str | Path) -> None:
-    """Tab-separated `count<TAB>ngram`, descending by count."""
-    rows = sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    write_lines((f"{count}\t{' '.join(ngram)}" for ngram, count in rows), path)
+def write_ngram_report(ranked: Iterable[Tuple[Tuple[str, ...], int]], path: str | Path) -> None:
+    """Tab-separated `count<TAB>ngram`, one row per pair, in the given order."""
+    write_lines((f"{count}\t{' '.join(ngram)}" for ngram, count in ranked), path)

@@ -52,6 +52,8 @@ from .corpus import (
 if TYPE_CHECKING:
     from . import instruct, lm, mix
 
+# The `tok` of lm.train_lm, calibrate_threshold and filter_by_perplexity, which
+# perfbench/worker.py passes too; every other token count here is str.split's
 TOKENIZER = WhitespaceTokenizer()
 
 
@@ -332,7 +334,7 @@ def _clean(docs: Iterable[Document], rules: Optional[cleaning.RuleSet]) -> List[
 
 
 def _token_total(docs: Sequence[Document]) -> int:
-    return sum(len(TOKENIZER.tokenize(doc.text)) for doc in docs)
+    return sum(len(doc.text.split()) for doc in docs)
 
 
 def _load_ruleset(path: Optional[str | Path]) -> cleaning.RuleSet:
@@ -372,9 +374,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_mine_ngrams(args) -> int:
-    table = cleaning.mine_ngrams(_documents(args.input, args.strict), TOKENIZER, n=args.n, top_k=args.top_k)
-    cleaning.write_ngram_report(table, args.output)
-    print(f"mined top {len(table.entries)} {args.n}-grams -> {args.output}")
+    ranked = cleaning.mine_ngrams(_documents(args.input, args.strict), n=args.n, top_k=args.top_k)
+    cleaning.write_ngram_report(ranked, args.output)
+    print(f"mined top {len(ranked)} {args.n}-grams -> {args.output}")
     return 0
 
 
@@ -446,7 +448,7 @@ def cmd_dedup(args) -> int:
 
     def add(batch: List[Document]) -> Tuple[List[Document], ...]:
         texts = [doc.text for doc in batch]
-        index.add_batch([doc.id for doc in batch], texts, list(map(TOKENIZER.tokenize, texts)))
+        index.add_batch([doc.id for doc in batch], texts, list(map(str.split, texts)))
         return ()
 
     _stream(args.input, args.strict, [], add)
@@ -474,7 +476,7 @@ def cmd_mix(args) -> int:
     if args.seed is not None:
         spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
     sources = {name: list(_documents(path, args.strict)) for name, path in paths.items()}
-    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(TOKENIZER.tokenize(doc.text))))
+    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(doc.text.split())))
     write_documents(mixed, args.output)
     _write_report(args.manifest, manifest)
     print(f"mixed {len(mixed)} documents, {manifest.total_tokens} tokens -> {args.output}")
@@ -503,7 +505,7 @@ def cmd_gen_instructions(args) -> int:
         write_documents(instruct.conversations_to_documents(conversations), args.corpus_out)
     print(f"generated {count} conversations ({len(failures)} failed) -> {args.output}")
     for failure in failures:
-        sys.stderr.write(f"failed {failure.origin}: {failure.reason}\n")
+        sys.stderr.write(f"failed {failure.origin}: {failure.reason}: {failure.detail}\n")
     if failures and not conversations:
         sys.stderr.write("lexcorpus gen-instructions: every conversation failed\n")
         return 2
@@ -554,9 +556,7 @@ def cmd_eval(args) -> int:
     if args.mmlu_dir:
         tasks.extend(evaluation.load_mmlu_legal(args.mmlu_dir))
     backend = _chat_backend(args.endpoint, args.model)
-    report, records = evaluation.run_benchmark(
-        tasks, backend, concurrency=args.concurrency, seed=args.seed
-    )
+    report, records = evaluation.run_benchmark(tasks, backend, concurrency=args.concurrency)
     if args.report:
         _write_report(args.report, report)
     if args.dump:
@@ -569,12 +569,10 @@ def cmd_ppl_report(args) -> int:
     from . import evaluation, lm
 
     paths = _by_name(args.category, "--category")
-    scorer = evaluation.NgramScorer(lm.load_lm(args.model), TOKENIZER, name=Path(args.model).stem)
+    scorer = evaluation.NgramScorer(lm.load_lm(args.model), name=Path(args.model).stem)
     baseline = None
     if args.baseline_model:
-        baseline = evaluation.NgramScorer(
-            lm.load_lm(args.baseline_model), TOKENIZER, name=Path(args.baseline_model).stem
-        )
+        baseline = evaluation.NgramScorer(lm.load_lm(args.baseline_model), name=Path(args.baseline_model).stem)
     docs_by_category = {name: _documents(path, args.strict) for name, path in paths.items()}
     report = evaluation.perplexity_report(docs_by_category, scorer, baseline)
     if args.output:
@@ -817,7 +815,6 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", default=None, help="chat endpoint URL (default: offline stub)")
     p.add_argument("--model", default="stub")
     p.add_argument("--concurrency", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0, help="harness seed")
     p.add_argument("--report", help="write the report JSON here")
     p.add_argument("--dump", help="write the prediction dump here")
     p.set_defaults(func=cmd_eval)

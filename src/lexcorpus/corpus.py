@@ -91,15 +91,8 @@ class Document:
             raise ValueError("document id must be non-empty")
 
 
-class Tokenizer:
-    """Deterministic text-to-token interface; subclass and implement tokenize()."""
-
-    def tokenize(self, text: str) -> list[str]:
-        raise NotImplementedError
-
-
-class WhitespaceTokenizer(Tokenizer):
-    """Default tokenizer: split on runs of whitespace."""
+class WhitespaceTokenizer:
+    """Splits text on runs of whitespace, as `str.split` does."""
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()

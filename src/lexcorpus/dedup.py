@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .cleaning import normalize_text
-from .corpus import Document, Tokenizer, WhitespaceTokenizer, report_json, write_lines
+from .corpus import Document, WhitespaceTokenizer, report_json, write_lines
 
 DEFAULT_SHINGLE_N = 5
 DEFAULT_PERMUTATIONS = 128
@@ -60,7 +60,6 @@ _EMPTY = np.iinfo(np.uint64).max
 
 @dataclass
 class MinHashSignature:
-    doc_id: str
     values: np.ndarray  # shape (permutations,), dtype uint16: the low 16 bits of each sketch value
     shingle_count: int
     token_count: int
@@ -144,20 +143,17 @@ def _sketch(hashes: np.ndarray, doc: np.ndarray, docs: int, a: np.ndarray, b: np
 
 def minhash_signature(
     text: str,
-    tok: Tokenizer,
     shingle_n: int = DEFAULT_SHINGLE_N,
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
-    doc_id: str = "",
 ) -> MinHashSignature:
-    """The signature a Deduplicator with these parameters gives the text:
-    the fast similarity sketch of its shingle set (see `_sketch`).
-    Deterministic in (text, shingle_n, permutations, seed)."""
+    """The signature a Deduplicator with these parameters gives the text's
+    whitespace tokens: the fast similarity sketch of its shingle set (see
+    `_sketch`). Deterministic in (text, shingle_n, permutations, seed)."""
     index = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=seed)
-    tokens = tok.tokenize(text)
-    index.add_batch([doc_id], [text], [tokens])
+    tokens = text.split()
+    index.add_batch([""], [text], [tokens])
     return MinHashSignature(
-        doc_id=doc_id,
         values=index._sigs[0].copy(),
         shingle_count=len(np.unique(_shingles([tokens], shingle_n, index._token_hashes)[0])),
         token_count=len(tokens),
@@ -462,23 +458,24 @@ def _join(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
 
 def _dedup_documents(
-    docs: Iterable[Document], tok: Optional[Tokenizer], **options
+    docs: Iterable[Document], tok: Optional[WhitespaceTokenizer], **options
 ) -> Tuple[List[Document], DedupReport]:
     """Run a Deduplicator built with `options` over `docs`, tokenizing each
-    document once; returns the survivors in stream order and the report."""
+    document once, with `str.split` when `tok` is None; returns the
+    survivors in stream order and the report."""
     index = Deduplicator(**options)
-    tok = tok or WhitespaceTokenizer()
+    tokenize = str.split if tok is None else tok.tokenize
     doc_list = list(docs)
     for start in range(0, len(doc_list), _BATCH):
         batch = doc_list[start : start + _BATCH]
         texts = [doc.text for doc in batch]
-        index.add_batch([doc.id for doc in batch], texts, list(map(tok.tokenize, texts)))
+        index.add_batch([doc.id for doc in batch], texts, list(map(tokenize, texts)))
     removed, report = index.resolve()
     return [doc for idx, doc in enumerate(doc_list) if idx not in removed], report
 
 
 def exact_dedup(
-    docs: Iterable[Document], tok: Optional[Tokenizer] = None
+    docs: Iterable[Document], tok: Optional[WhitespaceTokenizer] = None
 ) -> Tuple[List[Document], DedupReport]:
     """Collapse documents whose normalized text is byte-identical; first
     occurrence in stream order survives."""
@@ -491,7 +488,7 @@ def near_dedup(
     permutations: int = DEFAULT_PERMUTATIONS,
     threshold: float = DEFAULT_THRESHOLD,
     seed: int = 0,
-    tok: Optional[Tokenizer] = None,
+    tok: Optional[WhitespaceTokenizer] = None,
 ) -> Tuple[List[Document], DedupReport]:
     """Remove near-duplicates via sketches and LSH (Deduplicator without its
     exact pass); the first document per cluster survives."""
@@ -506,18 +503,11 @@ def dedup_corpus(
     permutations: int = DEFAULT_PERMUTATIONS,
     threshold: float = DEFAULT_THRESHOLD,
     seed: int = 0,
-    tok: Optional[Tokenizer] = None,
     exact_only: bool = False,
 ) -> Tuple[List[Document], DedupReport]:
     """Exact dedup, then near dedup of the survivors unless `exact_only`;
-    one report covers both passes, exact clusters first. Each document is
-    tokenized once, for its count and its signature."""
+    one report covers both passes, exact clusters first. Each document's
+    whitespace tokens are taken once, for its count and its signature."""
     return _dedup_documents(
-        docs,
-        tok,
-        near=not exact_only,
-        shingle_n=shingle_n,
-        permutations=permutations,
-        threshold=threshold,
-        seed=seed,
+        docs, None, near=not exact_only, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed
     )

@@ -211,7 +211,6 @@ class EvalReport:
     per_category: Dict[str, float]
     overall: float
     abstain_rate: float
-    seed: int
 
     def to_json(self) -> str:
         return report_json(self)
@@ -233,7 +232,6 @@ def run_benchmark(
     tasks: Sequence[EvalTask],
     backend: ChatBackend,
     concurrency: int = 4,
-    seed: int = 0,
 ) -> Tuple[EvalReport, List[PredictionRecord]]:
     """Render, query, parse, and score every instance of every task.
 
@@ -291,7 +289,6 @@ def run_benchmark(
         per_category=per_category,
         overall=overall,
         abstain_rate=abstains / len(records),
-        seed=seed,
     )
     return report, records
 
@@ -358,13 +355,12 @@ class LogProbScorer:
 
 
 class NgramScorer(LogProbScorer):
-    def __init__(self, lm, tok, name: str = "ngram"):
+    def __init__(self, lm, name: str = "ngram"):
         self.lm = lm
-        self.tok = tok
         self.name = name
 
     def token_log_probs(self, text: str) -> List[float]:
-        return self.lm.token_log_probs(text, self.tok)
+        return self.lm.token_log_probs(text)
 
 
 def _doc_perplexity(scorer: LogProbScorer, category: str, doc: Document) -> float:

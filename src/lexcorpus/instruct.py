@@ -31,10 +31,13 @@ if TYPE_CHECKING:
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
 AUTH_TOKEN_ENV = "LEXCORPUS_CHAT_TOKEN"
-# Sampling settings of every chat request, and its timeout in seconds
+# Sampling settings of every chat request, its timeout and attempts, and the
+# wait after its first failed attempt, doubled after each further one
 CHAT_TEMPERATURE = 0.7
 CHAT_MAX_TOKENS = 512
 CHAT_TIMEOUT_S = 30.0
+CHAT_ATTEMPTS = 3
+CHAT_BACKOFF_S = 0.5
 
 T = TypeVar("T")
 
@@ -231,8 +234,6 @@ class HttpChatBackend(ChatBackend):
         self,
         endpoint: str,
         model: str,
-        max_retries: int = 3,
-        backoff: float = 0.5,
         session: Optional[requests.Session] = None,
     ):
         # imported here, not with the module: requests takes about 10 MiB,
@@ -241,8 +242,6 @@ class HttpChatBackend(ChatBackend):
 
         self.endpoint = endpoint
         self.model = model
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.session = session or requests.Session()
         self.name = f"http:{model}"
 
@@ -261,8 +260,8 @@ class HttpChatBackend(ChatBackend):
 
         last_error: Optional[Exception] = None
         answered = False
-        for attempt in range(self.max_retries):
-            delay = self.backoff * (2**attempt)
+        for attempt in range(CHAT_ATTEMPTS):
+            delay = CHAT_BACKOFF_S * (2**attempt)
             try:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=CHAT_TIMEOUT_S
@@ -278,10 +277,10 @@ class HttpChatBackend(ChatBackend):
                 last_error = BackendError(f"{kind} {resp.status_code}")
                 answered = True
                 delay = _retry_after(resp, delay)
-            if attempt + 1 < self.max_retries:
+            if attempt + 1 < CHAT_ATTEMPTS:
                 time.sleep(delay)
         cause = "refused" if answered else "unreachable after"
-        raise BackendError(f"chat endpoint {cause} {self.max_retries} attempts: {last_error}")
+        raise BackendError(f"chat endpoint {cause} {CHAT_ATTEMPTS} attempts: {last_error}")
 
 
 def _completion(resp) -> str:
@@ -454,8 +453,10 @@ def _conversation(payload: dict) -> Conversation:
 
 
 def _labeled_example(payload: dict) -> LabeledExample:
+    if not isinstance(payload["id"], str):
+        raise TypeError(f"id {payload['id']!r} is not a string")
     return LabeledExample(
-        id=str(payload["id"]),
+        id=payload["id"],
         input_text=payload["input_text"],
         label=payload["label"],
         meta=dict(payload.get("meta", {})),

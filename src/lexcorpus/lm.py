@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cleaning import split_paragraphs
-from .corpus import Document, InputError, Tokenizer, atomic_write, load_json, report_json
+from .corpus import Document, InputError, WhitespaceTokenizer, atomic_write, load_json, report_json
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -100,15 +100,12 @@ class NGramLM:
     def __init__(
         self,
         order: int,
-        vocab: Dict[str, int],
+        id_to_token: List[str],
         counts: List[Dict[NGram, int]],
         discounts: List[float],
     ):
         self.order = order
-        self.vocab = vocab
-        self.id_to_token = [""] * len(vocab)
-        for token, idx in vocab.items():
-            self.id_to_token[idx] = token
+        self.id_to_token = id_to_token
         # counts[k-1] maps k-gram id tuples to adjusted counts
         self.counts = counts
         self.discounts = discounts
@@ -214,10 +211,11 @@ class NGramLM:
             out.append(lp)
         return out
 
-    def token_log_probs(self, text: str, tok: Tokenizer) -> List[float]:
+    def token_log_probs(self, text: str) -> List[float]:
+        """Log probabilities of the whitespace tokens of each paragraph, end to end."""
         log_probs: List[float] = []
         for para in split_paragraphs(text):
-            tokens = tok.tokenize(para)
+            tokens = para.split()
             if tokens:
                 log_probs.extend(self.paragraph_log_probs(tokens))
         return log_probs
@@ -265,22 +263,16 @@ def _estimate_discount(count_values: Iterable[int]) -> float:
 
 def train_lm(
     docs: Iterable[Document],
-    tok: Tokenizer,
+    tok: WhitespaceTokenizer,
     order: int = 5,
-    discount: Optional[float] = None,
     corpus_name: str = "seed corpus",
 ) -> NGramLM:
-    """Train an interpolated Kneser-Ney model on a seed corpus.
-
-    discount=None estimates per-order discounts via n1/(n1 + 2*n2); passing
-    an explicit value (e.g. 0.0 to disable discounting for maximum-likelihood
-    checks) applies it at every order. `corpus_name` names the corpus in the
-    error for one with no tokens.
+    """Train an interpolated Kneser-Ney model on a seed corpus, with
+    per-order discounts estimated via n1/(n1 + 2*n2). `corpus_name` names
+    the corpus in the error for one with no tokens.
     """
     if order < 1:
         raise TrainingError("order must be >= 1")
-    if discount is not None and not 0.0 <= discount < 1.0:
-        raise TrainingError("discount must lie in [0, 1)")
 
     vocab: Dict[str, int] = {UNK: UNK_ID, BOS: BOS_ID, EOS: EOS_ID}
     counts: List[Dict[NGram, int]] = [dict() for _ in range(order)]
@@ -304,12 +296,9 @@ def train_lm(
     for k in range(order - 1, 0, -1):
         count(counts[k - 1], map(itemgetter(slice(1, None)), counts[k]))
 
-    if discount is not None:
-        discounts = [discount] * order
-    else:
-        discounts = [_estimate_discount(counts[k].values()) for k in range(order)]
-
-    return NGramLM(order=order, vocab=vocab, counts=counts, discounts=discounts)
+    discounts = [_estimate_discount(counts[k].values()) for k in range(order)]
+    # ids were given in insertion order, so the keys are the tokens in id order
+    return NGramLM(order=order, id_to_token=list(vocab), counts=counts, discounts=discounts)
 
 
 # -- filtering --------------------------------------------------------------
@@ -357,7 +346,7 @@ def check_percentile(percentile: float) -> None:
 def filter_by_perplexity(
     docs: Iterable[Document],
     lm: NGramLM,
-    tok: Tokenizer,
+    tok: WhitespaceTokenizer,
     threshold: float,
     granularity: str = "paragraph",
     _kept_tokens: Optional[List[List[str]]] = None,
@@ -430,7 +419,7 @@ def filter_by_perplexity(
 def calibrate_threshold(
     lm: NGramLM,
     docs: Iterable[Document],
-    tok: Tokenizer,
+    tok: WhitespaceTokenizer,
     percentile: float = 99.0,
     corpus_name: str = "calibration corpus",
 ) -> float:
@@ -521,9 +510,4 @@ def load_lm(path: str | Path) -> NGramLM:
     discounts = [float(d) for d in discounts]
     if not all(0.0 <= d < 1.0 for d in discounts):
         raise ValueError(f"{path}: discounts must lie in [0, 1)")
-    return NGramLM(
-        order=order,
-        vocab={token: idx for idx, token in enumerate(tokens)},
-        counts=counts,
-        discounts=discounts,
-    )
+    return NGramLM(order=order, id_to_token=tokens, counts=counts, discounts=discounts)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from lexcorpus import cleaning
 from lexcorpus.cleaning import (
-    NgramTable,
     Rule,
     RuleConfigError,
     RuleSet,
@@ -213,45 +212,47 @@ def _brute_force_ngrams(texts, n):
     return counts
 
 
-def test_mine_ngrams_matches_brute_force(make_doc, tok):
+def test_mine_ngrams_matches_brute_force(make_doc):
     texts = [
         "the dog saw the dog saw the cat",
         "the dog saw the dog",
         "a b c a b c a b",
     ]
     docs = [make_doc(t) for t in texts]
-    table = mine_ngrams(docs, tok, n=2, top_k=5)
+    ranked = mine_ngrams(docs, n=2, top_k=5)
     oracle = _brute_force_ngrams(texts, 2)
     expected = sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    assert list(table.entries.items()) == expected
+    assert ranked == expected
 
 
-def test_mine_ngrams_tie_break_lexicographic(make_doc, tok):
+def test_mine_ngrams_tie_break_lexicographic(make_doc):
     docs = [make_doc("z y z y x w x w")]
-    table = mine_ngrams(docs, tok, n=2, top_k=2)
+    ranked = mine_ngrams(docs, n=2, top_k=2)
     # ("x","w") and ("z","y") both occur twice; lexicographic order breaks the tie
-    assert list(table.entries) == [("x", "w"), ("z", "y")]
+    assert [ngram for ngram, _ in ranked] == [("x", "w"), ("z", "y")]
 
 
-def test_mine_ngrams_short_docs_contribute_nothing(make_doc, tok):
+def test_mine_ngrams_short_docs_contribute_nothing(make_doc):
     docs = [make_doc("one two"), make_doc("three")]
-    table = mine_ngrams(docs, tok, n=10, top_k=3)
-    assert table.entries == {}
+    assert mine_ngrams(docs, n=10, top_k=3) == []
 
 
-def test_mine_ngrams_rejects_bad_params(make_doc, tok):
+def test_mine_ngrams_rejects_bad_params(make_doc):
     with pytest.raises(ValueError):
-        mine_ngrams([make_doc("a b")], tok, n=0, top_k=1)
+        mine_ngrams([make_doc("a b")], n=0, top_k=1)
     with pytest.raises(ValueError):
-        mine_ngrams([make_doc("a b")], tok, n=1, top_k=0)
+        mine_ngrams([make_doc("a b")], n=1, top_k=0)
 
 
-def test_ngram_report_format(tmp_path, make_doc, tok):
-    table = mine_ngrams([make_doc("a b a b a b a")], tok, n=2, top_k=2)
+def test_ngram_report_format(tmp_path, make_doc):
+    ranked = mine_ngrams([make_doc("a b a b a b a")], n=2, top_k=2)
     path = tmp_path / "ngrams.tsv"
-    write_ngram_report(table, path)
+    write_ngram_report(ranked, path)
     lines = path.read_text().splitlines()
     assert lines == ["3\ta b", "3\tb a"]
+    # the rows are written in the order given
+    write_ngram_report([(("b",), 1), (("a",), 2)], path)
+    assert path.read_text().splitlines() == ["1\tb", "2\ta"]
 
 
 @settings(max_examples=50)
@@ -264,12 +265,11 @@ def test_ngram_report_format(tmp_path, make_doc, tok):
     st.integers(min_value=1, max_value=3),
 )
 def test_mine_ngrams_always_matches_oracle(texts, n):
-    from lexcorpus.corpus import Document, WhitespaceTokenizer, resolve_source
+    from lexcorpus.corpus import Document, resolve_source
 
-    tok = WhitespaceTokenizer()
     docs = [
         Document(id=f"d{i}", source=resolve_source("freelaw"), text=t)
         for i, t in enumerate(texts)
     ]
-    table = mine_ngrams(docs, tok, n=n, top_k=1000)
-    assert Counter(dict(table.entries)) == _brute_force_ngrams(texts, n)
+    ranked = mine_ngrams(docs, n=n, top_k=1000)
+    assert Counter(dict(ranked)) == _brute_force_ngrams(texts, n)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -52,6 +54,25 @@ def test_help_lists_all_subcommands():
         "pipeline",
     ):
         assert name in result.stdout
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's subcommand table names every subcommand and only those, and
+    each row lists every option of its subcommand, under one of its option
+    strings, and no other flag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Subcommand | What it does | Flags |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        name, _, flags = line.strip("|").split(" | ")
+        listed = (code.split()[0] for code in re.findall(r"`([^`]+)`", flags))
+        rows[name.strip(" `")] = {flag for flag in listed if flag.startswith("-")}
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert rows.keys() == subcommands.keys()
+    for name, parser in subcommands.items():
+        options = [a.option_strings for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert rows[name] <= {flag for strings in options for flag in strings}, name
+        assert all(rows[name] & set(strings) for strings in options), name
 
 
 def test_missing_required_args_exits_1():
@@ -155,8 +176,11 @@ def test_gen_instructions_names_an_example_line_nested_too_deep(tmp_path, capsys
     [
         ('{"id":"a","input_text":"Other clause.","label":"housing"}', "duplicate id 'a'"),
         ('{"id":"b","input_text":5,"label":"x"}', "'int' object has no attribute 'strip'"),
+        ('{"id":null,"input_text":"Other clause.","label":"housing"}', "id None is not a string"),
+        ('{"id":true,"input_text":"Other clause.","label":"housing"}', "id True is not a string"),
+        ('{"id":1,"input_text":"Other clause.","label":"housing"}', "id 1 is not a string"),
     ],
-    ids=["repeated-id", "text-not-a-string"],
+    ids=["repeated-id", "text-not-a-string", "null-id", "true-id", "number-id"],
 )
 def test_gen_instructions_refuses_a_bad_example_before_any_backend_call(tmp_path, capsys, monkeypatch, second_line, cause):
     examples = tmp_path / "ex.jsonl"
@@ -205,6 +229,21 @@ def test_gen_instructions_total_failure_exits_2(tmp_path):
         "m",
     )
     assert result.returncode == 2
+
+
+def test_gen_instructions_prints_why_a_conversation_failed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 1)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.0)
+    examples = tmp_path / "ex.jsonl"
+    examples.write_text('{"id":"e1","input_text":"Some clause.","label":"contracts"}\n')
+    endpoint = "http://127.0.0.1:1/unreachable"
+    argv = ["gen-instructions", "--examples", str(examples), "-o", str(tmp_path / "conv.jsonl"), "--endpoint", endpoint]
+    assert cli.main(argv) == 2
+    failed, last = capsys.readouterr().err.splitlines()
+    # the rest of the line is the transport's own error, which names the port
+    assert failed.startswith("failed e1: transport: chat endpoint unreachable after 1 attempts: ")
+    assert "port=1" in failed
+    assert last == "lexcorpus gen-instructions: every conversation failed"
 
 
 @pytest.mark.parametrize(
@@ -335,16 +374,22 @@ def test_pipeline_tokenization_budget(pipeline_inputs, tmp_path, monkeypatch):
     text, hands its tokens to dedup and counts them for filter-rules, and
     normalize recounts only the documents that filter-rules changed or
     emptied, in both versions. The seed corpus is tokenized to train,
-    calibrate and count. The mix tokenizes nothing: dedup counted it all."""
+    calibrate and count. The mix tokenizes nothing: dedup counted it all.
+    The LM tokenizes with cli.TOKENIZER, and the counts are cli._token_total's."""
     returned = []
-    real = WhitespaceTokenizer.tokenize
+    real, real_total = WhitespaceTokenizer.tokenize, cli._token_total
 
     def counting(self, text):
         tokens = real(self, text)
         returned.append(len(tokens))
         return tokens
 
+    def counting_total(docs):
+        returned.append(real_total(docs))
+        return returned[-1]
+
     monkeypatch.setattr(WhitespaceTokenizer, "tokenize", counting)
+    monkeypatch.setattr(cli, "_token_total", counting_total)
     cfg = cli.load_config(pipeline_inputs / "config.json")
     cfg.out_dir = tmp_path / "out"
     tokens = {s["stage"]: s["tokens"] for s in cli.run_pipeline(cfg)["stages"]}
@@ -894,9 +939,7 @@ def test_dedup_subcommand_matches_dedup_corpus(pipeline_inputs, tmp_path, exact_
     argv = ["dedup", "-i", corpus, "-o", o / "out.jsonl", "--seed", "3", "--report", o / "report.json",
             "--clusters", o / "clusters.tsv", *flags]
     assert _main(*argv) == 0
-    final, report = dedup.dedup_corpus(
-        read_documents(corpus), seed=3, tok=WhitespaceTokenizer(), exact_only=exact_only
-    )
+    final, report = dedup.dedup_corpus(read_documents(corpus), seed=3, exact_only=exact_only)
     assert report.exact_removed > 0 and (exact_only or report.near_removed > 0)
     r = tmp_path / "ref"
     r.mkdir()
@@ -1495,8 +1538,7 @@ def _mix_of(path: Path, spec) -> tuple:
     decoded corpus at `path`."""
     docs = list(read_documents(path))
     sources = {name: [doc for doc in docs if doc.source.name == name] for name, _ in spec.entries}
-    tok = WhitespaceTokenizer()
-    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(tok.tokenize(doc.text))))
+    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(doc.text.split())))
     out = path.parent / "assembled.jsonl"
     write_documents(mixed, out)
     return out.read_bytes(), manifest.to_json() + "\n"

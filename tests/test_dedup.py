@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import lexcorpus
 from lexcorpus import cli
-from lexcorpus.corpus import WhitespaceTokenizer, write_documents
+from lexcorpus.corpus import write_documents
 from lexcorpus.dedup import (
     DedupReport,
     Deduplicator,
@@ -34,39 +34,39 @@ from lexcorpus.synthdata import shingle_jaccard
 from synth_fixtures import generate_dedup_fixture
 
 
-def test_identical_texts_identical_signatures(tok):
-    a = minhash_signature("the quick brown fox jumps over the lazy dog", tok)
-    b = minhash_signature("the quick brown fox jumps over the lazy dog", tok)
+def test_identical_texts_identical_signatures():
+    a = minhash_signature("the quick brown fox jumps over the lazy dog")
+    b = minhash_signature("the quick brown fox jumps over the lazy dog")
     assert list(a.values) == list(b.values)
     assert estimate_jaccard(a, b) == 1.0
 
 
-def test_signature_depends_on_seed(tok):
+def test_signature_depends_on_seed():
     text = "one two three four five six seven"
-    a = minhash_signature(text, tok, seed=0)
-    b = minhash_signature(text, tok, seed=1)
+    a = minhash_signature(text, seed=0)
+    b = minhash_signature(text, seed=1)
     assert list(a.values) != list(b.values)
 
 
-def test_short_text_gets_degenerate_signature(tok):
+def test_short_text_gets_degenerate_signature():
     # fewer tokens than shingle_n: the whole sequence is the single shingle
-    sig = minhash_signature("just three tokens", tok, shingle_n=5)
+    sig = minhash_signature("just three tokens", shingle_n=5)
     assert (sig.shingle_count, sig.token_count) == (1, 3)
-    same = minhash_signature("just three tokens", tok, shingle_n=5)
+    same = minhash_signature("just three tokens", shingle_n=5)
     assert estimate_jaccard(sig, same) == 1.0
 
 
-def test_mismatched_parameters_rejected(tok):
-    a = minhash_signature("a b c d e f", tok, permutations=128, seed=0)
-    b = minhash_signature("a b c d e f", tok, permutations=64, seed=0)
-    c = minhash_signature("a b c d e f", tok, permutations=128, seed=9)
+def test_mismatched_parameters_rejected():
+    a = minhash_signature("a b c d e f", permutations=128, seed=0)
+    b = minhash_signature("a b c d e f", permutations=64, seed=0)
+    c = minhash_signature("a b c d e f", permutations=128, seed=9)
     with pytest.raises(ValueError):
         estimate_jaccard(a, b)
     with pytest.raises(ValueError):
         estimate_jaccard(a, c)
 
 
-def test_estimator_concentration_at_half(tok):
+def test_estimator_concentration_at_half():
     """Doc pair built so exactly 2 of 4 distinct shingles are shared
     (true Jaccard 0.5); the 128-permutation estimate concentrates there."""
     base = "t1 t2 t3 t4 t5 t6"
@@ -74,20 +74,20 @@ def test_estimator_concentration_at_half(tok):
     assert shingle_jaccard(base, longer, shingle_n=5) == 0.5
     errs = []
     for seed in range(50):
-        a = minhash_signature(base, tok, seed=seed)
-        b = minhash_signature(longer, tok, seed=seed)
+        a = minhash_signature(base, seed=seed)
+        b = minhash_signature(longer, seed=seed)
         errs.append(estimate_jaccard(a, b) - 0.5)
     assert max(abs(e) for e in errs) <= 0.15
     assert abs(statistics.mean(errs)) <= 0.05
 
 
-def test_disjoint_docs_estimate_near_zero(tok):
+def test_disjoint_docs_estimate_near_zero():
     left = "a1 a2 a3 a4 a5 a6 a7 a8 a9 a10"
     right = "b1 b2 b3 b4 b5 b6 b7 b8 b9 b10"
     assert shingle_jaccard(left, right, shingle_n=5) == 0.0
     for seed in range(20):
-        a = minhash_signature(left, tok, seed=seed)
-        b = minhash_signature(right, tok, seed=seed)
+        a = minhash_signature(left, seed=seed)
+        b = minhash_signature(right, seed=seed)
         assert estimate_jaccard(a, b) <= 0.1
 
 
@@ -134,7 +134,7 @@ def test_add_batch_signs_each_document_as_alone(token_lists, shingle_n, permutat
     rows = batch._sigs[: len(texts)]
     assert np.array_equal(rows, alone._sigs[: len(texts)])
     for row, text in zip(rows, texts):
-        sig = minhash_signature(text, WhitespaceTokenizer(), shingle_n=shingle_n, permutations=permutations, seed=4)
+        sig = minhash_signature(text, shingle_n=shingle_n, permutations=permutations, seed=4)
         assert np.array_equal(row, sig.values)
     sketch = _sketch(*_shingles(token_lists, shingle_n, _TokenHashes()), len(texts), *batch._params)
     assert not (sketch == _EMPTY).any()
@@ -250,11 +250,10 @@ def test_near_copies_behind_a_variant_that_fails_against_them_stay_linear(make_d
     document, where verifying the bucket's other pairs at once would take
     about n^2 / 2."""
     template, copies, vocab = _template_and_copies(2000)
-    tok = WhitespaceTokenizer()
-    band = minhash_signature(" ".join(template), tok).values[:4]  # 4 rows per band at 128 x 0.7
+    band = minhash_signature(" ".join(template)).values[:4]  # 4 rows per band at 128 x 0.7
     rng = random.Random(5)
     variant = _edited(template, 15, rng, vocab)
-    while not (minhash_signature(" ".join(variant), tok).values[:4] == band).all():
+    while not (minhash_signature(" ".join(variant)).values[:4] == band).all():
         variant = _edited(template, 15, rng, vocab)
     docs = [make_doc(" ".join(variant), doc_id="variant")]
     docs += [make_doc(" ".join(tokens), doc_id=f"c{i:04d}") for i, tokens in enumerate(copies)]
@@ -421,37 +420,38 @@ def test_dedup_corpus_combines_exact_then_near(make_doc):
 
 def test_dedup_corpus_tokenizes_each_document_once(tmp_path, monkeypatch):
     """The exact pass counts tokens from the tokenization near dedup signs
-    with, in dedup_corpus and so in the dedup subcommand."""
+    with, in dedup_corpus and so in the dedup subcommand: the index takes
+    each document's whitespace tokens once, in stream order."""
     docs = generate_dedup_fixture(seed=8).docs
     expected = dedup_corpus(docs)
     tokenized = []
-    real = WhitespaceTokenizer.tokenize
+    real = Deduplicator.add_batch
 
-    def counting(self, text):
-        tokenized.append(text)
-        return real(self, text)
+    def recording(self, ids, texts, token_lists):
+        tokenized.extend(token_lists)
+        return real(self, ids, texts, token_lists)
 
-    monkeypatch.setattr(WhitespaceTokenizer, "tokenize", counting)
+    monkeypatch.setattr(Deduplicator, "add_batch", recording)
     kept, report = dedup_corpus(docs)
-    assert len(tokenized) == len(docs)
+    assert tokenized == [d.text.split() for d in docs]
     assert ([d.id for d in kept], report.to_json()) == ([d.id for d in expected[0]], expected[1].to_json())
 
     write_documents(docs, tmp_path / "in.jsonl")
     tokenized.clear()
     argv = ["dedup", "-i", tmp_path / "in.jsonl", "-o", tmp_path / "out.jsonl", "--report", tmp_path / "r.json"]
     assert cli.main([str(a) for a in argv]) == 0
-    assert len(tokenized) == len(docs)
+    assert tokenized == [d.text.split() for d in docs]
     assert (tmp_path / "r.json").read_text() == report.to_json() + "\n"
 
 
-def _reference_near_dedup(docs, tok, permutations, threshold, shingle_n=5, seed=0):
+def _reference_near_dedup(docs, permutations, threshold, shingle_n=5, seed=0):
     """The pairwise band loop near_dedup replaced, over the same signatures:
     dict buckets per band, each bucket pair checked once (the `checked` set)
     with estimate_jaccard, clusters from a depth-first search over the
     verified pairs. Returns (clusters, kept ids, tokens_after, pairs checked,
     pairs verified, bucket sizes seen)."""
     sigs = [
-        minhash_signature(d.text, tok, shingle_n=shingle_n, permutations=permutations, seed=seed)
+        minhash_signature(d.text, shingle_n=shingle_n, permutations=permutations, seed=seed)
         for d in docs
     ]
     bands, rows = optimal_band_split(permutations, threshold)
@@ -491,7 +491,7 @@ def _reference_near_dedup(docs, tok, permutations, threshold, shingle_n=5, seed=
     kept = [d for idx, d in enumerate(docs) if component[idx] == idx]
     verified = sum(len(e) for e in edges.values()) // 2
     sizes = {len(m) for band_map in buckets for m in band_map.values()}
-    return clusters, [d.id for d in kept], sum(len(tok.tokenize(d.text)) for d in kept), len(checked), verified, sizes
+    return clusters, [d.id for d in kept], sum(len(d.text.split()) for d in kept), len(checked), verified, sizes
 
 
 def _bucket_corpus(make_doc):
@@ -526,9 +526,7 @@ def _bucket_corpus(make_doc):
 @pytest.mark.parametrize("threshold", [0.5, 0.7, 1.0])
 def test_near_dedup_equals_pairwise_reference(make_doc, tok, permutations, threshold):
     docs = _bucket_corpus(make_doc)
-    clusters, kept_ids, tokens_after, checked, _, sizes = _reference_near_dedup(
-        docs, tok, permutations, threshold
-    )
+    clusters, kept_ids, tokens_after, checked, _, sizes = _reference_near_dedup(docs, permutations, threshold)
     assert {1, 2} <= sizes and max(sizes) > 100
     kept, report = near_dedup(docs, permutations=permutations, threshold=threshold, tok=tok)
     assert report.clusters == clusters
@@ -540,14 +538,13 @@ def test_near_dedup_equals_pairwise_reference(make_doc, tok, permutations, thres
 
 _HASHSEED_PROBE = """
 import hashlib
-from lexcorpus.corpus import WhitespaceTokenizer
 from lexcorpus.dedup import minhash_signature, near_dedup
 from synth_fixtures import generate_dedup_fixture
 
 docs = generate_dedup_fixture(seed=0, n_base=70, n_exact=20, n_near=10).docs
 _, report = near_dedup(docs, threshold=0.7, seed=0)
 print(report.to_json())
-values = b"".join(minhash_signature(d.text, WhitespaceTokenizer()).values.tobytes() for d in docs)
+values = b"".join(minhash_signature(d.text).values.tobytes() for d in docs)
 print(hashlib.sha256(values).hexdigest())
 """
 

@@ -288,7 +288,7 @@ def test_perplexity_report_reduction_against_baseline(tok):
     model = train_lm(docs, tok, order=2)
     report = perplexity_report(
         {"opinions": docs[:10]},
-        NgramScorer(model, tok, name="ours"),
+        NgramScorer(model, name="ours"),
         baseline=UniformScorer(vocab_size=5000, name="base"),
     )
     stats = report.per_category["opinions"]
@@ -302,7 +302,7 @@ def test_perplexity_report_reads_each_category_once(tok):
     from lexcorpus.lm import train_lm
 
     docs = generate_seed_corpus(seed=6, docs=30)
-    scorer = NgramScorer(train_lm(docs, tok, order=2), tok, name="ours")
+    scorer = NgramScorer(train_lm(docs, tok, order=2), name="ours")
     baseline = UniformScorer(vocab_size=5000, name="base")
     categories = {"early": docs[:10], "late": docs[10:]}
     over_lists = perplexity_report(categories, scorer, baseline)

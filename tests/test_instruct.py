@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexcorpus
+from lexcorpus import instruct
 from lexcorpus.instruct import (
     AUTH_TOKEN_ENV,
     BackendError,
@@ -265,7 +266,8 @@ def chat_server():
 def test_http_backend_protocol(chat_server, monkeypatch):
     url, handler = chat_server
     monkeypatch.setenv(AUTH_TOKEN_ENV, "sekrit")
-    backend = HttpChatBackend(url, model="test-model", backoff=0.01)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.01)
+    backend = HttpChatBackend(url, model="test-model")
     out = backend.complete([{"role": "user", "content": "hi"}], role_hint="assistant")
     assert out == "echo:1"
     payload = handler.payloads[-1]
@@ -279,7 +281,9 @@ def test_http_backend_retries_5xx(chat_server, monkeypatch):
     url, handler = chat_server
     monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
     handler.fail_first = 2
-    backend = HttpChatBackend(url, model="m", max_retries=3, backoff=0.01)
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 3)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.01)
+    backend = HttpChatBackend(url, model="m")
     out = backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
     assert out == "echo:1"
     assert len(handler.payloads) == 3
@@ -290,13 +294,18 @@ def test_http_backend_gives_up_after_retries(chat_server, monkeypatch):
     url, handler = chat_server
     monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
     handler.fail_first = 99
-    backend = HttpChatBackend(url, model="m", max_retries=2, backoff=0.01)
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 2)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.01)
+    backend = HttpChatBackend(url, model="m")
     with pytest.raises(BackendError):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
+    assert len(handler.payloads) == 2
 
 
-def test_generation_failures_are_recorded_not_raised():
-    backend = HttpChatBackend("http://127.0.0.1:1/unreachable", model="m", max_retries=1, backoff=0.0)
+def test_generation_failures_are_recorded_not_raised(monkeypatch):
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 1)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.0)
+    backend = HttpChatBackend("http://127.0.0.1:1/unreachable", model="m")
     convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert len(failures) == 1
@@ -350,34 +359,40 @@ def test_response_nested_too_deep_is_a_recorded_failure(fake_session, sleeps):
     "retry_after, expected_sleep",
     [("2", 2.0), ("0.25", 0.25), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5), (None, 0.5)],
 )
-def test_http_backend_retries_429_honouring_retry_after(fake_session, sleeps, retry_after, expected_sleep):
+def test_http_backend_retries_429_honouring_retry_after(fake_session, sleeps, monkeypatch, retry_after, expected_sleep):
     headers = {"Retry-After": retry_after} if retry_after is not None else {}
     session = fake_session((429, "", headers), (200, '{"completion": "after the wait"}'))
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", backoff=0.5, session=session)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.5)
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
     assert backend.complete([{"role": "user", "content": "x"}], role_hint="assistant") == "after the wait"
     assert session.calls == 2
     assert sleeps == [expected_sleep]
 
 
-def test_http_backend_persistent_429_is_a_transport_failure(fake_session, sleeps):
+def test_http_backend_persistent_429_is_a_transport_failure(fake_session, sleeps, monkeypatch):
     session = fake_session((429, "", {"Retry-After": "1"}))
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", max_retries=3, session=session)
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 3)
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
     convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == [] and failures[0].reason == "transport"
     assert session.calls == 3 and sleeps == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("status, cause", [(429, "rate limited 429"), (503, "server error 503")])
-def test_http_backend_refusals_are_not_reported_unreachable(fake_session, sleeps, status, cause):
+def test_http_backend_refusals_are_not_reported_unreachable(fake_session, sleeps, monkeypatch, status, cause):
     session = fake_session((status, ""))
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", max_retries=3, backoff=0.0, session=session)
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 3)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.0)
+    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
     with pytest.raises(BackendError) as excinfo:
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
     assert str(excinfo.value) == f"chat endpoint refused 3 attempts: {cause}"
 
 
-def test_http_backend_without_any_response_is_unreachable():
-    backend = HttpChatBackend("http://127.0.0.1:1/unreachable", model="m", max_retries=1, backoff=0.0)
+def test_http_backend_without_any_response_is_unreachable(monkeypatch):
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 1)
+    monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.0)
+    backend = HttpChatBackend("http://127.0.0.1:1/unreachable", model="m")
     with pytest.raises(BackendError, match="^chat endpoint unreachable after 1 attempts: "):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
 

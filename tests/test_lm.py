@@ -49,9 +49,14 @@ def observed_contexts(model: NGramLM, order: int) -> list:
     return [tuple(model.id_to_token[i] for i in ctx) for ctx in contexts]
 
 
+def _with_discount(model: NGramLM, discount: float) -> NGramLM:
+    """The model with this discount at every order in place of its estimates."""
+    return NGramLM(model.order, model.id_to_token, model.counts, [discount] * model.order)
+
+
 def _mle_unigram(make_doc, tok, text):
     """Order-1 model with discounting disabled is plain maximum likelihood."""
-    return train_lm([make_doc(text)], tok, order=1, discount=0.0)
+    return _with_discount(train_lm([make_doc(text)], tok, order=1), 0.0)
 
 
 def test_hand_unigram_mle(make_doc, tok):
@@ -62,7 +67,7 @@ def test_hand_unigram_mle(make_doc, tok):
 
 def test_hand_perplexity_sqrt_nine_halves(make_doc, tok):
     model = _mle_unigram(make_doc, tok, "a a b")
-    log_probs = model.token_log_probs("a b", tok)
+    log_probs = model.token_log_probs("a b")
     assert perplexity(log_probs) == pytest.approx(math.sqrt(9 / 2), abs=1e-9)
     assert len(log_probs) == 2
 
@@ -70,7 +75,7 @@ def test_hand_perplexity_sqrt_nine_halves(make_doc, tok):
 def test_uniform_model_perplexity_is_vocab_size(make_doc, tok):
     # one occurrence of each of 4 tokens -> uniform MLE unigram
     model = _mle_unigram(make_doc, tok, "w x y z")
-    log_probs = model.token_log_probs("w x y z w x y z w x", tok)
+    log_probs = model.token_log_probs("w x y z w x y z w x")
     assert len(log_probs) == 10
     assert perplexity(log_probs) == pytest.approx(4.0, abs=1e-9)
 
@@ -104,7 +109,7 @@ def test_training_deterministic(make_doc, tok):
     a = train_lm(docs, tok, order=3)
     b = train_lm(docs, tok, order=3)
     probe = "the court held that the motion was denied"
-    assert math.fsum(a.token_log_probs(probe, tok)) == math.fsum(b.token_log_probs(probe, tok))
+    assert math.fsum(a.token_log_probs(probe)) == math.fsum(b.token_log_probs(probe))
 
 
 def test_training_text_beats_shuffled_for_higher_orders(make_doc, tok):
@@ -115,7 +120,7 @@ def test_training_text_beats_shuffled_for_higher_orders(make_doc, tok):
     rng = random.Random(4)
     shuffled = tokens[:]
     rng.shuffle(shuffled)
-    assert perplexity(model.token_log_probs(text, tok)) < perplexity(model.token_log_probs(" ".join(shuffled), tok))
+    assert perplexity(model.token_log_probs(text)) < perplexity(model.token_log_probs(" ".join(shuffled)))
 
 
 def test_mle_monotone_in_data(make_doc, tok):
@@ -123,9 +128,9 @@ def test_mle_monotone_in_data(make_doc, tok):
     (order-1, discount-0) self-perplexity."""
     base_docs = generate_seed_corpus(seed=2, docs=8)
     para = "the plaintiff moved for summary judgment on the contract claim"
-    before = train_lm(base_docs, tok, order=1, discount=0.0)
-    after = train_lm(base_docs + [make_doc(para)], tok, order=1, discount=0.0)
-    assert perplexity(after.token_log_probs(para, tok)) <= perplexity(before.token_log_probs(para, tok)) + 1e-9
+    before = _with_discount(train_lm(base_docs, tok, order=1), 0.0)
+    after = _with_discount(train_lm(base_docs + [make_doc(para)], tok, order=1), 0.0)
+    assert perplexity(after.token_log_probs(para)) <= perplexity(before.token_log_probs(para)) + 1e-9
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -164,7 +169,7 @@ def test_bad_order_rejected(make_doc, tok):
 def test_empty_text_scores_error(make_doc, tok):
     model = _mle_unigram(make_doc, tok, "a a b")
     with pytest.raises(ScoreError):
-        perplexity(model.token_log_probs("   ", tok))
+        perplexity(model.token_log_probs("   "))
 
 
 def test_serialization_roundtrip(tmp_path, tok):
@@ -179,8 +184,8 @@ def test_serialization_roundtrip(tmp_path, tok):
         docs[3].text.split("\n\n")[0],
     ]
     for probe in probes:
-        assert math.fsum(loaded.token_log_probs(probe, tok)) == pytest.approx(
-            math.fsum(model.token_log_probs(probe, tok)), abs=1e-9
+        assert math.fsum(loaded.token_log_probs(probe)) == pytest.approx(
+            math.fsum(model.token_log_probs(probe)), abs=1e-9
         )
 
 
@@ -191,8 +196,7 @@ def test_failed_save_leaves_old_model(tmp_path, tok):
     before = path.read_bytes()
     # the vocab comes last in the file and a lone surrogate cannot be
     # encoded, so the write fails after the counts are out
-    vocab = {**model.vocab, "\ud800": len(model.vocab)}
-    broken = NGramLM(order=2, vocab=vocab, counts=model.counts, discounts=model.discounts)
+    broken = NGramLM(2, [*model.id_to_token, "\ud800"], model.counts, model.discounts)
     with pytest.raises(UnicodeEncodeError):
         save_lm(broken, path)
     assert path.read_bytes() == before
@@ -275,7 +279,7 @@ def _reference_prob(model, totals, order, context, word):
     if order == 1:
         d = model.discounts[0]
         c = model.counts[0].get((word,), 0)
-        base = 1.0 / (len(model.vocab) - 1)
+        base = 1.0 / (len(model.id_to_token) - 1)
         total, types = totals[0].get((), (0, 0))
         if total == 0:
             return base
@@ -291,8 +295,13 @@ def _reference_prob(model, totals, order, context, word):
     return max(c - d, 0.0) / total + (d * distinct / total) * lower
 
 
+@functools.lru_cache(maxsize=4)
+def _vocab(model):
+    return {token: idx for idx, token in enumerate(model.id_to_token)}
+
+
 def _token_id(model, token):
-    return model.vocab.get(token, UNK_ID)
+    return _vocab(model).get(token, UNK_ID)
 
 
 def _reference_log_probs(model, totals, tokens):
@@ -310,7 +319,9 @@ def _reference_log_probs(model, totals, tokens):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_compiled_scoring_equals_recursion_exactly(tok, order, discount):
     docs = generate_seed_corpus(seed=3, docs=30)
-    model = train_lm(docs, tok, order=order, discount=discount)
+    model = train_lm(docs, tok, order=order)
+    if discount is not None:
+        model = _with_discount(model, discount)
     totals = _context_totals(model)
 
     paragraphs = [tok.tokenize(p) for d in docs[:6] for p in d.text.split("\n\n")]
@@ -351,7 +362,9 @@ def _cached_model(order, discount):
     tok = WhitespaceTokenizer()
     docs = generate_seed_corpus(seed=3, docs=30)
     docs.append(Document(id="markers", source=docs[0].source, text="the <s> court </s> held <unk> that"))
-    model = train_lm(docs, tok, order=order, discount=discount)
+    model = train_lm(docs, tok, order=order)
+    if discount is not None:
+        model = _with_discount(model, discount)
     paragraphs = [tokens for d in docs for p in d.text.split("\n\n") if (tokens := tok.tokenize(p))]
     return model, _context_totals(model), paragraphs
 
@@ -385,9 +398,9 @@ def test_carried_state_equals_recursion_on_any_tokens(order, discount, data):
 
 def test_counts_without_suffix_contexts_are_rejected():
     # context (3, 4) at order 3 needs the context (4,) at order 2; only (3,) is there
-    vocab = {t: i for i, t in enumerate(["<unk>", "<s>", "</s>", "a", "b", "c"])}
+    id_to_token = ["<unk>", "<s>", "</s>", "a", "b", "c"]
     counts = [{(3,): 1, (4,): 1, (5,): 1}, {(3, 5): 1}, {(3, 4, 5): 1}]
-    model = NGramLM(order=3, vocab=vocab, counts=counts, discounts=[0.5, 0.5, 0.5])
+    model = NGramLM(order=3, id_to_token=id_to_token, counts=counts, discounts=[0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="suffix"):
         model.paragraph_log_probs(["a", "b", "c"])
 
@@ -395,9 +408,9 @@ def test_counts_without_suffix_contexts_are_rejected():
 def test_counts_without_prefix_ngrams_are_rejected():
     # context (3, 4) at order 3 has its suffix context (4,), but (3, 4) is no
     # bigram, so no state reached by scoring "a b" would be that context
-    vocab = {t: i for i, t in enumerate(["<unk>", "<s>", "</s>", "a", "b", "c"])}
+    id_to_token = ["<unk>", "<s>", "</s>", "a", "b", "c"]
     counts = [{(3,): 1, (4,): 1, (5,): 1}, {(4, 5): 1}, {(3, 4, 5): 1}]
-    model = NGramLM(order=3, vocab=vocab, counts=counts, discounts=[0.5, 0.5, 0.5])
+    model = NGramLM(order=3, id_to_token=id_to_token, counts=counts, discounts=[0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="not an order-2 n-gram"):
         model.paragraph_log_probs(["a", "b", "c"])
 
@@ -552,10 +565,11 @@ def test_training_tables_keep_the_reference_loops_insertion_order(tmp_path, make
     docs.append(make_doc("b a b\n\n \n\na b a b a\n\n\n\tc  a\n\nb a b"))
     model = train_lm(docs, tok, order=order)
     vocab, counts = _reference_counts(docs, tok, order)
-    assert type(model.vocab) is dict and list(model.vocab.items()) == list(vocab.items())
+    # the reference gives each token the id of its position
+    assert type(model.id_to_token) is list and model.id_to_token == list(vocab)
     assert [type(table) for table in model.counts] == [dict] * order
     assert [list(table.items()) for table in model.counts] == [list(table.items()) for table in counts]
-    reference = NGramLM(order, vocab, counts, [_estimate_discount(table.values()) for table in counts])
+    reference = NGramLM(order, list(vocab), counts, [_estimate_discount(table.values()) for table in counts])
     save_lm(model, tmp_path / "model.json")
     save_lm(reference, tmp_path / "reference.json")
     assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
@@ -575,5 +589,5 @@ def test_training_tables_keep_the_reference_loops_order_on_any_text(order, texts
             train_lm(docs, tok, order=order)
         return
     model = train_lm(docs, tok, order=order)
-    assert list(model.vocab.items()) == list(vocab.items())
+    assert model.id_to_token == list(vocab)
     assert [list(table.items()) for table in model.counts] == [list(table.items()) for table in counts]

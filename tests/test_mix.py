@@ -86,6 +86,21 @@ def test_assemble_overshoot_bounded_by_one_document(measure):
         assert requested <= realized < requested + max_doc
 
 
+def test_assemble_reaches_each_share_of_the_spec_budget(measure):
+    """Each source's documents in the mix hold at least its share of the
+    spec's budget, round(fraction * token_budget), and less than one
+    document more; counted from the mix, not from the manifest."""
+    sources = generate_mix_inputs(seed=5, token_budget=50_000)
+    spec = _two_source_spec()
+    mixed, _ = assemble_mix(sources, spec, measure)
+    for name, fraction in spec.entries:
+        share = round(fraction * spec.token_budget)
+        ids = {d.id for d in sources[name]}
+        realized = sum(len(d.text.split()) for d in mixed if d.id in ids)
+        max_doc = max(len(d.text.split()) for d in sources[name])
+        assert share <= realized < share + max_doc, name
+
+
 def test_assemble_deterministic(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()

@@ -57,9 +57,9 @@ GOLDEN = [
         '  "tolerance": 0.05\n}',
     ),
     (
-        EvalReport(per_task={"t": 0.5}, per_category={"rule_recall": 0.5}, overall=0.5, abstain_rate=0.25, seed=0),
+        EvalReport(per_task={"t": 0.5}, per_category={"rule_recall": 0.5}, overall=0.5, abstain_rate=0.25),
         '{\n  "abstain_rate": 0.25,\n  "overall": 0.5,\n  "per_category": {\n    "rule_recall": 0.5\n  },\n'
-        '  "per_task": {\n    "t": 0.5\n  },\n  "seed": 0\n}',
+        '  "per_task": {\n    "t": 0.5\n  }\n}',
     ),
     (
         PerplexityReport(
