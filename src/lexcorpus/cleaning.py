@@ -62,8 +62,7 @@ def _has_space_run(text: str) -> bool:
 
 
 def _has_space_by_newline(text: str) -> bool:
-    # A tab anywhere fires it too; `"\t" in text` is one fast scan.
-    return _SPACE_BY_NEWLINE(text) is not None or "\t" in text
+    return _SPACE_BY_NEWLINE(text) is not None
 
 
 def _has_blank_run(text: str) -> bool:

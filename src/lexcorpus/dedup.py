@@ -3,17 +3,18 @@
 Exact dedup collapses byte-identical normalized text via content hashing.
 Near dedup signs a batch of documents at once, each with a fast similarity
 sketch (Dahlgaard, Knudsen and Thorup, FOCS 2017) of its token shingles: a
-Jaccard estimate of MinHash quality (Broder 1997) in O(shingles + k) work
-for k bins, one row of a (docs x k) matrix. Banded LSH (Leskovec et al.,
-*Mining of Massive Datasets*, ch. 3) groups documents by band key with a
-sort. Each bucket is resolved in rounds: its first document is verified
-against its members of other components, in batches against the threshold
-on the estimate, then its next 2, then 4, and the pairs that pass are
-joined into connected components with numpy after each round. No pair is
-verified twice or once its documents are joined, so a cluster of n
-near-copies costs O(n) verifications, and the first document in stream
-order survives per cluster. Bands and verification only test bins for
-equality, so the matrix
+Jaccard estimate of MinHash quality (Broder 1997) for k bins, one row of a
+(docs x k) matrix, in O(shingles + k log k) expected work. Filling k bins is
+a coupon-collector process, so a document of few shingles takes many
+rounds. Banded LSH (Leskovec et al., *Mining of Massive Datasets*, ch. 3)
+groups documents by band key with a sort. Each bucket is resolved in
+rounds: its first document is verified against its members of other
+components, in batches against the threshold on the estimate, then its
+next 2, then 4, and the pairs that pass are joined into connected
+components with numpy after each round. No pair is verified twice or once
+its documents are joined, so a cluster of n near-copies costs O(n)
+verifications, and the first document in stream order survives per
+cluster. Bands and verification only test bins for equality, so the matrix
 keeps the low 16 bits of each sketch value: b-bit minwise hashing (Li and
 König, WWW 2010).
 
@@ -69,12 +70,21 @@ class MinHashSignature:
 
 
 class _TokenHashes(dict):
-    """Token -> 64-bit blake2b hash, computed on the token's first lookup."""
+    """Token -> small int id, given in order of the token's first lookup.
+    `hashes[id]` is the token's 64-bit blake2b hash; the array doubles as
+    ids outgrow it, so `_shingles` gathers a batch's hashes with one take."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hashes = np.empty(1024, dtype=np.uint64)
 
     def __missing__(self, token: str) -> int:
+        idx = self[token] = len(self)
+        if idx == len(self.hashes):
+            self.hashes = np.concatenate((self.hashes, np.empty_like(self.hashes)))
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        value = self[token] = int.from_bytes(digest, "big")
-        return value
+        self.hashes[idx] = int.from_bytes(digest, "big")
+        return idx
 
 
 def _mix(acc: np.ndarray) -> np.ndarray:
@@ -94,20 +104,34 @@ def _shingles(
     the index of the list each comes from. Each window folds its token
     hashes as `acc = acc * _ROLL + h` in wrapping uint64 arithmetic from the
     window width, then goes through the finalizer mix. A list shorter than
-    one shingle is a single shingle, folded from its own, shorter width."""
+    one shingle is a single shingle, folded from its own, shorter width.
+
+    The tokens become ids in `token_hashes`, whose hash array one take
+    turns into the flat list of hashes. The full-width window at every
+    position of that list folds over contiguous slices; each shingle then
+    takes its start's, and only the short lists fold apart."""
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    hashes = map(token_hashes.__getitem__, itertools.chain.from_iterable(token_lists))
-    # zero-padded, so that the windows of a short or empty last list index inside it
-    flat = np.fromiter(itertools.chain(hashes, [0] * shingle_n), np.uint64, int(lengths.sum()) + shingle_n)
+    total = int(lengths.sum())
+    ids = np.fromiter(map(token_hashes.__getitem__, itertools.chain.from_iterable(token_lists)), np.intp, total)
+    # zero-padded, so that the full-width windows at the last positions index inside it
+    flat = np.concatenate((token_hashes.hashes[ids], np.zeros(shingle_n, dtype=np.uint64)))
     widths = np.minimum(lengths, shingle_n)
     counts = lengths - widths + 1
     doc = np.repeat(np.arange(len(token_lists)), counts)
     # window i of the flat list starts at token i plus the widths - 1 of the lists before its own
     starts = np.arange(len(doc)) + np.repeat(np.cumsum(widths - 1) - (widths - 1), counts)
-    width = widths[doc]
-    acc = width.astype(np.uint64)
+    acc = np.full(total + 1, shingle_n, dtype=np.uint64)
     for j in range(shingle_n):
-        acc = np.where(j < width, acc * _ROLL + flat[starts + j], acc)
+        acc *= _ROLL
+        acc += flat[j : j + total + 1]
+    acc = acc[starts]
+    # a list shorter than one shingle has one, after the shingles of the lists before it
+    short = np.flatnonzero(widths < shingle_n)
+    at, width = (np.cumsum(counts) - counts)[short], widths[short]
+    fold = width.astype(np.uint64)
+    for j in range(shingle_n - 1):
+        fold = np.where(j < width, fold * _ROLL + flat[starts[at] + j], fold)
+    acc[at] = fold
     return _mix(acc), doc
 
 
@@ -120,25 +144,34 @@ def _sketch(hashes: np.ndarray, doc: np.ndarray, docs: int, a: np.ndarray, b: np
     round-0 bin + r) mod k, so all bins are filled by round 2k. Its value is
     the round above the low 32 bits of that hash, and a bin keeps its least
     value. A later round's values exceed an earlier one's, so a document
-    whose bins are all filled drops out. Repeated shingles change nothing."""
+    whose bins are all filled drops out, and each round checks only the
+    rows still open. Repeated shingles change nothing."""
     k = len(a)
-    sigs = np.full(docs * k, _EMPTY, dtype=np.uint64)
-    open_docs = docs
+
+    def bins_of(mixed: np.ndarray) -> np.ndarray:
+        return ((mixed >> _HIGH) * np.uint64(k) >> _HIGH).view(np.int64)
+
+    sigs = np.full((docs, k), _EMPTY, dtype=np.uint64)
+    rows = np.arange(docs)  # the open documents
+    sizes = np.bincount(doc, minlength=docs)  # shingles per document
+    slot = doc * k  # of each shingle's document's first bin
     for r in range(2 * k):
         mixed = _mix(hashes * a[r % k] + b[r % k])
-        bins = ((mixed >> _HIGH) * np.uint64(k) >> _HIGH).astype(np.int64) if r < k else (first + r - k) % k
-        first = bins if r == 0 else first
+        # only a document of a few shingles reaches round k, so those rounds hash round 0 again
+        bins = bins_of(mixed) if r < k else (bins_of(_mix(hashes * a[0] + b[0])) + (r - k)) % k
         mixed &= _LOW
         mixed |= np.uint64(r) << _HIGH
-        np.minimum.at(sigs, doc * k + bins, mixed)
-        is_open = (sigs.reshape(docs, k) == _EMPTY).any(axis=1)
-        open_docs, was_open = np.count_nonzero(is_open), open_docs
-        if not open_docs:
+        np.minimum.at(sigs.reshape(-1), slot + bins, mixed)
+        rows = rows[(sigs[rows] == _EMPTY).any(axis=1)]
+        if not len(rows):
             break
-        if open_docs < was_open:
+        # no round changes a closed document's row, so its shingles go once they are half of the work
+        if 2 * sizes[rows].sum() <= len(hashes):
+            is_open = np.zeros(docs, dtype=bool)
+            is_open[rows] = True
             keep = np.flatnonzero(is_open[doc])
-            hashes, doc, first = hashes[keep], doc[keep], first[keep]
-    return sigs.reshape(docs, k)
+            hashes, doc, slot = hashes[keep], doc[keep], slot[keep]
+    return sigs
 
 
 def minhash_signature(

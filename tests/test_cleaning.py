@@ -145,7 +145,7 @@ def test_guards_agree_with_their_substring_forms(text):
     # costly scans became regex searches.
     punct_pair = any(c in text and (c + c in text or f"{c} {c}" in text) for c in "-.*=_")
     assert cleaning._has_punct_pair(text) == punct_pair
-    assert cleaning._has_space_by_newline(text) == (" \n" in text or "\n " in text or "\t" in text)
+    assert cleaning._has_space_by_newline(text) == (" \n" in text or "\n " in text or "\t\n" in text or "\n\t" in text)
 
 
 def test_unguarded_user_rule_runs_beside_the_shipped_rules():

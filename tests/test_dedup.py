@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
 import random
 import statistics
@@ -139,6 +141,104 @@ def test_add_batch_signs_each_document_as_alone(token_lists, shingle_n, permutat
     sketch = _sketch(*_shingles(token_lists, shingle_n, _TokenHashes()), len(texts), *batch._params)
     assert not (sketch == _EMPTY).any()
     assert np.array_equal(rows, sketch & np.uint64(0xFFFF))
+
+
+_M64 = 2**64 - 1
+
+
+def _ref_mix(x):
+    """The murmur3 64-bit finalizer on a Python int."""
+    for multiplier in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        x ^= x >> 33
+        x = x * multiplier & _M64
+    return x ^ x >> 33
+
+
+def _ref_shingles(tokens, shingle_n):
+    """Each window's hashes folded as `acc * roll + h` mod 2^64 from the window
+    width, then mixed; a list shorter than one shingle is one window."""
+    hashes = [int.from_bytes(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest(), "big") for t in tokens]
+    width = min(len(tokens), shingle_n)
+    out = []
+    for start in range(len(tokens) - width + 1):
+        acc = width
+        for h in hashes[start : start + width]:
+            acc = (acc * 0x9E3779B97F4A7C15 + h) & _M64
+        out.append(_ref_mix(acc))
+    return out
+
+
+def _ref_sketch(shingles, a, b):
+    """Fast similarity sketch, one round at a time until every bin is filled:
+    bins by multiply-shift in round r < k, else (round-0 bin + r - k) mod k;
+    each bin keeps its least `(r << 32) | low 32 bits` value."""
+    k = len(a)
+    bins = [None] * k
+    first = {}
+    r = 0
+    while None in bins:
+        for h in shingles:
+            mixed = _ref_mix((h * a[r % k] + b[r % k]) & _M64)
+            if r < k:
+                at = (mixed >> 32) * k >> 32
+                first.setdefault(h, at)
+            else:
+                at = (first[h] + r - k) % k
+            value = r << 32 | mixed & 0xFFFFFFFF
+            if bins[at] is None or value < bins[at]:
+                bins[at] = value
+        r += 1
+    return bins
+
+
+def _ref_rows(index, token_lists):
+    a, b = ([int(x) for x in row] for row in index._params)
+    return [_ref_sketch(_ref_shingles(tokens, index.shingle_n), a, b) for tokens in token_lists]
+
+
+@pytest.mark.parametrize("shingle_n", [1, 3, 5])
+@pytest.mark.parametrize("permutations", [1, 8, 128])
+def test_signature_bits_equal_pure_python_reference(shingle_n, permutations):
+    """Every bit of the sketch, and each `_sigs` row, equals a pure-Python
+    reference, for lists of every length from 0 to shingle_n + 1, repeated
+    tokens and non-ASCII tokens among them."""
+    vocab = ["w1", "§", "Straße", "日本", "w1", "é"]
+    token_lists = []
+    for length in range(shingle_n + 2):
+        token_lists += [
+            [f"d{length}_{i}" for i in range(length)],
+            ["x"] * length,
+            [vocab[(length + i) % len(vocab)] for i in range(length)],
+        ]
+    texts = [" ".join(tokens) for tokens in token_lists]
+    index = Deduplicator(exact=False, shingle_n=shingle_n, permutations=permutations, seed=6)
+    index.add_batch([f"d{i}" for i in range(len(texts))], texts, token_lists)
+    reference = np.array(_ref_rows(index, token_lists), dtype=np.uint64)
+    sketch = _sketch(*_shingles(token_lists, shingle_n, _TokenHashes()), len(texts), *index._params)
+    assert np.array_equal(sketch, reference)
+    assert np.array_equal(index._sigs[: len(texts)], reference & np.uint64(0xFFFF))
+
+
+def test_signature_bits_equal_reference_as_the_token_table_grows():
+    """Over several add_batch calls that bring more than 1,024 distinct
+    tokens, and reuse the first call's tokens in later ones, every row still
+    equals the reference."""
+    rng = random.Random(8)
+    index = Deduplicator(exact=False, seed=9)
+    fresh = (f"t{j}" for j in itertools.count())
+    first_call: list = []  # the tokens of the first add_batch
+    all_lists = []
+    for batch in range(4):
+        token_lists = [
+            [rng.choice(first_call) if first_call and rng.random() < 0.25 else next(fresh) for _ in range(length)]
+            for length in (rng.randrange(1, 50) for _ in range(20))
+        ]
+        index.add_batch([f"{batch}-{i}" for i in range(20)], [" ".join(t) for t in token_lists], token_lists)
+        all_lists += token_lists
+        first_call = first_call or [t for tokens in token_lists for t in tokens]
+    assert len({t for tokens in all_lists for t in tokens}) > 1024
+    reference = np.array(_ref_rows(index, all_lists), dtype=np.uint64)
+    assert np.array_equal(index._sigs[: len(all_lists)], reference & np.uint64(0xFFFF))
 
 
 def _dfs_least_rows(rows, left, right):
