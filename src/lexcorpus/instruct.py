@@ -14,19 +14,16 @@ any benchmark input, so instruction data can never leak test questions.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from urllib.parse import urlsplit
 
 from .cleaning import ngrams, normalize_text
 from .corpus import Document, InputError, resolve_source, write_lines
-
-if TYPE_CHECKING:
-    import requests
 
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
@@ -218,7 +215,7 @@ class StubChatBackend(ChatBackend):
 
 
 class HttpChatBackend(ChatBackend):
-    """Remote chat endpoint.
+    """Remote chat endpoint, reached over http or https with urllib.
 
     Protocol: POST JSON {"model", "messages": [{role, content}], "temperature",
     "max_tokens"}; the response body is a JSON object with the completion, a
@@ -226,83 +223,90 @@ class HttpChatBackend(ChatBackend):
     LEXCORPUS_CHAT_TOKEN environment variable when present. Transport
     errors, 429 and 5xx responses are retried with exponential backoff, or
     after the number of seconds in a numeric Retry-After header; persistent
-    failure and any other status raise BackendError. A 200 response with
-    any other body raises MalformedResponseError at once.
+    failure, a Retry-After longer than CHAT_TIMEOUT_S and any other status,
+    a redirect included (none is followed), raise BackendError. A 200 response with any other body raises
+    MalformedResponseError at once. An endpoint that is not an http or https
+    URL raises ValueError here, before any request.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        session: Optional[requests.Session] = None,
-    ):
-        # imported here, not with the module: requests takes about 10 MiB,
-        # and only a process that talks to an endpoint needs it
-        import requests
-
+    def __init__(self, endpoint: str, model: str):
+        if urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ValueError(f"chat endpoint {endpoint!r} is not an http:// or https:// URL")
         self.endpoint = endpoint
         self.model = model
-        self.session = session or requests.Session()
         self.name = f"http:{model}"
 
     def complete(self, messages: Sequence[Dict[str, str]], role_hint: str) -> str:
+        # imported here: urllib.request takes about 23 ms, and only this method needs it
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
+
+        # follow no redirect, so every 3xx raises HTTPError: urllib would resend a 301,
+        # 302 or 303 with the Authorization header to any host, over http or https
+        no_redirect = HTTPRedirectHandler()
+        no_redirect.redirect_request = lambda *args: None
+        open_url = build_opener(no_redirect).open
         payload = {
             "model": self.model,
             "messages": list(messages),
             "temperature": CHAT_TEMPERATURE,
             "max_tokens": CHAT_MAX_TOKENS,
         }
-        headers = {}
         token = os.environ.get(AUTH_TOKEN_ENV)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        import requests  # loaded by __init__; this binds the name
-
+        headers = {"Content-Type": "application/json", **({"Authorization": f"Bearer {token}"} if token else {})}
+        request = Request(self.endpoint, json.dumps(payload).encode("utf-8"), headers)
         last_error: Optional[Exception] = None
         answered = False
         for attempt in range(CHAT_ATTEMPTS):
             delay = CHAT_BACKOFF_S * (2**attempt)
             try:
-                resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=CHAT_TIMEOUT_S
-                )
-            except requests.RequestException as exc:
+                with open_url(request, timeout=CHAT_TIMEOUT_S) as resp:
+                    status, body = resp.status, resp.read()
+            except HTTPError as exc:  # an OSError, so caught first
+                with exc:
+                    if exc.code != 429 and exc.code < 500:
+                        raise BackendError(f"unexpected status {exc.code}")
+                    kind = "rate limited" if exc.code == 429 else "server error"
+                    last_error = BackendError(f"{kind} {exc.code}")
+                    answered = True
+                    delay = _retry_after(exc.headers, delay)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
             else:
-                if resp.status_code == 200:
-                    return _completion(resp)
-                if resp.status_code != 429 and resp.status_code < 500:
-                    raise BackendError(f"unexpected status {resp.status_code}")
-                kind = "rate limited" if resp.status_code == 429 else "server error"
-                last_error = BackendError(f"{kind} {resp.status_code}")
-                answered = True
-                delay = _retry_after(resp, delay)
+                if status != 200:
+                    raise BackendError(f"unexpected status {status}")
+                return _completion(body)
             if attempt + 1 < CHAT_ATTEMPTS:
                 time.sleep(delay)
         cause = "refused" if answered else "unreachable after"
         raise BackendError(f"chat endpoint {cause} {CHAT_ATTEMPTS} attempts: {last_error}")
 
 
-def _completion(resp) -> str:
+def _completion(body: bytes) -> str:
     try:
-        body = resp.json()
+        value = json.loads(body)
     except (ValueError, RecursionError) as exc:
         raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
-    if not isinstance(body, dict):
-        raise MalformedResponseError(f"response body is {type(body).__name__}, not a JSON object")
-    completion = body.get("completion")
+    if not isinstance(value, dict):
+        raise MalformedResponseError(f"response body is {type(value).__name__}, not a JSON object")
+    completion = value.get("completion")
     if not isinstance(completion, str):
         raise MalformedResponseError(f'"completion" is {completion!r:.60}, not a string')
     return completion
 
 
-def _retry_after(resp, default: float) -> float:
-    """Seconds from a numeric Retry-After header, else `default`."""
+def _retry_after(headers, default: float) -> float:
+    """Seconds from a numeric Retry-After header, else `default`. A wait
+    longer than CHAT_TIMEOUT_S raises BackendError: sleeping it would stall
+    the batch, and a huge one overflows time.sleep."""
     try:
-        seconds = float(resp.headers.get("Retry-After", ""))
+        seconds = float(headers.get("Retry-After", ""))
     except ValueError:
         return default
-    return seconds if 0.0 <= seconds < math.inf else default
+    if seconds > CHAT_TIMEOUT_S:
+        raise BackendError(f"chat endpoint asks to wait {seconds:g} s, longer than the {CHAT_TIMEOUT_S:g} s timeout")
+    return seconds if seconds >= 0.0 else default
 
 
 # -- extension ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -30,32 +32,66 @@ def make_doc():
     return _make
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, text: str = "", headers: dict | None = None):
-        self.status_code = status_code
-        self.text = text
-        self.headers = headers or {}
+class _ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        length = int(self.headers.get("Content-Length", 0))
+        payload = json.loads(self.rfile.read(length)) if length else None
+        with server.lock:
+            server.payloads.append(payload)
+            server.auth.append(self.headers.get("Authorization"))
+            status, body, *headers = server.replies[min(len(server.payloads), len(server.replies)) - 1]
+        reply = body.encode("utf-8")
+        self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
 
-    def json(self):
-        return json.loads(self.text)
+    do_GET = do_POST
+
+    def log_message(self, *args):
+        pass
 
 
-class _FakeSession:
+class _ChatEndpoint(ThreadingHTTPServer):
     def __init__(self, replies):
-        self.responses = [_FakeResponse(*reply) for reply in replies]
-        self.calls = 0
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.replies = replies
+        self.payloads: list = []
+        self.auth: list = []
+        self.lock = threading.Lock()
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat"
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls += 1
-        return self.responses[min(self.calls, len(self.responses)) - 1]
+    @property
+    def calls(self) -> int:
+        return len(self.payloads)
 
 
 @pytest.fixture()
-def fake_session():
-    """Factory for a stand-in requests.Session that answers each post with
-    the next (status, body text[, headers]) reply, repeating the last one
-    once they run out; `.calls` counts the posts."""
-    return lambda *replies: _FakeSession(replies)
+def chat_endpoint():
+    """Factory for a chat endpoint served on 127.0.0.1 that answers each POST
+    or GET with the next (status, body text[, headers]) reply, repeating the
+    last one once they run out. The server's `.url` is its address; `.calls`
+    counts the requests, `.payloads` holds their JSON bodies (None for a GET)
+    and `.auth` their Authorization headers (None when absent)."""
+    servers = []
+
+    def _start(*replies):
+        server = _ChatEndpoint(replies)
+        # a short poll, so shutdown() returns at once rather than after 0.5 s
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return server
+
+    yield _start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 @pytest.fixture()

@@ -240,10 +240,46 @@ def test_gen_instructions_prints_why_a_conversation_failed(tmp_path, capsys, mon
     argv = ["gen-instructions", "--examples", str(examples), "-o", str(tmp_path / "conv.jsonl"), "--endpoint", endpoint]
     assert cli.main(argv) == 2
     failed, last = capsys.readouterr().err.splitlines()
-    # the rest of the line is the transport's own error, which names the port
-    assert failed.startswith("failed e1: transport: chat endpoint unreachable after 1 attempts: ")
-    assert "port=1" in failed
+    # the rest of the line is the transport's own error
+    assert failed.startswith("failed e1: transport: chat endpoint unreachable after 1 attempts: <urlopen error ")
+    assert "Connection refused" in failed
     assert last == "lexcorpus gen-instructions: every conversation failed"
+
+
+@pytest.mark.parametrize("retry_after", ["1e308", "3600", "inf"])
+def test_gen_instructions_gives_up_on_a_retry_after_longer_than_the_timeout(
+    tmp_path, capsys, chat_endpoint, sleeps, retry_after
+):
+    """The conversation that is asked to wait fails at once as a transport
+    failure, and the batch's other conversations are still written."""
+    server = chat_endpoint((429, "", {"Retry-After": retry_after}), (200, '{"completion": "a reply"}'))
+    examples = tmp_path / "ex.jsonl"
+    examples.write_text("".join(f'{{"id":"e{i}","input_text":"Clause {i}.","label":"contracts"}}\n' for i in (1, 2)))
+    out = tmp_path / "conv.jsonl"
+    argv = ["gen-instructions", "--examples", examples, "-o", out, "--endpoint", server.url, "--concurrency", "1"]
+    assert _main(*argv) == 0
+    assert [c.origin for c in instruct.read_conversations(out)] == ["e2"]
+    wait = f"{float(retry_after):g}"
+    assert capsys.readouterr().err == f"failed e1: transport: chat endpoint asks to wait {wait} s, longer than the 30 s timeout\n"
+    # e1 makes its one call; e2 makes the three of its two extra turn pairs
+    assert server.calls == 1 + 3 and sleeps == []
+
+
+@pytest.mark.parametrize("endpoint", ["{reply}", "localhost:8080/v1"], ids=["file-url", "no-scheme"])
+@pytest.mark.parametrize("command", ["gen-instructions", "eval"])
+def test_chat_commands_refuse_an_endpoint_that_is_not_http(pipeline_inputs, tmp_path, capsys, command, endpoint):
+    """A file:// URL would be read as a local file, so it exits 1 before any call."""
+    reply = tmp_path / "reply.json"
+    reply.write_text('{"completion": "read from a local file"}')
+    endpoint = endpoint.format(reply=reply.as_uri())
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "gen-instructions": ["gen-instructions", "--examples", pipeline_inputs / "examples.jsonl", "-o", out],
+        "eval": ["eval", "--task-dir", pipeline_inputs / "tasks", "--dump", out],
+    }[command]
+    assert _main(*argv, "--endpoint", endpoint) == 1
+    assert capsys.readouterr() == ("", f"lexcorpus: chat endpoint {endpoint!r} is not an http:// or https:// URL\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -313,11 +313,23 @@ def test_perplexity_report_reads_each_category_once(tok):
 
 
 @pytest.mark.parametrize("body", ['["not", "an", "object"]', '{"completion": null}', "{}"])
-def test_run_benchmark_records_malformed_responses(fake_session, sleeps, body):
+def test_run_benchmark_records_malformed_responses(chat_endpoint, sleeps, body):
     suite = build_task_suite(seed=11)[:2]
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=fake_session((200, body)))
+    server = chat_endpoint((200, body))
+    backend = HttpChatBackend(server.url, model="m")
     report, records = run_benchmark(suite, backend, concurrency=2)
     assert records and all(r.parsed == ABSTAIN for r in records)
     assert all(r.failure.startswith("malformed_response: ") for r in records)
     assert all(r.raw_output == "" for r in records)
     assert report.abstain_rate == 1.0
+    assert server.calls == len(records) and sleeps == []
+
+
+def test_run_benchmark_abstains_on_a_retry_after_longer_than_the_timeout(chat_endpoint, sleeps):
+    suite = build_task_suite(seed=11)[:1]
+    server = chat_endpoint((429, "", {"Retry-After": "1e308"}))
+    report, records = run_benchmark(suite, HttpChatBackend(server.url, model="m"), concurrency=2)
+    failure = "backend: chat endpoint asks to wait 1e+308 s, longer than the 30 s timeout"
+    assert records and all(r.parsed == ABSTAIN and r.failure == failure for r in records)
+    assert report.abstain_rate == 1.0
+    assert server.calls == len(records) and sleeps == []

@@ -3,10 +3,9 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -223,83 +222,41 @@ def test_decontaminate_monotone_in_benchmark_set():
 
 # --- HTTP backend ------------------------------------------------------------
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    server_version = "TestChat/0"
-    fail_first = 0
-    saw_auth: list = []
-    payloads: list = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).payloads.append(body)
-        type(self).saw_auth.append(self.headers.get("Authorization"))
-        if type(self).fail_first > 0:
-            type(self).fail_first -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        reply = json.dumps({"completion": f"echo:{len(body['messages'])}"}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def chat_server():
-    _ChatHandler.fail_first = 0
-    _ChatHandler.saw_auth = []
-    _ChatHandler.payloads = []
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat", _ChatHandler
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def test_http_backend_protocol(chat_server, monkeypatch):
-    url, handler = chat_server
+def test_http_backend_protocol(chat_endpoint, monkeypatch):
+    server = chat_endpoint((200, '{"completion": "echo:1"}'))
     monkeypatch.setenv(AUTH_TOKEN_ENV, "sekrit")
     monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.01)
-    backend = HttpChatBackend(url, model="test-model")
+    backend = HttpChatBackend(server.url, model="test-model")
     out = backend.complete([{"role": "user", "content": "hi"}], role_hint="assistant")
     assert out == "echo:1"
-    payload = handler.payloads[-1]
+    payload = server.payloads[-1]
     assert payload["model"] == "test-model"
     assert payload["messages"] == [{"role": "user", "content": "hi"}]
     assert set(payload) >= {"model", "messages", "temperature", "max_tokens"}
-    assert handler.saw_auth[-1] == "Bearer sekrit"
+    assert server.auth[-1] == "Bearer sekrit"
 
 
-def test_http_backend_retries_5xx(chat_server, monkeypatch):
-    url, handler = chat_server
+def test_http_backend_retries_5xx(chat_endpoint, monkeypatch):
+    server = chat_endpoint((503, ""), (503, ""), (200, '{"completion": "echo:1"}'))
     monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
-    handler.fail_first = 2
     monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 3)
     monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.01)
-    backend = HttpChatBackend(url, model="m")
+    backend = HttpChatBackend(server.url, model="m")
     out = backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
     assert out == "echo:1"
-    assert len(handler.payloads) == 3
-    assert handler.saw_auth[-1] is None
+    assert server.calls == 3
+    assert server.auth[-1] is None
 
 
-def test_http_backend_gives_up_after_retries(chat_server, monkeypatch):
-    url, handler = chat_server
+def test_http_backend_gives_up_after_retries(chat_endpoint, monkeypatch):
+    server = chat_endpoint((503, ""))
     monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
-    handler.fail_first = 99
     monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 2)
     monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.01)
-    backend = HttpChatBackend(url, model="m")
+    backend = HttpChatBackend(server.url, model="m")
     with pytest.raises(BackendError):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
-    assert len(handler.payloads) == 2
+    assert server.calls == 2
 
 
 def test_generation_failures_are_recorded_not_raised(monkeypatch):
@@ -335,55 +292,55 @@ MALFORMED_BODIES = [
 
 
 @pytest.mark.parametrize("body", MALFORMED_BODIES)
-def test_malformed_response_is_a_recorded_failure(fake_session, sleeps, body):
-    session = fake_session((200, body))
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+def test_malformed_response_is_a_recorded_failure(chat_endpoint, sleeps, body):
+    server = chat_endpoint((200, body))
+    backend = HttpChatBackend(server.url, model="m")
     convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
-    assert session.calls == 1 and sleeps == []
+    assert server.calls == 1 and sleeps == []
 
 
-def test_response_nested_too_deep_is_a_recorded_failure(fake_session, sleeps):
-    session = fake_session((200, "[" * 100000 + "]" * 100000))
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+def test_response_nested_too_deep_is_a_recorded_failure(chat_endpoint, sleeps):
+    server = chat_endpoint((200, "[" * 100000 + "]" * 100000))
+    backend = HttpChatBackend(server.url, model="m")
     with pytest.raises(MalformedResponseError, match="^response body is not JSON: maximum recursion depth exceeded"):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
     convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == []
     assert [(f.origin, f.reason) for f in failures] == [("ex-1", "malformed_response")]
-    assert session.calls == 2 and sleeps == []
+    assert server.calls == 2 and sleeps == []
 
 
 @pytest.mark.parametrize(
     "retry_after, expected_sleep",
     [("2", 2.0), ("0.25", 0.25), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5), (None, 0.5)],
 )
-def test_http_backend_retries_429_honouring_retry_after(fake_session, sleeps, monkeypatch, retry_after, expected_sleep):
+def test_http_backend_retries_429_honouring_retry_after(chat_endpoint, sleeps, monkeypatch, retry_after, expected_sleep):
     headers = {"Retry-After": retry_after} if retry_after is not None else {}
-    session = fake_session((429, "", headers), (200, '{"completion": "after the wait"}'))
+    server = chat_endpoint((429, "", headers), (200, '{"completion": "after the wait"}'))
     monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.5)
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+    backend = HttpChatBackend(server.url, model="m")
     assert backend.complete([{"role": "user", "content": "x"}], role_hint="assistant") == "after the wait"
-    assert session.calls == 2
+    assert server.calls == 2
     assert sleeps == [expected_sleep]
 
 
-def test_http_backend_persistent_429_is_a_transport_failure(fake_session, sleeps, monkeypatch):
-    session = fake_session((429, "", {"Retry-After": "1"}))
+def test_http_backend_persistent_429_is_a_transport_failure(chat_endpoint, sleeps, monkeypatch):
+    server = chat_endpoint((429, "", {"Retry-After": "1"}))
     monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 3)
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+    backend = HttpChatBackend(server.url, model="m")
     convs, failures = generate_conversations([_example()], backend, extra_turn_pairs=1)
     assert convs == [] and failures[0].reason == "transport"
-    assert session.calls == 3 and sleeps == [1.0, 1.0]
+    assert server.calls == 3 and sleeps == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("status, cause", [(429, "rate limited 429"), (503, "server error 503")])
-def test_http_backend_refusals_are_not_reported_unreachable(fake_session, sleeps, monkeypatch, status, cause):
-    session = fake_session((status, ""))
+def test_http_backend_refusals_are_not_reported_unreachable(chat_endpoint, sleeps, monkeypatch, status, cause):
+    server = chat_endpoint((status, ""))
     monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 3)
     monkeypatch.setattr(instruct, "CHAT_BACKOFF_S", 0.0)
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
+    backend = HttpChatBackend(server.url, model="m")
     with pytest.raises(BackendError) as excinfo:
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
     assert str(excinfo.value) == f"chat endpoint refused 3 attempts: {cause}"
@@ -397,26 +354,60 @@ def test_http_backend_without_any_response_is_unreachable(monkeypatch):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
 
 
-def test_http_backend_other_4xx_fails_at_once(fake_session, sleeps):
-    session = fake_session((404, "not found"))
-    backend = HttpChatBackend("http://chat.invalid/v1", model="m", session=session)
-    with pytest.raises(BackendError, match="unexpected status 404"):
+def test_http_backend_that_never_answers_is_unreachable(sleeps, monkeypatch):
+    monkeypatch.setattr(instruct, "CHAT_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(instruct, "CHAT_ATTEMPTS", 2)
+    # the kernel completes the connections into the listen backlog, but no
+    # request is ever accepted, so each attempt waits out the timeout
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        backend = HttpChatBackend(f"http://127.0.0.1:{silent.getsockname()[1]}/v1", model="m")
+        with pytest.raises(BackendError, match="^chat endpoint unreachable after 2 attempts: .*timed out"):
+            backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
+    assert sleeps == [instruct.CHAT_BACKOFF_S]
+
+
+@pytest.mark.parametrize("status", [404, 201, 301, 302, 303, 307])
+def test_http_backend_other_statuses_fail_at_once(chat_endpoint, sleeps, monkeypatch, status):
+    # a redirect is not followed, so the host its Location names never sees the token
+    elsewhere = chat_endpoint((200, '{"completion": "redirected"}'))
+    server = chat_endpoint((status, '{"completion": "x"}', {"Location": elsewhere.url}))
+    monkeypatch.setenv(AUTH_TOKEN_ENV, "secret")
+    backend = HttpChatBackend(server.url, model="m")
+    with pytest.raises(BackendError, match=f"^unexpected status {status}$"):
         backend.complete([{"role": "user", "content": "x"}], role_hint="assistant")
-    assert session.calls == 1 and sleeps == []
+    assert server.auth == ["Bearer secret"] and elsewhere.calls == 0 and sleeps == []
 
 
-def test_cli_does_not_import_requests_until_an_http_backend_is_built():
-    # Measured on Linux, Python 3.11, when the import was made lazy: requests
-    # raised the VmHWM of a process that imports lexcorpus.cli from 35.7 to
-    # 45.2 MiB, and only HttpChatBackend uses it.
+@pytest.mark.parametrize("endpoint", ["file:///v1/chat", "localhost:8080/v1", "ftp://127.0.0.1/v1", ""])
+def test_http_backend_refuses_an_endpoint_that_is_not_http(endpoint):
+    with pytest.raises(ValueError, match="is not an http:// or https:// URL$"):
+        HttpChatBackend(endpoint, model="m")
+
+
+def test_generate_conversations_over_threads_keeps_input_order(chat_endpoint):
+    server = chat_endpoint((200, '{"completion": "a reply"}'))
+    examples = [_example(id=f"ex-{i}") for i in range(12)]
+    backend = HttpChatBackend(server.url, model="m")
+    convs, failures = generate_conversations(examples, backend, extra_turn_pairs=2, concurrency=4)
+    assert failures == []
+    assert [c.origin for c in convs] == [ex.id for ex in examples]
+    assert all(len(c.turns) == 6 for c in convs)
+    assert sorted(len(p["messages"]) for p in server.payloads) == sorted([3, 4, 5] * 12)
+
+
+def test_http_backend_needs_neither_requests_nor_urllib_request_at_import(chat_endpoint):
+    # urllib.request takes about 23 ms to import, and only HttpChatBackend uses it
+    server = chat_endpoint((200, '{"completion": "pong"}'))
     src = str(Path(lexcorpus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, lexcorpus.cli\n"
-        "print('requests' in sys.modules)\n"
-        "backend = lexcorpus.cli._chat_backend('http://x', model='m')\n"
-        "import requests\n"
-        "print(type(backend.session) is requests.Session)\n"
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "import lexcorpus.cli\n"
+        "print('urllib.request' in sys.modules)\n"
+        f"backend = lexcorpus.cli._chat_backend({server.url!r}, model='m')\n"
+        "print(backend.complete([{'role': 'user', 'content': 'ping'}], role_hint='assistant'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "pong"]
+    assert server.calls == 1
