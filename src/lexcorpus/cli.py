@@ -8,9 +8,9 @@ A stage's work is done by one body that both its subcommand and `pipeline`
 call (`_clean`, `lm.filter_by_perplexity`, `dedup.Deduplicator`, ...).
 `pipeline` streams the main corpus through normalize, filter-rules,
 filter-ppl and dedup in batches of documents, and the `normalize`,
-`filter-rules` and `filter-ppl` subcommands stream their input through the
-same batch loop; `dedup` reads its input twice. Instruction generation and
-evaluation take a chat endpoint and therefore stay outside `pipeline`.
+`filter-rules`, `filter-ppl` and `dedup` subcommands stream their input
+through the same batch loop, once. Instruction generation and evaluation
+take a chat endpoint and therefore stay outside `pipeline`.
 
 Exit codes: 0 success, 1 validation failure (bad config, flags, or input
 files: a corpus.InputError or one of the builtins in _VALIDATION_ERRORS),
@@ -27,6 +27,7 @@ import json
 import os
 import stat
 import sys
+import tempfile
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -241,37 +242,23 @@ def _changed(path: str | Path, what: str) -> CorpusError:
     return CorpusError(f"{path} changed between two reads: {what}")
 
 
-def _survivors(path: str | Path, strict: bool, ids: Sequence[str], removed: Set[int]) -> Iterator[Document]:
-    """Read `path` again, after a dedup.Deduplicator took its documents
-    with these `ids` in order, and yield those whose index is not in
-    `removed`. A document whose id is not the one at its index, or a read
-    that ends early, raises CorpusError: the file changed between reads."""
-    reader = read_documents(path, strict=strict)
-    for idx, doc in enumerate(reader):
-        if idx >= len(ids) or doc.id != ids[idx]:
-            raise _changed(path, f"document {idx + 1} is now {doc.id!r}")
-        if idx not in removed:
-            yield doc
-    if reader.count != len(ids):
-        raise _changed(path, f"{reader.count} documents, not {len(ids)}")
-
-
-def _copy_survivors(path: Path, ids: Sequence[str], removed: Set[int], out: IO[bytes]) -> List[int]:
-    """_survivors for a corpus that this run wrote, in canonical form and
-    one document per line: the surviving lines are copied to `out` as read,
-    each checked by the canonical prefix of its id and decoded only to name
-    it in the error. Returns the offset in `path` of each line, followed by
-    the file's length."""
+def _copy_survivors(fh: IO[bytes], ids: Sequence[str], removed: Set[int], out: IO[bytes]) -> List[int]:
+    """Copy to `out` the lines of `fh`, an open corpus in canonical form and
+    one document per line that a dedup.Deduplicator took with these `ids`
+    in order, whose index is not in `removed`. Each line is checked by the
+    canonical prefix of its id and decoded only to name it in the error: a
+    line that does not hold the id at its index, or a file that ends early,
+    raises CorpusError. Returns the offset of each line, followed by the
+    file's length."""
     starts = [0]
-    with open(path, "rb", buffering=BUFFER_SIZE) as fh:
-        for idx, line in enumerate(fh):
-            if idx >= len(ids) or not line.startswith(canonical_prefix(ids[idx])):
-                raise _changed(path, f"document {idx + 1} is now {corpus._parse_record(line, idx + 1).id!r}")
-            if idx not in removed:
-                out.write(line)
-            starts.append(starts[-1] + len(line))
+    for idx, line in enumerate(fh):
+        if idx >= len(ids) or not line.startswith(canonical_prefix(ids[idx])):
+            raise _changed(fh.name, f"document {idx + 1} is now {corpus._parse_record(line, idx + 1).id!r}")
+        if idx not in removed:
+            out.write(line)
+        starts.append(starts[-1] + len(line))
     if len(starts) - 1 != len(ids):
-        raise _changed(path, f"{len(starts) - 1} documents, not {len(ids)}")
+        raise _changed(fh.name, f"{len(starts) - 1} documents, not {len(ids)}")
     return starts
 
 
@@ -435,34 +422,36 @@ def cmd_filter_ppl(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    """dedup.dedup_corpus over a stream: the input is read once into the
-    index, then again to write the survivors, so it must be a regular file
-    (not a pipe, which a second read would find empty)."""
+    """Stream the input once into a dedup.Deduplicator, keeping each
+    document's canonical line in an anonymous temp file, and then copy the
+    surviving lines to the output, as run_pipeline copies 03 to 04."""
     from . import dedup
 
-    if not stat.S_ISREG(os.stat(args.input).st_mode):
-        raise ValueError(f"dedup reads its input twice, so it must be a regular file: {args.input}")
     _refuse_write_through(args.input, [args.output, args.report, args.clusters])
     params = {k: v for k, v in vars(args).items() if k in ("shingle_n", "permutations", "threshold")}
     index = dedup.Deduplicator(near=not args.exact_only, seed=args.seed, **params)
+    with tempfile.TemporaryFile(buffering=BUFFER_SIZE) as lines:
 
-    def add(batch: List[Document]) -> Tuple[List[Document], ...]:
-        texts = [doc.text for doc in batch]
-        index.add_batch([doc.id for doc in batch], texts, list(map(str.split, texts)))
-        return ()
+        def add(batch: List[Document]) -> Tuple[List[Document], ...]:
+            texts = [doc.text for doc in batch]
+            index.add_batch([doc.id for doc in batch], texts, list(map(str.split, texts)))
+            lines.writelines(map(encode_line, batch))
+            return ()
 
-    _stream(args.input, args.strict, [], add)
-    removed, report = index.resolve()
-    ids = index.ids
-    del index  # frees the signature matrix before the second read
-    kept = write_documents(_survivors(args.input, args.strict, ids, removed), args.output)
+        _stream(args.input, args.strict, [], add)
+        removed, report = index.resolve()
+        ids = index.ids
+        del index  # frees the signature matrix before the survivors are copied
+        lines.seek(0)
+        with atomic_write(args.output, binary=True) as out:
+            _copy_survivors(lines, ids, removed, out)
     if args.report:
         _write_report(args.report, report)
     if args.clusters:
         dedup.write_cluster_dump(report, args.clusters)
     print(
         f"dedup removed {report.exact_removed} exact + {report.near_removed} near "
-        f"duplicates, {kept} documents remain -> {args.output}"
+        f"duplicates, {len(ids) - len(removed)} documents remain -> {args.output}"
     )
     return 0
 
@@ -681,8 +670,9 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         ids, token_counts = index.ids, index.token_counts
         del index  # frees the signature matrix before the mix's documents are read
         pplfiltered = out / "03_pplfiltered.jsonl"
-        with atomic_write(out / "04_deduped.jsonl", binary=True) as fh:
-            starts = _copy_survivors(pplfiltered, ids, removed, fh)
+        with open(pplfiltered, "rb", buffering=BUFFER_SIZE) as fh:
+            with atomic_write(out / "04_deduped.jsonl", binary=True) as deduped:
+                starts = _copy_survivors(fh, ids, removed, deduped)
         _write_report(out / "dedup_report.json", report)
         deduping.update(documents=len(ids) - len(removed), tokens=report.tokens_after)
         deduping.update(exact_removed=report.exact_removed, near_removed=report.near_removed)

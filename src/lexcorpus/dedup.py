@@ -19,9 +19,9 @@ keeps the low 16 bits of each sketch value: b-bit minwise hashing (Li and
 König, WWW 2010).
 
 `Deduplicator` is the one implementation: documents are added a batch at a
-time and resolved at the end. `exact_dedup`, `near_dedup` and
-`dedup_corpus` run it over a document list; the pipeline and the `dedup`
-subcommand stream their corpus through it.
+time and resolved at the end. `exact_dedup` and `near_dedup` run it over
+a document list; the pipeline and the `dedup` subcommand stream their
+corpus through it.
 """
 
 from __future__ import annotations
@@ -529,18 +529,3 @@ def near_dedup(
         docs, tok, exact=False, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed
     )
 
-
-def dedup_corpus(
-    docs: Iterable[Document],
-    shingle_n: int = DEFAULT_SHINGLE_N,
-    permutations: int = DEFAULT_PERMUTATIONS,
-    threshold: float = DEFAULT_THRESHOLD,
-    seed: int = 0,
-    exact_only: bool = False,
-) -> Tuple[List[Document], DedupReport]:
-    """Exact dedup, then near dedup of the survivors unless `exact_only`;
-    one report covers both passes, exact clusters first. Each document's
-    whitespace tokens are taken once, for its count and its signature."""
-    return _dedup_documents(
-        docs, None, near=not exact_only, shingle_n=shingle_n, permutations=permutations, threshold=threshold, seed=seed
-    )

@@ -3,16 +3,19 @@
 Each generator records what it planted: the artifacts in a corpus and the
 sentences that must survive cleaning, the in-domain and gibberish halves of
 a perplexity evaluation set, or the exact and near copies of a dedup corpus,
-so a test can check the code under test against that record.
+so a test can check the code under test against that record. `dedup_docs`
+runs the dedup index over a document list, the reference that the `dedup`
+subcommand is checked against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from lexcorpus.corpus import Document
+from lexcorpus.dedup import DedupReport, _dedup_documents
 from lexcorpus.synthdata import (
     HTML_ARTIFACTS,
     RUN_ARTIFACTS,
@@ -150,6 +153,16 @@ def generate_dedup_fixture(
         fixture.docs.append(dup)
         fixture.near_pairs.append((orig.id, dup.id))
     return fixture
+
+
+def dedup_docs(
+    docs: Iterable[Document], exact_only: bool = False, **options
+) -> Tuple[List[Document], DedupReport]:
+    """What `lexcorpus dedup` keeps of `docs`: exact dedup, then near dedup
+    of the survivors unless `exact_only`, with `options` as Deduplicator
+    takes them. Returns the survivors in stream order and the one report of
+    both passes, exact clusters first."""
+    return _dedup_documents(docs, None, near=not exact_only, **options)
 
 
 # -- mix inputs ------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from lexcorpus import cleaning, cli, corpus, dedup, evaluation, instruct, lm, mix
 from lexcorpus.corpus import CorpusError, InputError, WhitespaceTokenizer, read_documents, write_documents
 from lexcorpus.synthdata import write_pipeline_inputs
+from synth_fixtures import dedup_docs
 
 
 def run_cli(*args, cwd=None):
@@ -213,7 +216,9 @@ def test_gen_instructions_corpus_out_reads_back_strictly_one_document_per_conver
     ]
 
 
-def test_gen_instructions_total_failure_exits_2(tmp_path):
+def test_gen_instructions_total_failure_exits_2(tmp_path, chat_endpoint):
+    # a 404 fails at once, with no retry to sleep through
+    endpoint = chat_endpoint((404, "not found"))
     examples = tmp_path / "ex.jsonl"
     examples.write_text('{"id":"e1","input_text":"Some clause.","label":"contracts"}\n')
     out = tmp_path / "conv.jsonl"
@@ -224,11 +229,13 @@ def test_gen_instructions_total_failure_exits_2(tmp_path):
         "-o",
         str(out),
         "--endpoint",
-        "http://127.0.0.1:1/unreachable",
+        endpoint.url,
         "--model",
         "m",
     )
     assert result.returncode == 2
+    assert result.stderr.splitlines()[-1] == "lexcorpus gen-instructions: every conversation failed"
+    assert endpoint.calls == 1
 
 
 def test_gen_instructions_prints_why_a_conversation_failed(tmp_path, capsys, monkeypatch):
@@ -967,7 +974,7 @@ def test_streamed_subcommands_see_at_most_one_batch(pipeline_inputs, seed_lm, tm
 
 
 @pytest.mark.parametrize("exact_only", [False, True])
-def test_dedup_subcommand_matches_dedup_corpus(pipeline_inputs, tmp_path, exact_only):
+def test_dedup_subcommand_matches_in_memory_dedup(pipeline_inputs, tmp_path, exact_only):
     corpus = pipeline_inputs / "corpus.jsonl"
     flags = ["--exact-only"] if exact_only else []
     o = tmp_path / "cli"
@@ -975,7 +982,7 @@ def test_dedup_subcommand_matches_dedup_corpus(pipeline_inputs, tmp_path, exact_
     argv = ["dedup", "-i", corpus, "-o", o / "out.jsonl", "--seed", "3", "--report", o / "report.json",
             "--clusters", o / "clusters.tsv", *flags]
     assert _main(*argv) == 0
-    final, report = dedup.dedup_corpus(read_documents(corpus), seed=3, exact_only=exact_only)
+    final, report = dedup_docs(read_documents(corpus), seed=3, exact_only=exact_only)
     assert report.exact_removed > 0 and (exact_only or report.near_removed > 0)
     r = tmp_path / "ref"
     r.mkdir()
@@ -1214,25 +1221,51 @@ def test_pipeline_charges_a_failure_to_the_stage_it_happens_in(
     assert capsys.readouterr().err == f"lexcorpus: stage {stage!r} failed: planted\n"
 
 
-def test_dedup_rejects_a_pipe_input(tmp_path):
+def test_dedup_reads_a_pipe(pipeline_inputs, tmp_path, monkeypatch):
+    """dedup reads its input once, so a FIFO or a piped /dev/stdin gives
+    the bytes a regular file does; its temp file leaves nothing behind."""
+    corpus = pipeline_inputs / "corpus.jsonl"
+    data = corpus.read_bytes()
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+
+    def dedup_into(name, source, **run):
+        out = tmp_path / name
+        out.mkdir()
+        argv = ["dedup", "-i", source, "-o", out / "out.jsonl", "--report", out / "report.json",
+                "--clusters", out / "clusters.tsv"]
+        if run:
+            result = subprocess.run(
+                [sys.executable, "-m", "lexcorpus.cli", *map(str, argv)], capture_output=True, timeout=60,
+                env={**os.environ, "TMPDIR": str(temp)}, **run,
+            )
+            assert result.returncode == 0, result.stderr
+        else:
+            assert _main(*argv) == 0
+        return {name: (out / name).read_bytes() for name in ("out.jsonl", "report.json", "clusters.tsv")}
+
+    expected = dedup_into("file", corpus)
+    assert 0 < expected["out.jsonl"].count(b"\n") < data.count(b"\n")
+
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    out = tmp_path / "out.jsonl"
-    result = subprocess.run(
-        [sys.executable, "-m", "lexcorpus.cli", "dedup", "-i", str(fifo), "-o", str(out)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 1
-    assert "must be a regular file" in result.stderr
-    assert not out.exists()
-    doc = '{"id":"1","source":"freelaw","text":"a b c"}\n'
-    result = subprocess.run(
-        [sys.executable, "-m", "lexcorpus.cli", "dedup", "-i", "/dev/stdin", "-o", str(out)],
-        input=doc, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 1
-    assert "must be a regular file" in result.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    # a daemon, so that a dedup that never opens the FIFO fails the test rather than hanging it
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert dedup_into("fifo-out", fifo) == expected
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+    assert dedup_into("stdin-out", "/dev/stdin", input=data) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "fifo-out", "file", "stdin-out", "temp"]
+    assert [p.name for p in tmp_path.glob("*/*") if p.name not in expected] == []
+    assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--permutations", "--shingle-n"])
@@ -1254,13 +1287,20 @@ def test_pipeline_rejects_bad_sketch_parameters_before_any_stage(pipeline_inputs
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_reread_that_differs_from_first_read_raises(pipeline_inputs):
-    corpus = pipeline_inputs / "corpus.jsonl"
-    ids = [doc.id for doc in read_documents(corpus)]
-    assert [doc.id for doc in cli._survivors(corpus, True, ids, {0})] == ids[1:]
+def test_copy_survivors_checks_each_line_against_the_ids(pipeline_inputs, tmp_path):
+    corpus = tmp_path / "canonical.jsonl"
+    write_documents(read_documents(pipeline_inputs / "corpus.jsonl"), corpus)
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    ids = [json.loads(line)["id"] for line in lines]
+    out = io.BytesIO()
+    with open(corpus, "rb") as fh:
+        starts = cli._copy_survivors(fh, ids, {0}, out)
+    assert out.getvalue() == b"".join(lines[1:])
+    assert starts == [sum(map(len, lines[:i])) for i in range(len(lines) + 1)]
+    changed_message = f"^{re.escape(str(corpus))} changed between two reads"
     for changed in (ids[::-1], ids[:-1], ids + ["added"]):
-        with pytest.raises(CorpusError, match="changed between two reads"):
-            list(cli._survivors(corpus, True, changed, set()))
+        with open(corpus, "rb") as fh, pytest.raises(CorpusError, match=changed_message):
+            cli._copy_survivors(fh, changed, set(), io.BytesIO())
 
 
 def test_pipeline_encodes_each_written_document_once(pipeline_inputs, tmp_path, monkeypatch):

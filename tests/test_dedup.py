@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lexcorpus
 from lexcorpus import cli
-from lexcorpus.corpus import write_documents
+from lexcorpus.corpus import read_documents, write_documents
 from lexcorpus.dedup import (
     DedupReport,
     Deduplicator,
@@ -24,7 +24,6 @@ from lexcorpus.dedup import (
     _join,
     _shingles,
     _sketch,
-    dedup_corpus,
     estimate_jaccard,
     exact_dedup,
     minhash_signature,
@@ -33,7 +32,7 @@ from lexcorpus.dedup import (
     write_cluster_dump,
 )
 from lexcorpus.synthdata import shingle_jaccard
-from synth_fixtures import generate_dedup_fixture
+from synth_fixtures import dedup_docs, generate_dedup_fixture
 
 
 def test_identical_texts_identical_signatures():
@@ -493,7 +492,7 @@ def test_cluster_dump_format(tmp_path, make_doc):
     assert path.read_text().splitlines() == ["keep\tdrop"]
 
 
-def test_dedup_corpus_combines_exact_then_near(make_doc):
+def test_exact_then_near_dedup_combines_both_passes(make_doc):
     text = " ".join(f"w{i}" for i in range(30))
     docs = [
         make_doc(text, doc_id="orig"),
@@ -502,7 +501,7 @@ def test_dedup_corpus_combines_exact_then_near(make_doc):
         make_doc(text.replace(" ", "  "), doc_id="spaced"),
         make_doc(" ".join(f"v{i}" for i in range(30)), doc_id="other"),
     ]
-    kept, report = dedup_corpus(docs, threshold=1.0)
+    kept, report = dedup_docs(docs, threshold=1.0)
     assert [d.id for d in kept] == ["orig", "other"]
     assert report.clusters == [("orig", ["copy"]), ("orig", ["spaced"])]
     assert (report.exact_removed, report.near_removed) == (1, 1)
@@ -510,7 +509,7 @@ def test_dedup_corpus_combines_exact_then_near(make_doc):
     assert (report.candidate_pairs, report.verified_pairs) == (1, 1)
     assert '"candidate_pairs": 1' in report.to_json() and '"verified_pairs": 1' in report.to_json()
 
-    kept, report = dedup_corpus(docs, threshold=1.0, exact_only=True)
+    kept, report = dedup_docs(docs, threshold=1.0, exact_only=True)
     assert [d.id for d in kept] == ["orig", "spaced", "other"]
     assert report.clusters == [("orig", ["copy"])]
     assert (report.exact_removed, report.near_removed) == (1, 0)
@@ -518,12 +517,12 @@ def test_dedup_corpus_combines_exact_then_near(make_doc):
     assert (report.candidate_pairs, report.verified_pairs) == (0, 0)
 
 
-def test_dedup_corpus_tokenizes_each_document_once(tmp_path, monkeypatch):
+def test_dedup_subcommand_tokenizes_each_document_once(tmp_path, monkeypatch):
     """The exact pass counts tokens from the tokenization near dedup signs
-    with, in dedup_corpus and so in the dedup subcommand: the index takes
-    each document's whitespace tokens once, in stream order."""
+    with: the dedup subcommand's index takes each document's whitespace
+    tokens once, in stream order."""
     docs = generate_dedup_fixture(seed=8).docs
-    expected = dedup_corpus(docs)
+    kept, report = dedup_docs(docs)
     tokenized = []
     real = Deduplicator.add_batch
 
@@ -532,16 +531,12 @@ def test_dedup_corpus_tokenizes_each_document_once(tmp_path, monkeypatch):
         return real(self, ids, texts, token_lists)
 
     monkeypatch.setattr(Deduplicator, "add_batch", recording)
-    kept, report = dedup_corpus(docs)
-    assert tokenized == [d.text.split() for d in docs]
-    assert ([d.id for d in kept], report.to_json()) == ([d.id for d in expected[0]], expected[1].to_json())
-
     write_documents(docs, tmp_path / "in.jsonl")
-    tokenized.clear()
     argv = ["dedup", "-i", tmp_path / "in.jsonl", "-o", tmp_path / "out.jsonl", "--report", tmp_path / "r.json"]
     assert cli.main([str(a) for a in argv]) == 0
     assert tokenized == [d.text.split() for d in docs]
     assert (tmp_path / "r.json").read_text() == report.to_json() + "\n"
+    assert [d.id for d in read_documents(tmp_path / "out.jsonl")] == [d.id for d in kept]
 
 
 def _reference_near_dedup(docs, permutations, threshold, shingle_n=5, seed=0):
