@@ -103,7 +103,8 @@ class PipelineConfig:
         lm_cfg = payload.get("lm", {})
         self.lm_order = int(lm_cfg.get("order", 5))
         self.lm_percentile = float(lm_cfg.get("percentile", 99.0))
-        self.lm_granularity = lm_cfg.get("granularity", "paragraph")
+        if lm_cfg.get("granularity", "paragraph") != "paragraph":
+            raise ConfigError("lm.granularity is no longer an option: filter-ppl drops paragraphs only")
         dd = payload.get("dedup", {})
         self.dedup_shingle_n = int(dd.get("shingle_n", dedup.DEFAULT_SHINGLE_N))
         self.dedup_permutations = int(dd.get("permutations", dedup.DEFAULT_PERMUTATIONS))
@@ -129,7 +130,6 @@ class PipelineConfig:
         if self.ruleset_path and self.ruleset_path.is_dir():
             raise ConfigError(f"ruleset file is a directory: {self.ruleset_path}")
         lm.check_percentile(self.lm_percentile)
-        lm.check_granularity(self.lm_granularity)
         # constructing the spec runs the fraction/source checks
         self.mix_spec()
 
@@ -242,41 +242,21 @@ def _changed(path: str | Path, what: str) -> CorpusError:
     return CorpusError(f"{path} changed between two reads: {what}")
 
 
-def _copy_survivors(fh: IO[bytes], ids: Sequence[str], removed: Set[int], out: IO[bytes]) -> List[int]:
-    """Copy to `out` the lines of `fh`, an open corpus in canonical form and
-    one document per line that a dedup.Deduplicator took with these `ids`
-    in order, whose index is not in `removed`. Each line is checked by the
-    canonical prefix of its id and decoded only to name it in the error: a
-    line that does not hold the id at its index, or a file that ends early,
-    raises CorpusError. Returns the offset of each line, followed by the
-    file's length."""
-    starts = [0]
+def _survivors(fh: IO[bytes], ids: Sequence[str], removed: Set[int]) -> Iterator[Tuple[int, bytes]]:
+    """The index and line of each line of `fh`, an open corpus in canonical
+    form and one document per line that a dedup.Deduplicator took with
+    these `ids` in order, whose index is not in `removed`. Each line is
+    checked by the canonical prefix of its id and decoded only to name it in
+    the error: a line that does not hold the id at its index, or a file that
+    ends early, raises CorpusError."""
+    idx = -1
     for idx, line in enumerate(fh):
         if idx >= len(ids) or not line.startswith(canonical_prefix(ids[idx])):
             raise _changed(fh.name, f"document {idx + 1} is now {corpus._parse_record(line, idx + 1).id!r}")
         if idx not in removed:
-            out.write(line)
-        starts.append(starts[-1] + len(line))
-    if len(starts) - 1 != len(ids):
-        raise _changed(fh.name, f"{len(starts) - 1} documents, not {len(ids)}")
-    return starts
-
-
-def _decode_lines(
-    path: Path, starts: Sequence[int], indices: Iterable[int], ids: Sequence[str]
-) -> List[Document]:
-    """Decode the lines at these indices of the file that _copy_survivors
-    gave `starts` for, reading nothing else; a line that no longer holds
-    the id at its index raises CorpusError, as in _copy_survivors."""
-    docs = []
-    with open(path, "rb", buffering=0) as fh:
-        for idx in indices:
-            fh.seek(starts[idx])
-            doc = corpus._parse_record(fh.read(starts[idx + 1] - starts[idx]), idx + 1)
-            if doc.id != ids[idx]:
-                raise _changed(path, f"document {idx + 1} is now {doc.id!r}")
-            docs.append(doc)
-    return docs
+            yield idx, line
+    if idx + 1 != len(ids):
+        raise _changed(fh.name, f"{idx + 1} documents, not {len(ids)}")
 
 
 def _write_report(path: str | Path, report) -> None:
@@ -399,15 +379,13 @@ def cmd_filter_ppl(args) -> int:
             model, _documents(args.calibration_corpus, args.strict), TOKENIZER, percentile=args.percentile,
             corpus_name=f"calibration corpus {args.calibration_corpus}",
         )
-    # checks the threshold and granularity before an output is opened, and
-    # gives the empty report that each batch's report is merged into
-    _, _, report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, args.granularity)
+    # checks the threshold before an output is opened, and gives the empty
+    # report that each batch's report is merged into
+    _, _, report = lm.filter_by_perplexity([], model, TOKENIZER, threshold)
     outputs = [args.output, args.dropped] if args.dropped else [args.output]
 
     def run(batch: List[Document]) -> Tuple[List[Document], ...]:
-        kept, dropped, batch_report = lm.filter_by_perplexity(
-            batch, model, TOKENIZER, threshold, args.granularity
-        )
+        kept, dropped, batch_report = lm.filter_by_perplexity(batch, model, TOKENIZER, threshold)
         report.merge(batch_report)
         return (kept, dropped)[: len(outputs)]
 
@@ -444,7 +422,7 @@ def cmd_dedup(args) -> int:
         del index  # frees the signature matrix before the survivors are copied
         lines.seek(0)
         with atomic_write(args.output, binary=True) as out:
-            _copy_survivors(lines, ids, removed, out)
+            out.writelines(line for _, line in _survivors(lines, ids, removed))
     if args.report:
         _write_report(args.report, report)
     if args.clusters:
@@ -584,11 +562,13 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
     threshold calibrated. Then one pass streams the main corpus in batches
     through normalize, filter-rules and filter-ppl, writing `01`, `02`, `03` and
     `03_dropped`, and signs each batch's kept documents into the dedup index
-    from filter-ppl's tokens. Then the clusters are resolved, `04` copies the
-    surviving lines of `03` undecoded, and the mix samples the survivors by
-    index and decodes only the lines of `03` it takes. Each file is replaced
-    only once it is complete: a failed pass replaces none of `01`-`03`, and a
-    failure after the pass leaves them on disk. A failure raises
+    from filter-ppl's tokens. Then the clusters are resolved and the mix
+    samples the survivors by index. One read of `03` copies its surviving
+    lines undecoded to `04` and keeps the lines the mix took, which are
+    decoded into `05` after `dedup_report.json` is written. Each file is
+    replaced only once it is complete: a failed pass replaces none of
+    `01`-`03`, a failure after the pass leaves them on disk, and a mix short
+    of its budget replaces no file after them. A failure raises
     PipelineStageError naming the `running` entry: train-lm for the seed corpus,
     filter-ppl for the calibration and the filter report, normalize for the main
     corpus's read and the writes of `01`-`03`, and in a batch the stage at work.
@@ -621,7 +601,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         running = ppl_filtering
         threshold = lm.calibrate_threshold(model, seed_docs, TOKENIZER, percentile=cfg.lm_percentile)
         del seed_docs
-        _, _, filter_report = lm.filter_by_perplexity([], model, TOKENIZER, threshold, cfg.lm_granularity)
+        _, _, filter_report = lm.filter_by_perplexity([], model, TOKENIZER, threshold)
         kept_sources: List[str] = []  # the source name of each document the index takes
 
         def run_stages(batch: List[Document]) -> Tuple[List[Document], ...]:
@@ -638,7 +618,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
             running = ppl_filtering
             kept_token_lists: List[List[str]] = []
             kept, dropped, batch_report = lm.filter_by_perplexity(
-                rulefiltered, model, TOKENIZER, threshold, cfg.lm_granularity, _kept_tokens=kept_token_lists
+                rulefiltered, model, TOKENIZER, threshold, _kept_tokens=kept_token_lists
             )
             filter_report.merge(batch_report)
 
@@ -668,14 +648,7 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         running = deduping
         removed, report = index.resolve()
         ids, token_counts = index.ids, index.token_counts
-        del index  # frees the signature matrix before the mix's documents are read
-        pplfiltered = out / "03_pplfiltered.jsonl"
-        with open(pplfiltered, "rb", buffering=BUFFER_SIZE) as fh:
-            with atomic_write(out / "04_deduped.jsonl", binary=True) as deduped:
-                starts = _copy_survivors(fh, ids, removed, deduped)
-        _write_report(out / "dedup_report.json", report)
-        deduping.update(documents=len(ids) - len(removed), tokens=report.tokens_after)
-        deduping.update(exact_removed=report.exact_removed, near_removed=report.near_removed)
+        del index  # frees the signature matrix before 03 is read
 
         running = mixing
         # a spec source with no surviving documents is short of tokens, not unknown
@@ -684,8 +657,21 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
             if name in survivors and idx not in removed:
                 survivors[name].append(idx)
         picked, mix_manifest = mix.assemble_mix(survivors, spec, lambda idx: (ids[idx], token_counts[idx]))
-        mixed = _decode_lines(pplfiltered, starts, picked, ids)
-        write_documents(mixed, out / "05_mix.jsonl")
+
+        running = deduping
+        mixed: Dict[int, bytes] = dict.fromkeys(picked)  # the line of each picked index, in mix order
+        with open(out / "03_pplfiltered.jsonl", "rb", buffering=BUFFER_SIZE) as fh:
+            with atomic_write(out / "04_deduped.jsonl", binary=True) as deduped:
+                for idx, line in _survivors(fh, ids, removed):
+                    deduped.write(line)
+                    if idx in mixed:
+                        mixed[idx] = line
+        _write_report(out / "dedup_report.json", report)
+        deduping.update(documents=len(ids) - len(removed), tokens=report.tokens_after)
+        deduping.update(exact_removed=report.exact_removed, near_removed=report.near_removed)
+
+        running = mixing
+        write_documents((corpus._parse_record(line, idx + 1) for idx, line in mixed.items()), out / "05_mix.jsonl")
         _write_report(out / "mix_manifest.json", mix_manifest)
         mixing.update(documents=len(mixed), tokens=mix_manifest.total_tokens, total_tokens=mix_manifest.total_tokens)
     except Exception as exc:
@@ -744,7 +730,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--percentile", type=float, default=99.0)
     p.add_argument("--calibration-corpus", help="corpus whose percentile sets the threshold")
-    p.add_argument("--granularity", choices=("paragraph", "document"), default="paragraph")
     p.add_argument("--dropped", help="write dropped text here")
     p.add_argument("--report", help="write the filter report JSON here")
     p.set_defaults(func=cmd_filter_ppl)

@@ -307,7 +307,6 @@ def train_lm(
 @dataclass
 class FilterReport:
     threshold: float
-    granularity: str
     kept_docs: int = 0
     dropped_docs: int = 0
     per_source: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -331,12 +330,6 @@ class FilterReport:
         return report_json(self)
 
 
-def check_granularity(granularity: str) -> None:
-    """Raise ValueError unless `granularity` is one filter_by_perplexity takes."""
-    if granularity not in ("paragraph", "document"):
-        raise ValueError("granularity must be 'paragraph' or 'document'")
-
-
 def check_percentile(percentile: float) -> None:
     """Raise ValueError unless `percentile` is one calibrate_threshold takes."""
     if not 0 < percentile <= 100:  # also false for NaN
@@ -348,15 +341,15 @@ def filter_by_perplexity(
     lm: NGramLM,
     tok: WhitespaceTokenizer,
     threshold: float,
-    granularity: str = "paragraph",
     _kept_tokens: Optional[List[List[str]]] = None,
 ) -> Tuple[List[Document], List[Document], FilterReport]:
     """Split a corpus into kept and dropped parts by perplexity.
 
-    At paragraph granularity each document is split on blank lines,
+    The paragraph is the unit: each document is split on blank lines,
     paragraphs scoring above the threshold are dropped, and the document is
     reassembled from the survivors; a kept document whose text comes out
-    unchanged is passed on as itself. The dropped stream carries the removed
+    unchanged is passed on as itself, as is one with no paragraph, since
+    none of it is above the threshold. The dropped stream carries the removed
     text under the original document id, so kept plus dropped token counts
     equal the input exactly. A caller that passes `_kept_tokens` gets, per
     kept document in kept order, its kept parts' tokens end to end: the
@@ -365,9 +358,8 @@ def filter_by_perplexity(
     """
     if not 0 < threshold < math.inf:  # also false for NaN
         raise ValueError(f"threshold must be finite and positive, not {threshold}")
-    check_granularity(granularity)
 
-    report = FilterReport(threshold=threshold, granularity=granularity)
+    report = FilterReport(threshold=threshold)
     kept_docs: List[Document] = []
     dropped_docs: List[Document] = []
     score = lm.paragraph_log_probs
@@ -376,16 +368,13 @@ def filter_by_perplexity(
 
     for doc in docs:
         bucket = report._bucket(doc.source.name)
-        parts = [doc.text] if granularity == "document" else split_paragraphs(doc.text)
         kept_parts: List[str] = []
         dropped_parts: List[str] = []
         kept_tokens: List[str] = []  # built only for _kept_tokens, else counted
         kept_count = dropped_count = 0
-        for part in parts:
+        for part in split_paragraphs(doc.text):
             tokens = tokenize(part)
-            if not tokens:
-                kept_parts.append(part)
-            elif _perplexity(fsum(score(tokens)), len(tokens)) > threshold:
+            if _perplexity(fsum(score(tokens)), len(tokens)) > threshold:
                 dropped_parts.append(part)
                 dropped_count += len(tokens)
             else:
@@ -396,8 +385,8 @@ def filter_by_perplexity(
                     kept_tokens += tokens
         bucket["kept_tokens"] += kept_count + len(kept_tokens)
         bucket["dropped_tokens"] += dropped_count
-        if kept_parts:
-            text = "\n\n".join(kept_parts)
+        if kept_parts or not dropped_parts:
+            text = "\n\n".join(kept_parts) or doc.text
             kept_docs.append(
                 doc
                 if text == doc.text

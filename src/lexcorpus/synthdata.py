@@ -393,7 +393,7 @@ def write_pipeline_inputs(out_dir: str | Path, seed: int = 7, n_docs: int = 1000
             "out_dir": "out",
         },
         "cleaning": {"ruleset": None},
-        "lm": {"order": 3, "percentile": 99.0, "granularity": "paragraph"},
+        "lm": {"order": 3, "percentile": 99.0},
         "dedup": {"shingle_n": 5, "permutations": 128, "threshold": 0.7},
         "mix": {
             "entries": [

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import hashlib
-import io
 import json
 import os
 import random
@@ -617,14 +617,17 @@ def test_insufficient_tokens_exit_1_from_mix_and_pipeline(pipeline_inputs, tmp_p
 
     cfg = json.loads((pipeline_inputs / "config.json").read_text())
     config = _moved_config(pipeline_inputs, tmp_path, mix=dict(cfg["mix"], token_budget=10**9))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "04_deduped.jsonl").write_text("old 04\n")
+    (out / "dedup_report.json").write_text("old report\n")
     result = run_cli("pipeline", "--config", str(config))
     assert result.returncode == 1, result.stderr
     assert "stage 'mix' failed" in result.stderr
     assert "exhausted" in result.stderr
-    # dedup's outputs come first, and stay
-    out = tmp_path / "out"
-    assert (out / "04_deduped.jsonl").stat().st_size > 0
-    assert json.loads((out / "dedup_report.json").read_text())["tokens_after"] > 0
+    # the mix is sampled before 03 is read, so no file of the tail is replaced
+    assert (out / "04_deduped.jsonl").read_text() == "old 04\n"
+    assert (out / "dedup_report.json").read_text() == "old report\n"
     assert not (out / "05_mix.jsonl").exists()
 
 
@@ -639,7 +642,10 @@ def test_config_without_mix_section_exits_1_before_any_stage(pipeline_inputs, tm
 @pytest.mark.parametrize(
     "lm_section, message",
     [
-        ({"granularity": "sentence"}, "granularity must be 'paragraph' or 'document'"),
+        (
+            {"granularity": "document"},
+            "malformed config {config}: lm.granularity is no longer an option: filter-ppl drops paragraphs only",
+        ),
         ({"percentile": 150}, "percentile must lie in (0, 100]"),
     ],
     ids=["granularity", "percentile"],
@@ -649,8 +655,21 @@ def test_config_with_a_bad_lm_section_exits_1_before_any_output(
 ):
     config = _moved_config(pipeline_inputs, tmp_path, lm=lm_section)
     assert _main("pipeline", "--config", config) == 1
-    assert capsys.readouterr().err == f"lexcorpus: {message}\n"
+    assert capsys.readouterr().err == f"lexcorpus: {message.format(config=config)}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_config_with_paragraph_granularity_still_runs(pipeline_inputs, tmp_path):
+    """An older config names the one unit there is; the key is ignored."""
+    lm_cfg = json.loads((pipeline_inputs / "config.json").read_text())["lm"]
+    outs = []
+    for name, lm_section in (("plain", lm_cfg), ("named", dict(lm_cfg, granularity="paragraph"))):
+        (tmp_path / name).mkdir()
+        cfg = cli.load_config(_moved_config(pipeline_inputs, tmp_path / name, lm=lm_section))
+        cli.run_pipeline(cfg)
+        outs.append(cfg.out_dir)
+    for name in ("filter_report.json", "04_deduped.jsonl", "05_mix.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class _TextReport:
@@ -929,6 +948,27 @@ def test_filter_ppl_rejects_threshold_not_finite_and_positive(ppl_inputs, tmp_pa
     ]
     assert cli.main([str(a) for a in argv]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_filter_ppl_keeps_a_document_with_no_paragraph_as_itself(ppl_inputs, tmp_path):
+    """None of a blank or empty text is above the threshold: it is kept and
+    counted, not lost."""
+    src = tmp_path / "in.jsonl"
+    texts = ["The tenant must pay the deposit.", "   ", ""]
+    src.write_text(
+        "".join(json.dumps({"id": f"d{i}", "source": "freelaw", "text": text}) + "\n" for i, text in enumerate(texts))
+    )
+    out, dropped, report = tmp_path / "kept.jsonl", tmp_path / "dropped.jsonl", tmp_path / "report.json"
+    argv = [
+        "filter-ppl", "-i", src, "-o", out, "--model", ppl_inputs / "lm.json", "--threshold", "1e9",
+        "--dropped", dropped, "--report", report,
+    ]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert [(doc.id, doc.text) for doc in read_documents(out)] == [("d0", texts[0]), ("d1", "   "), ("d2", "")]
+    assert dropped.read_bytes() == b""
+    counts = json.loads(report.read_text())
+    assert (counts["kept_docs"], counts["dropped_docs"]) == (3, 0)
+    assert counts["per_source"] == {"freelaw": {"kept_tokens": 6, "dropped_tokens": 0}}
 
 
 # -- streamed subcommands ---------------------------------------------------------
@@ -1287,20 +1327,18 @@ def test_pipeline_rejects_bad_sketch_parameters_before_any_stage(pipeline_inputs
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_copy_survivors_checks_each_line_against_the_ids(pipeline_inputs, tmp_path):
+def test_survivors_checks_each_line_against_the_ids(pipeline_inputs, tmp_path):
     corpus = tmp_path / "canonical.jsonl"
     write_documents(read_documents(pipeline_inputs / "corpus.jsonl"), corpus)
     lines = corpus.read_bytes().splitlines(keepends=True)
     ids = [json.loads(line)["id"] for line in lines]
-    out = io.BytesIO()
     with open(corpus, "rb") as fh:
-        starts = cli._copy_survivors(fh, ids, {0}, out)
-    assert out.getvalue() == b"".join(lines[1:])
-    assert starts == [sum(map(len, lines[:i])) for i in range(len(lines) + 1)]
+        survivors = list(cli._survivors(fh, ids, {0, 3}))
+    assert survivors == [(i, line) for i, line in enumerate(lines) if i not in (0, 3)]
     changed_message = f"^{re.escape(str(corpus))} changed between two reads"
     for changed in (ids[::-1], ids[:-1], ids + ["added"]):
         with open(corpus, "rb") as fh, pytest.raises(CorpusError, match=changed_message):
-            cli._copy_survivors(fh, changed, set(), io.BytesIO())
+            list(cli._survivors(fh, changed, set()))
 
 
 def test_pipeline_encodes_each_written_document_once(pipeline_inputs, tmp_path, monkeypatch):
@@ -1575,10 +1613,7 @@ def _token_total(texts) -> int:
     return sum(len(text.split()) for text in texts)
 
 
-@pytest.mark.parametrize("granularity", ["paragraph", "document"])
-def test_normalize_count_covers_documents_that_filter_rules_changed_or_emptied(
-    pipeline_inputs, tmp_path, granularity
-):
+def test_normalize_count_covers_documents_that_filter_rules_changed_or_emptied(pipeline_inputs, tmp_path):
     """normalize's count is filter-ppl's total plus what filter-rules took
     out; in this corpus filter-rules changes some documents and empties
     others, some of them with tokens and some without."""
@@ -1590,10 +1625,7 @@ def test_normalize_count_covers_documents_that_filter_rules_changed_or_emptied(
     lines += [{"id": f"blank-{i}", "source": "freelaw", "text": " \n\n "} for i in range(2)]
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    lm_cfg = dict(json.loads((pipeline_inputs / "config.json").read_text())["lm"], granularity=granularity)
-    # a document-level filter drops every instruction document, so the mix takes one source
-    freelaw_mix = {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 1000}
-    config = _moved_config(pipeline_inputs, tmp_path, lm=lm_cfg, mix=freelaw_mix)
+    config = _moved_config(pipeline_inputs, tmp_path)
     edited = json.loads(config.read_text())
     edited["paths"]["corpus"] = str(corpus_path)
     config.write_text(json.dumps(edited))
@@ -1655,6 +1687,30 @@ def test_pipeline_decodes_only_the_lines_the_mix_takes_after_dedup(pipeline_inpu
     assert {s["stage"]: s["documents"] for s in manifest["stages"]}["mix"] == len(mixed) < len(deduped)
     assert resolved == [True]
     assert sorted(decoded_after_resolve) == sorted(mixed)
+
+
+def test_pipeline_opens_03_once_after_dedup_resolves(pipeline_inputs, tmp_path, monkeypatch):
+    """One read of 03 writes 04 and keeps the lines the mix took."""
+    opened_after_resolve = []
+    resolved = []
+    real_resolve, real_open = dedup.Deduplicator.resolve, builtins.open
+
+    def resolve(self):
+        resolved.append(True)
+        return real_resolve(self)
+
+    def recording_open(file, *args, **kwargs):
+        if resolved and isinstance(file, (str, os.PathLike)):
+            opened_after_resolve.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dedup.Deduplicator, "resolve", resolve)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    cfg = cli.load_config(pipeline_inputs / "config.json")
+    cfg.out_dir = tmp_path / "out"
+    cli.run_pipeline(cfg)
+    assert resolved == [True]
+    assert opened_after_resolve.count("03_pplfiltered.jsonl") == 1
 
 
 def _drop_last_line(path: Path) -> str:

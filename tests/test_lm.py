@@ -242,19 +242,13 @@ def test_document_with_no_surviving_paragraph_fully_dropped(make_doc, tok):
     assert [d.id for d in dropped] == [doc.id]
 
 
-def test_document_granularity(make_doc, tok):
+def test_filter_trims_a_gibberish_paragraph_and_keeps_the_document(make_doc, tok):
     docs = generate_seed_corpus(seed=4, docs=15)
     model = train_lm(docs, tok, order=2)
     mixed = make_doc(docs[0].text + "\n\nzq xv jk qq wz vx kj pp zz yy xx ww")
     threshold = calibrate_threshold(model, docs, tok, percentile=99.0)
-    kept_p, _, _ = filter_by_perplexity([mixed], model, tok, threshold, granularity="paragraph")
-    # paragraph granularity trims the gibberish paragraph but keeps the doc
-    assert len(kept_p) == 1 and "zq xv" not in kept_p[0].text
-    kept_d, dropped_d, _ = filter_by_perplexity([mixed], model, tok, threshold, granularity="document")
-    # document granularity is all-or-nothing
-    assert (kept_d, [d.id for d in dropped_d]) == ([], [mixed.id]) or (
-        len(kept_d) == 1 and kept_d[0].text == mixed.text
-    )
+    kept, _, _ = filter_by_perplexity([mixed], model, tok, threshold)
+    assert len(kept) == 1 and "zq xv" not in kept[0].text
 
 
 # --- compiled tables against the recursion ----------------------------------
@@ -448,16 +442,16 @@ def _reference_perplexity(log_probs):
     return float("inf") if total == float("-inf") else math.exp(-total / len(log_probs))
 
 
-def _reference_filter(docs, model, tok, threshold, granularity):
+def _reference_filter(docs, model, tok, threshold):
     """filter_by_perplexity as a plain loop: a score per paragraph, and each
-    kept document's tokens as a list per kept part, chained at its end."""
-    report = FilterReport(threshold=threshold, granularity=granularity)
+    kept document's tokens as a list per kept part, chained at its end. A
+    document with no paragraph is kept as itself."""
+    report = FilterReport(threshold=threshold)
     kept_docs, dropped_docs, kept_tokens = [], [], []
     for doc in docs:
         bucket = report.per_source.setdefault(doc.source.name, {"kept_tokens": 0, "dropped_tokens": 0})
-        parts = [doc.text] if granularity == "document" else split_paragraphs(doc.text)
         kept_parts, dropped_parts, kept_part_tokens = [], [], []
-        for part in parts:
+        for part in split_paragraphs(doc.text):
             tokens = tok.tokenize(part)
             if tokens and _reference_perplexity(model.paragraph_log_probs(tokens)) > threshold:
                 dropped_parts.append(part)
@@ -466,8 +460,8 @@ def _reference_filter(docs, model, tok, threshold, granularity):
                 kept_parts.append(part)
                 kept_part_tokens.append(tokens)
         bucket["kept_tokens"] += sum(map(len, kept_part_tokens))
-        if kept_parts:
-            text = "\n\n".join(kept_parts)
+        if kept_parts or not dropped_parts:
+            text = "\n\n".join(kept_parts) or doc.text
             kept_docs.append(doc if text == doc.text else Document(doc.id, doc.source, text, dict(doc.meta)))
             kept_tokens.append(list(itertools.chain.from_iterable(kept_part_tokens)))
             report.kept_docs += 1
@@ -490,12 +484,11 @@ def _reference_threshold(model, docs, tok, percentile):
     return ppls[low] if low == high else ppls[low] * (1 - frac) + ppls[high] * frac
 
 
-@pytest.mark.parametrize("granularity", ["paragraph", "document"])
 @pytest.mark.parametrize("discount", [None, 0.0])
 @pytest.mark.parametrize("order", [1, 3, 5])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_filter_and_calibration_equal_the_per_paragraph_score_loop(order, discount, granularity, data):
+def test_filter_and_calibration_equal_the_per_paragraph_score_loop(order, discount, data):
     # Discount 0.0 scores a token unseen after its context -inf, so its
     # paragraph's perplexity is inf and it drops at any threshold.
     model, _, paragraphs = _cached_model(order, discount)
@@ -517,20 +510,20 @@ def test_filter_and_calibration_equal_the_per_paragraph_score_loop(order, discou
         Document(id=f"d{i}", source=resolve_source(source), text=t, meta={"i": str(i)})
         for i, (source, t) in enumerate(data.draw(st.lists(st.tuples(st.sampled_from(["freelaw", "wikipedia"]), text))))
     ]
-    parts = [[d.text] if granularity == "document" else split_paragraphs(d.text) for d in docs]
-    scored = [tokens for part in itertools.chain.from_iterable(parts) if (tokens := tok.tokenize(part))]
+    parts = itertools.chain.from_iterable(split_paragraphs(d.text) for d in docs)
+    scored = [tokens for part in parts if (tokens := tok.tokenize(part))]
     finite = sorted({p for p in map(_reference_perplexity, map(model.paragraph_log_probs, scored)) if p < math.inf})
     # a paragraph's own perplexity as the threshold tells `>` from `>=`
     threshold = data.draw(st.sampled_from(finite) if finite and data.draw(st.booleans()) else st.floats(1.0, 1e4))
 
     kept_tokens = []
-    kept, dropped, report = filter_by_perplexity(docs, model, tok, threshold, granularity, _kept_tokens=kept_tokens)
-    ref_kept, ref_dropped, ref_report, ref_kept_tokens = _reference_filter(docs, model, tok, threshold, granularity)
+    kept, dropped, report = filter_by_perplexity(docs, model, tok, threshold, _kept_tokens=kept_tokens)
+    ref_kept, ref_dropped, ref_report, ref_kept_tokens = _reference_filter(docs, model, tok, threshold)
     assert (kept, dropped, report, kept_tokens) == (ref_kept, ref_dropped, ref_report, ref_kept_tokens)
     by_id = {d.id: d for d in docs}
     assert [d is by_id[d.id] for d in kept] == [d is by_id[d.id] for d in ref_kept]
     # without _kept_tokens the tokens are counted, not collected
-    assert filter_by_perplexity(docs, model, tok, threshold, granularity) == (ref_kept, ref_dropped, ref_report)
+    assert filter_by_perplexity(docs, model, tok, threshold) == (ref_kept, ref_dropped, ref_report)
 
     percentile = data.draw(st.floats(0.0, 100.0, exclude_min=True))
     if any(split_paragraphs(d.text) for d in docs):

@@ -14,12 +14,11 @@ GOLDEN = [
     (
         FilterReport(
             threshold=12.5,
-            granularity="paragraph",
             kept_docs=2,
             dropped_docs=1,
             per_source={"freelaw": {"kept_tokens": 30, "dropped_tokens": 4}},
         ),
-        '{\n  "dropped_docs": 1,\n  "granularity": "paragraph",\n  "kept_docs": 2,\n  "per_source": {\n'
+        '{\n  "dropped_docs": 1,\n  "kept_docs": 2,\n  "per_source": {\n'
         '    "freelaw": {\n      "dropped_tokens": 4,\n      "kept_tokens": 30\n    }\n  },\n'
         '  "threshold": 12.5\n}',
     ),
