@@ -631,6 +631,24 @@ def test_insufficient_tokens_exit_1_from_mix_and_pipeline(pipeline_inputs, tmp_p
     assert not (out / "05_mix.jsonl").exists()
 
 
+def test_pipeline_short_of_its_mix_budget_keeps_the_last_run_s_tail(pipeline_inputs, tmp_path):
+    """A mix that fails replaces none of 04, dedup_report.json, 05,
+    mix_manifest.json and run_manifest.json of the run before it."""
+    cfg = cli.load_config(_moved_config(pipeline_inputs, tmp_path))
+    cli.run_pipeline(cfg)
+    tail = ("04_deduped.jsonl", "dedup_report.json", "05_mix.jsonl", "mix_manifest.json", "run_manifest.json")
+    before = {name: (cfg.out_dir / name).read_bytes() for name in tail}
+    budget, cfg.mix_budget = cfg.mix_budget, 10**9
+    cfg.dedup_threshold = 1.0  # so that this run's dedup would write another 04
+    with pytest.raises(cli.PipelineStageError) as excinfo:
+        cli.run_pipeline(cfg)
+    assert excinfo.value.stage == "mix" and "exhausted" in str(excinfo.value)
+    assert {name: (cfg.out_dir / name).read_bytes() for name in tail} == before
+    cfg.mix_budget = budget
+    cli.run_pipeline(cfg)
+    assert (cfg.out_dir / "04_deduped.jsonl").read_bytes() != before["04_deduped.jsonl"]
+
+
 def test_config_without_mix_section_exits_1_before_any_stage(pipeline_inputs, tmp_path):
     config = _moved_config(pipeline_inputs, tmp_path, mix=None)
     result = run_cli("pipeline", "--config", str(config))
@@ -969,6 +987,20 @@ def test_filter_ppl_keeps_a_document_with_no_paragraph_as_itself(ppl_inputs, tmp
     counts = json.loads(report.read_text())
     assert (counts["kept_docs"], counts["dropped_docs"]) == (3, 0)
     assert counts["per_source"] == {"freelaw": {"kept_tokens": 6, "dropped_tokens": 0}}
+
+
+def test_filter_ppl_refuses_the_removed_granularity_flag(ppl_inputs, tmp_path, capsys):
+    """An old call that asks for whole documents fails instead of dropping paragraphs."""
+    out = tmp_path / "kept.jsonl"
+    argv = [
+        "filter-ppl", "-i", ppl_inputs / "corpus.jsonl", "-o", out, "--model", ppl_inputs / "lm.json",
+        "--threshold", "1e9", "--granularity", "document",
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([str(a) for a in argv])
+    assert excinfo.value.code == 1
+    assert "error: unrecognized arguments: --granularity document" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- streamed subcommands ---------------------------------------------------------

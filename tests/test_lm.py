@@ -242,6 +242,17 @@ def test_document_with_no_surviving_paragraph_fully_dropped(make_doc, tok):
     assert [d.id for d in dropped] == [doc.id]
 
 
+def test_document_with_no_paragraph_kept_as_itself(make_doc, tok):
+    # none of a blank or empty text is above the threshold, even one that drops gibberish
+    model = train_lm(generate_seed_corpus(seed=4, docs=15), tok, order=2)
+    gibberish, blank, empty = make_doc("zq xv jk qq"), make_doc(" \n\n\t "), make_doc("")
+    kept, dropped, report = filter_by_perplexity([blank, gibberish, empty], model, tok, threshold=1.5)
+    assert len(kept) == 2 and kept[0] is blank and kept[1] is empty
+    assert [d.id for d in dropped] == [gibberish.id]
+    assert (report.kept_docs, report.dropped_docs) == (2, 1)
+    assert report.per_source == {"freelaw": {"kept_tokens": 0, "dropped_tokens": 4}}
+
+
 def test_filter_trims_a_gibberish_paragraph_and_keeps_the_document(make_doc, tok):
     docs = generate_seed_corpus(seed=4, docs=15)
     model = train_lm(docs, tok, order=2)
