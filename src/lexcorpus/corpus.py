@@ -4,7 +4,9 @@ A corpus file is UTF-8, newline-delimited JSON, one document per line:
 
     {"id": "...", "source": "...", "text": "...", "meta": {"k": "v"}}
 
-``meta`` is a flat string-to-string map. Readers ignore any other key,
+``id`` and ``source`` are non-empty strings; ``source`` names the
+collection a document came from, and any name will do. ``meta`` is a flat
+string-to-string map. Readers ignore any other key,
 ``token_count`` included; writers emit exactly these four, each line in the
 canonical form of ``document_to_json``. Every stage of the toolkit reads and
 writes this format.
@@ -12,6 +14,7 @@ writes this format.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -39,41 +42,14 @@ class DuplicateIdError(CorpusError):
     """The same document id appeared twice in one corpus file."""
 
 
-class UnknownSourceError(CorpusError):
-    """Source name not present in the source registry."""
-
-
-# Shipped registry: the legal collections the pretraining mix draws from,
-# the general-domain replay classes, and the instruction classes. Extend at
-# runtime with register_source().
-DEFAULT_SOURCES = (
-    "freelaw", "edgar", "multilegal_pile", "europarl", "govinfo", "law_stackexchange",
-    "australian_legal", "eu_legislation", "uk_legislation", "court_transcripts", "uspto", "legal",
-    "wikipedia", "stackexchange", "github", "replay",
-    "super_natural_instructions", "flan", "instruction",
-)
-
-
 @dataclass(frozen=True)
 class SourceTag:
     name: str
 
 
-# The registry: one SourceTag per registered name, so every record of a
-# source shares its tag.
-_tags: Dict[str, SourceTag] = {name: SourceTag(name) for name in DEFAULT_SOURCES}
-
-
-def register_source(name: str) -> None:
-    """Add a source name to the registry (idempotent)."""
-    _tags.setdefault(name, SourceTag(name))
-
-
-def resolve_source(name: str) -> SourceTag:
-    tag = _tags.get(name)
-    if tag is None:
-        raise UnknownSourceError(f"source {name!r} is not in the registry; call register_source() first")
-    return tag
+# Records of one source share one tag, interned here: a lookup costs about
+# a quarter of building a new tag for each record.
+_source_tag = functools.lru_cache(maxsize=1024)(SourceTag)
 
 
 @dataclass
@@ -114,7 +90,7 @@ def _field_error(obj: dict) -> str:
             return f"missing field {key!r}"
         if not isinstance(obj[key], str):
             return f"field {key!r} must be a string"
-    return "empty id"
+    return "empty id" if not obj["id"] else "empty source"
 
 
 def _parse_record(raw: bytes, lineno: int) -> Document:
@@ -138,7 +114,7 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
     if type(obj) is not dict:
         raise CorpusError(f"line {lineno}: record is not a JSON object")
     doc_id, source, text = obj.get("id"), obj.get("source"), obj.get("text")
-    if not (type(doc_id) is str and type(source) is str and type(text) is str and doc_id):
+    if not (type(doc_id) is str and type(source) is str and type(text) is str and doc_id and source):
         raise CorpusError(f"line {lineno}: {_field_error(obj)}")
     # the decoder's own fresh dict, kept uncopied; JSON object keys are always strings
     meta = obj.get("meta", {})
@@ -155,11 +131,7 @@ def _parse_record(raw: bytes, lineno: int) -> Document:
                 value.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise CorpusError(f"line {lineno}: record is not valid Unicode: {exc}") from None
-    try:
-        tag = resolve_source(source)
-    except UnknownSourceError as exc:
-        raise CorpusError(f"line {lineno}: {exc}") from None
-    return Document(doc_id, tag, text, meta)
+    return Document(doc_id, _source_tag(source), text, meta)
 
 
 class CorpusReader:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from urllib.parse import urlsplit
 
 from .cleaning import ngrams, normalize_text
-from .corpus import Document, InputError, resolve_source, write_lines
+from .corpus import Document, InputError, SourceTag, write_lines
 
 ROLES = ("user", "assistant")
 DECONTAMINATION_SHINGLE_N = 8
@@ -492,7 +492,7 @@ def conversations_to_documents(conversations: Iterable[Conversation]) -> List[Do
     """Flatten conversations into `instruction` corpus documents (one per
     conversation) so the mix assembler can blend instruction data into a
     pretraining mix."""
-    source = resolve_source("instruction")
+    source = SourceTag("instruction")
     docs: List[Document] = []
     for conv in conversations:
         text = "\n\n".join(f"{t.role}: {t.text}" for t in conv.turns)

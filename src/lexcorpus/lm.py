@@ -228,13 +228,13 @@ def _look_up(
     table: back off along the parent links to the longest context whose table
     has it, then scale its p by the leftover mass of each context passed,
     innermost first, which is what the bottom-up sum p = 0.0 + gamma * p does.
-    A string outside the vocabulary is scored as <unk>."""
-    start = node
+    A string that node 0's table, the whole vocabulary, lacks is scored as
+    <unk>, so every walk ends at node 0 at the latest."""
+    if token not in tables[0]:
+        token = UNK
     entry = tables[node].get(token)
     passed: List[float] = []
     while entry is None:
-        if node == 0:
-            return _look_up(tables, gamma, parent, start, UNK)
         passed.append(gamma[node])
         node = parent[node]
         entry = tables[node].get(token)

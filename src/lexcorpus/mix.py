@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple, TypeVar
 
-from .corpus import DuplicateIdError, InputError, load_json, report_json, resolve_source
+from .corpus import DuplicateIdError, InputError, load_json, report_json
 
 FRACTION_SUM_TOLERANCE = 1e-9
 
@@ -45,15 +45,15 @@ class MixSpec:
     def __post_init__(self):
         if self.token_budget <= 0:
             raise MixError("token_budget must be positive")
-        names = [name for name, _ in self.entries]
-        if len(names) != len(set(names)):
-            raise MixError("duplicate source names in mix spec")
-        if not names:
+        if not self.entries:
             raise MixError("mix spec has no entries")
         for name, fraction in self.entries:
-            resolve_source(name)  # raises UnknownSourceError for bad names
+            if not isinstance(name, str) or not name:
+                raise MixError(f"source name {name!r} is not a non-empty string")
             if not 0.0 <= fraction <= 1.0:
                 raise MixError(f"fraction for {name!r} outside [0, 1]")
+        if len(self.entries) != len({name for name, _ in self.entries}):
+            raise MixError("duplicate source names in mix spec")
         total = sum(fraction for _, fraction in self.entries)
         if abs(total - 1.0) > FRACTION_SUM_TOLERANCE:
             raise MixError(f"fractions sum to {total!r}, expected 1")

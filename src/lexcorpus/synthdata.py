@@ -20,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .corpus import Document, resolve_source, write_documents, write_lines
+from .corpus import Document, SourceTag, write_documents, write_lines
 from .evaluation import EvalTask, closing_instruction, save_task
 from .instruct import (
     LabeledExample,
@@ -93,7 +93,7 @@ def gibberish_paragraph(rng: random.Random, tokens: int = 40) -> str:
 
 
 def make_doc(doc_id: str, source_name: str, text: str) -> Document:
-    return Document(id=doc_id, source=resolve_source(source_name), text=text, meta={})
+    return Document(id=doc_id, source=SourceTag(source_name), text=text, meta={})
 
 
 # -- seed corpus ----------------------------------------------------------------

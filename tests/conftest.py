@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from lexcorpus import instruct
-from lexcorpus.corpus import Document, WhitespaceTokenizer, resolve_source
+from lexcorpus.corpus import Document, SourceTag, WhitespaceTokenizer
 
 
 @pytest.fixture(scope="session")
@@ -17,14 +17,14 @@ def tok() -> WhitespaceTokenizer:
 
 @pytest.fixture()
 def make_doc():
-    """Factory for documents with a registered source and auto-incrementing ids."""
+    """Factory for documents with a source (freelaw by default) and auto-incrementing ids."""
     counter = {"n": 0}
 
     def _make(text: str, source: str = "freelaw", doc_id: str | None = None, **meta: str) -> Document:
         counter["n"] += 1
         return Document(
             id=doc_id or f"doc-{counter['n']:04d}",
-            source=resolve_source(source),
+            source=SourceTag(source),
             text=text,
             meta=dict(meta),
         )

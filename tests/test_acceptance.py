@@ -116,9 +116,9 @@ def test_c03_kneser_ney_normalization_and_hand_unigram():
         total = math.fsum(model.probability(ctx, t) for t in vocab)
         assert abs(total - 1.0) <= 1e-6, ctx
 
-    from lexcorpus.corpus import Document, resolve_source
+    from lexcorpus.corpus import Document, SourceTag
 
-    tiny = [Document(id="h", source=resolve_source("freelaw"), text="a a b")]
+    tiny = [Document(id="h", source=SourceTag("freelaw"), text="a a b")]
     counted = train_lm(tiny, TOK, order=1)
     mle = NGramLM(counted.order, counted.id_to_token, counted.counts, [0.0] * counted.order)
     assert mle.probability((), "a") == 2 / 3

@@ -265,10 +265,10 @@ def test_ngram_report_format(tmp_path, make_doc):
     st.integers(min_value=1, max_value=3),
 )
 def test_mine_ngrams_always_matches_oracle(texts, n):
-    from lexcorpus.corpus import Document, resolve_source
+    from lexcorpus.corpus import Document, SourceTag
 
     docs = [
-        Document(id=f"d{i}", source=resolve_source("freelaw"), text=t)
+        Document(id=f"d{i}", source=SourceTag("freelaw"), text=t)
         for i, t in enumerate(texts)
     ]
     ranked = mine_ngrams(docs, n=n, top_k=1000)

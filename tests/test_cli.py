@@ -130,6 +130,41 @@ def test_strict_flag_rejects_malformed_lines(tmp_path):
     assert strict.returncode == 1
 
 
+def test_a_source_of_any_name_reads_mixes_and_runs_the_pipeline(pipeline_inputs, tmp_path, capsys):
+    """A collection the toolkit never heard of is read like any other: no
+    record is skipped, leniently or strictly, and mix and the pipeline take
+    its name."""
+    name = "caselaw_access_project"
+    renamed = tmp_path / "corpus.jsonl"
+    docs = list(read_documents(pipeline_inputs / "corpus.jsonl"))
+    for doc in docs:
+        if doc.source.name == "freelaw":
+            doc.source = corpus.SourceTag(name)
+    write_documents(docs, renamed)
+    for strict in ([], ["--strict"]):
+        assert _main("normalize", *strict, "-i", renamed, "-o", tmp_path / "normalized.jsonl") == 0
+        assert capsys.readouterr().err == ""
+        normalized = list(read_documents(tmp_path / "normalized.jsonl", strict=True))
+        assert len(normalized) == len(docs)
+        assert name in {doc.source.name for doc in normalized}
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"entries": [{"source": name, "fraction": 1.0}], "token_budget": 2000, "seed": 7}))
+    manifest = tmp_path / "manifest.json"
+    assert _main("mix", "--spec", spec, "-i", f"{name}={renamed}", "-o", tmp_path / "mix.jsonl", "--manifest", manifest) == 0
+    assert json.loads(manifest.read_text())["per_source"][name]["realized_tokens"] >= 2000
+
+    cfg = _config_value(pipeline_inputs, tmp_path / "out")
+    cfg["paths"]["corpus"] = str(renamed)
+    cfg["mix"]["entries"] = [dict(entry, source=name if entry["source"] == "freelaw" else entry["source"])
+                             for entry in cfg["mix"]["entries"]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert _main("pipeline", "--config", config) == 0
+    assert name in json.loads((tmp_path / "out" / "mix_manifest.json").read_text())["per_source"]
+    assert capsys.readouterr().err == ""
+
+
 def test_normalize_skips_or_names_a_record_nested_too_deep(tmp_path, capsys):
     src = tmp_path / "in.jsonl"
     deep = "[" * 100000 + "]" * 100000

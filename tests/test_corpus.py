@@ -11,16 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexcorpus.corpus import (
-    DEFAULT_SOURCES,
     CorpusError,
     Document,
     DuplicateIdError,
-    UnknownSourceError,
+    SourceTag,
     WhitespaceTokenizer,
     document_to_json,
     read_documents,
-    register_source,
-    resolve_source,
     encode_line,
     write_documents,
     write_lines,
@@ -38,7 +35,7 @@ def test_roundtrip_preserves_fields(tmp_path, make_doc):
     assert [d.id for d in back] == ["a", "b"]
     assert back[0].text == docs[0].text
     assert back[0].meta == {"k": "v"}
-    assert back[0].source == resolve_source("freelaw")
+    assert back[0].source == SourceTag("freelaw")
     assert back[1].text == docs[1].text
 
 
@@ -75,7 +72,7 @@ MALFORMED_LINES = [
     b'{"id": "m", "source": "freelaw"}',
     b'{"id": 7, "source": "freelaw", "text": "t"}',
     b'{"id": "", "source": "freelaw", "text": "t"}',
-    b'{"id": "m", "source": "nowhere", "text": "t"}',
+    b'{"id": "m", "source": "", "text": "t"}',
     b'{"id": "m", "source": "freelaw", "text": "\\ud800"}',
     b'{"id": "\\ud800", "source": "freelaw", "text": "t"}',
     b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\\uDFFF"}}',
@@ -172,7 +169,7 @@ READER_MESSAGES = [
     (b'{"id": "m", "source": "freelaw", "text": "\\ud800"}', _SURROGATE_MESSAGE),
     (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"\\ud800": "v"}}', _SURROGATE_MESSAGE),
     (b'{"id": "m", "source": "freelaw", "text": "t", "meta": {"k": "\\ud800"}}', _SURROGATE_MESSAGE),
-    (b'{"id": "m", "source": "nowhere", "text": "t"}', "source 'nowhere' is not in the registry; call register_source() first"),
+    (b'{"id": "m", "source": "", "text": "t"}', "empty source"),
     (b' {"id": "m", "source": "freelaw", "text": "t"} {}', "invalid JSON (Extra data: line 1 column 48 (char 47))"),
     (b'{"id": "m", "source": "freelaw", "text": "t"}{}', "invalid JSON (Extra data: line 1 column 46 (char 45))"),
     (b'{"id": "m", "source": "freelaw", "text": "t"} {}\r', "invalid JSON (Extra data: line 1 column 47 (char 46))"),
@@ -287,8 +284,11 @@ _ANY_TEXT = st.one_of(
 _RECORD_LINES = st.lists(
     st.tuples(
         st.fixed_dictionaries(
-            {"id": _ANY_TEXT, "source": st.one_of(st.sampled_from(["freelaw", "wikipedia", "nowhere"]), _ANY_TEXT),
-             "text": _ANY_TEXT},
+            {
+                "id": _ANY_TEXT,
+                "source": st.one_of(st.sampled_from(["freelaw", "caselaw_access_project", ""]), _ANY_TEXT),
+                "text": _ANY_TEXT,
+            },
             optional={"meta": st.dictionaries(_ANY_TEXT, _ANY_TEXT, max_size=2)},
         ),
         st.booleans(),  # ensure_ascii
@@ -309,15 +309,14 @@ def _reference_fields(line: bytes):
     if type(obj) is not dict:
         return None
     doc_id, source, text, meta = obj.get("id"), obj.get("source"), obj.get("text"), obj.get("meta", {})
-    if not (type(doc_id) is str and doc_id and type(source) is str and type(text) is str):
+    if not (type(doc_id) is str and doc_id and type(source) is str and source and type(text) is str):
         return None
     if type(meta) is not dict or not all(type(value) is str for value in meta.values()):
         return None
     try:
         for value in (doc_id, source, text, *meta, *meta.values()):
             value.encode("utf-8")
-        resolve_source(source)
-    except (UnicodeEncodeError, UnknownSourceError):
+    except UnicodeEncodeError:
         return None
     return doc_id, source, text, meta
 
@@ -381,37 +380,20 @@ def test_missing_required_field_rejected(tmp_path):
     assert list(read_documents(path, strict=False)) == []
 
 
-def test_unknown_source_rejected():
-    with pytest.raises(UnknownSourceError):
-        resolve_source("never-registered-anywhere")
-
-
-def test_register_source_is_idempotent():
-    register_source("scratchpad")
-    tag = resolve_source("scratchpad")
-    register_source("scratchpad")
-    assert resolve_source("scratchpad") is tag
-    assert tag.name == "scratchpad"
-
-
-def test_resolve_source_returns_one_tag_per_registered_name(tmp_path):
-    assert resolve_source("freelaw") is resolve_source("freelaw")
+def test_records_of_any_source_read_and_share_one_tag(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text('{"id": "a", "source": "freelaw", "text": "x"}\n{"id": "b", "source": "freelaw", "text": "y"}\n')
-    first, second = read_documents(path)
-    assert first.source is second.source is resolve_source("freelaw")
-    # a name looked up before it is registered resolves once it is
-    with pytest.raises(UnknownSourceError):
-        resolve_source("interned-later")
-    register_source("interned-later")
-    tag = resolve_source("interned-later")
-    assert tag.name == "interned-later"
-    assert resolve_source("interned-later") is tag
+    path.write_text(
+        '{"id": "a", "source": "caselaw_access_project", "text": "x"}\n'
+        '{"id": "b", "source": "caselaw_access_project", "text": "y"}\n'
+    )
+    first, second = read_documents(path, strict=True)
+    assert first.source is second.source
+    assert first.source == SourceTag("caselaw_access_project")
 
 
 def test_empty_id_rejected():
     with pytest.raises(ValueError):
-        Document(id="", source=resolve_source("freelaw"), text="x")
+        Document(id="", source=SourceTag("freelaw"), text="x")
 
 
 def test_token_count_key_is_ignored_and_not_written(tmp_path):
@@ -464,7 +446,7 @@ def test_failed_write_leaves_path_untouched(tmp_path, make_doc):
     for bad in (
         make_doc("fine", doc_id="lone \udfff id"),
         make_doc("fine", doc_id="bad-meta-value", k="\ud800"),
-        Document(id="bad-meta-key", source=resolve_source("freelaw"), text="fine", meta={"\ud800": "v"}),
+        Document(id="bad-meta-key", source=SourceTag("freelaw"), text="fine", meta={"\ud800": "v"}),
     ):
         with pytest.raises(CorpusError, match="not valid Unicode"):
             write_documents([make_doc("other", doc_id="new"), bad], path)
@@ -530,7 +512,7 @@ _FIELD = st.text(alphabet=st.one_of(st.characters(exclude_categories=()), _TRICK
 @settings(max_examples=300, deadline=None)
 @given(
     doc_id=_FIELD.filter(bool),
-    source=st.sampled_from(sorted(DEFAULT_SOURCES)),
+    source=_FIELD.filter(bool),
     text=_FIELD,
     meta=st.dictionaries(_FIELD, _FIELD, max_size=4),
 )
@@ -547,7 +529,7 @@ _FIELD = st.text(alphabet=st.one_of(st.characters(exclude_categories=()), _TRICK
     meta={"é": "\x00", "a": "\u2029", "\U0001f600": ""},
 )
 def test_document_to_json_matches_json_dumps(doc_id, source, text, meta):
-    doc = Document(id=doc_id, source=resolve_source(source), text=text, meta=meta)
+    doc = Document(id=doc_id, source=SourceTag(source), text=text, meta=meta)
     record = {"id": doc_id, "source": source, "text": text, "meta": meta}
     assert document_to_json(doc) == json.dumps(record, ensure_ascii=False, sort_keys=True)
     strings = [doc_id, source, text, *meta, *meta.values()]

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lexcorpus
 from lexcorpus.cleaning import split_paragraphs
-from lexcorpus.corpus import Document, WhitespaceTokenizer, resolve_source
+from lexcorpus.corpus import Document, SourceTag, WhitespaceTokenizer
 from lexcorpus.lm import (
     BOS,
     BOS_ID,
@@ -28,6 +28,7 @@ from lexcorpus.lm import (
     ScoreError,
     TrainingError,
     _estimate_discount,
+    _look_up,
     calibrate_threshold,
     filter_by_perplexity,
     load_lm,
@@ -401,6 +402,15 @@ def test_carried_state_equals_recursion_on_any_tokens(order, discount, data):
         assert model.probability(tokens[:-1], tokens[-1]) == expected
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_look_up_of_an_unseen_string_is_the_look_up_of_unk(order):
+    # the model saw <unk> as a literal token, so it has entries above node 0
+    model = _cached_model(order, None)[0]
+    tables, gamma, parent, _ = model._tables or model._compile()
+    for node in range(len(tables)):
+        assert _look_up(tables, gamma, parent, node, "never-seen") == _look_up(tables, gamma, parent, node, UNK), node
+
+
 def test_counts_without_suffix_contexts_are_rejected():
     # context (3, 4) at order 3 needs the context (4,) at order 2; only (3,) is there
     id_to_token = ["<unk>", "<s>", "</s>", "a", "b", "c"]
@@ -518,7 +528,7 @@ def test_filter_and_calibration_equal_the_per_paragraph_score_loop(order, discou
         lambda paras: st.sampled_from(["\n\n", "\n \n", "\n\n\n", "\n"]).map(lambda sep: sep.join(paras))
     )
     docs = [
-        Document(id=f"d{i}", source=resolve_source(source), text=t, meta={"i": str(i)})
+        Document(id=f"d{i}", source=SourceTag(source), text=t, meta={"i": str(i)})
         for i, (source, t) in enumerate(data.draw(st.lists(st.tuples(st.sampled_from(["freelaw", "wikipedia"]), text))))
     ]
     parts = itertools.chain.from_iterable(split_paragraphs(d.text) for d in docs)
@@ -586,7 +596,7 @@ def test_training_tables_keep_the_reference_loops_insertion_order(tmp_path, make
 )
 def test_training_tables_keep_the_reference_loops_order_on_any_text(order, texts):
     tok = WhitespaceTokenizer()
-    docs = [Document(id=str(i), source=resolve_source("freelaw"), text=text) for i, text in enumerate(texts)]
+    docs = [Document(id=str(i), source=SourceTag("freelaw"), text=text) for i, text in enumerate(texts)]
     vocab, counts = _reference_counts(docs, tok, order)
     if not counts[-1]:
         with pytest.raises(TrainingError):

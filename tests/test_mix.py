@@ -134,6 +134,12 @@ def test_unknown_source_in_spec_is_an_error(measure):
         assemble_mix(sources, spec, measure)
 
 
+@pytest.mark.parametrize("name", [5, ""])
+def test_spec_source_name_must_be_a_non_empty_string(name):
+    with pytest.raises(MixError, match="is not a non-empty string"):
+        MixSpec(entries=[("legal", 0.98), (name, 0.02)], token_budget=1000, seed=0)
+
+
 def test_validate_mix_tolerances(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
