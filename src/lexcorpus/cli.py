@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -437,13 +438,17 @@ def cmd_dedup(args) -> int:
 def cmd_mix(args) -> int:
     from . import mix
 
-    paths = _by_name(args.input, "--input")
+    for i, path in enumerate(args.input):
+        if os.path.realpath(path) in map(os.path.realpath, args.input[:i]):
+            raise ValueError(f"--input names {path!r} twice")
     _refuse_write_through(None, [args.output, args.manifest])
     spec = mix.load_mix_spec(args.spec)
     if args.seed is not None:
-        spec = mix.MixSpec(entries=spec.entries, token_budget=spec.token_budget, seed=args.seed)
-    sources = {name: list(_documents(path, args.strict)) for name, path in paths.items()}
-    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(doc.text.split())))
+        spec = dataclasses.replace(spec, seed=args.seed)
+    docs = itertools.chain.from_iterable(_documents(path, args.strict) for path in args.input)
+    mixed, manifest = mix.assemble_mix(
+        docs, spec, lambda doc: doc.source.name, lambda doc: (doc.id, len(doc.text.split()))
+    )
     write_documents(mixed, args.output)
     _write_report(args.manifest, manifest)
     print(f"mixed {len(mixed)} documents, {manifest.total_tokens} tokens -> {args.output}")
@@ -651,12 +656,10 @@ def run_pipeline(cfg: PipelineConfig, strict: bool = False) -> dict:
         del index  # frees the signature matrix before 03 is read
 
         running = mixing
-        # a spec source with no surviving documents is short of tokens, not unknown
-        survivors: Dict[str, List[int]] = {name: [] for name, _ in spec.entries}
-        for idx, name in enumerate(kept_sources):
-            if name in survivors and idx not in removed:
-                survivors[name].append(idx)
-        picked, mix_manifest = mix.assemble_mix(survivors, spec, lambda idx: (ids[idx], token_counts[idx]))
+        survivors = (idx for idx in range(len(ids)) if idx not in removed)
+        picked, mix_manifest = mix.assemble_mix(
+            survivors, spec, kept_sources.__getitem__, lambda idx: (ids[idx], token_counts[idx])
+        )
 
         running = deduping
         mixed: Dict[int, bytes] = dict.fromkeys(picked)  # the line of each picked index, in mix order
@@ -749,10 +752,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mix", parents=[strict], help="assemble the training mix")
     p.add_argument("--spec", required=True, help="mix spec JSON")
-    p.add_argument(
-        "-i", "--input", action="append", required=True, type=_name_path, metavar="NAME=PATH",
-        help="source corpus, repeatable",
-    )
+    p.add_argument("-i", "--input", action="append", required=True, metavar="PATH", help="source corpus, repeatable")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")

@@ -118,6 +118,13 @@ def closing_instruction(label_set: Sequence[str]) -> str:
     enumerated = ", ".join(quoted[:-1]) + f" or {quoted[-1]}"
     return f"Answer by only outputting {enumerated}"
 
+
+def curated_template(preamble: str, label_set: Sequence[str]) -> str:
+    """The curated prompt's layout: the preamble (if any), the input
+    placeholder and the closing instruction, a blank line apart."""
+    parts = [preamble, f"Answer the following question: {PLACEHOLDER}", closing_instruction(label_set)]
+    return "\n\n".join(filter(None, parts))
+
 _QA_BLOCK = re.compile(r"(?ms)^[ \t]*Question:.*?^[ \t]*Answer:[^\n]*\n?")
 
 
@@ -131,13 +138,7 @@ def curate_prompt(original: str, label_set: Sequence[str]) -> str:
     """
     blocks = list(_QA_BLOCK.finditer(original))
     if blocks:
-        preamble = original[: blocks[0].start()].strip()
-        parts = []
-        if preamble:
-            parts.append(preamble)
-        parts.append(f"Answer the following question: {PLACEHOLDER}")
-        parts.append(closing_instruction(label_set))
-        curated = "\n\n".join(parts)
+        curated = curated_template(original[: blocks[0].start()].strip(), label_set)
     elif PLACEHOLDER in original:
         curated = original.strip()
         # already-curated prompts pass through unchanged (idempotence)
@@ -300,19 +301,10 @@ def write_prediction_dump(records: Iterable[PredictionRecord], path: str | Path)
 # -- MMLU legal loader ----------------------------------------------------------
 
 
-def _mmlu_prompt_template(subject: str) -> str:
-    label_set = ["A", "B", "C", "D"]
-    human = subject.replace("_", " ")
-    return (
-        f"The following is a multiple choice question about {human}.\n\n"
-        f"Answer the following question: {PLACEHOLDER}\n\n"
-        f"{closing_instruction(label_set)}"
-    )
-
-
 def load_mmlu_legal(data_dir: str | Path) -> List[EvalTask]:
     """Load the three legal MMLU subjects from <subject>_test.csv files in
     the standard headerless format (question, four choices, answer letter)."""
+    label_set = ["A", "B", "C", "D"]
     tasks: List[EvalTask] = []
     for subject in MMLU_LEGAL_SUBJECTS:
         path = Path(data_dir) / f"{subject}_test.csv"
@@ -327,15 +319,17 @@ def load_mmlu_legal(data_dir: str | Path) -> List[EvalTask]:
                     raise TaskFormatError(f"{path}: expected 6 columns, got {len(row)}")
                 question, a, b, c, d, answer = row
                 text = f"{question}\nA. {a}\nB. {b}\nC. {c}\nD. {d}"
-                if answer not in ("A", "B", "C", "D"):
+                if answer not in label_set:
                     raise TaskFormatError(f"{path}: bad answer letter {answer!r}")
                 instances.append((text, answer))
         tasks.append(
             EvalTask(
                 name=f"mmlu_{subject}",
                 category="mmlu_legal",
-                label_set=["A", "B", "C", "D"],
-                prompt_template=_mmlu_prompt_template(subject),
+                label_set=list(label_set),
+                prompt_template=curated_template(
+                    f"The following is a multiple choice question about {subject.replace('_', ' ')}.", label_set
+                ),
                 instances=instances,
             )
         )

@@ -1,10 +1,12 @@
 """Assemble a training mix from tagged corpora to target token proportions.
 
-Each source is shuffled with its own seeded RNG and sampled without
-replacement until its realized token count reaches the requested share
-(documents are atomic, so the realized share can overshoot by at most one
-document). The combined list is then globally shuffled. All randomness
-derives from the spec seed via stable hashing, so reruns are byte-identical.
+Documents are grouped by their own source; those of a source the spec does
+not name are dropped. Each source is shuffled with its own seeded RNG and
+sampled without replacement until its realized token count reaches the
+requested share (documents are atomic, so the realized share can overshoot
+by at most one document). The combined list is then globally shuffled. All
+randomness derives from the spec seed via stable hashing, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ class MixSpec:
         if abs(total - 1.0) > FRACTION_SUM_TOLERANCE:
             raise MixError(f"fractions sum to {total!r}, expected 1")
 
-    def requested_tokens(self, name: str) -> int:
-        for entry_name, fraction in self.entries:
-            if entry_name == name:
-                return round(fraction * self.token_budget)
-        raise MixError(f"source {name!r} not in spec")
-
 
 def load_mix_spec(path: str | Path) -> MixSpec:
     def build(payload: dict) -> MixSpec:
@@ -93,39 +89,43 @@ def _ids_digest(ids: List[str]) -> str:
 
 
 def assemble_mix(
-    sources: Dict[str, Iterable[T]],
+    items: Iterable[T],
     spec: MixSpec,
+    source_of: Callable[[T], str],
     measure: Callable[[T], Tuple[str, int]],
 ) -> Tuple[List[T], MixManifest]:
     """Sample each source to its token share and emit a globally shuffled mix.
 
-    The items may be of any kind, `measure(item)` giving an item's document
-    id and token count; it is called only for the items a source's walk
-    reaches. A shuffle permutes by position alone, so the items of a source,
-    whatever they are, are picked in the order its documents would be.
+    The items may be of any kind: `source_of(item)` gives an item's source,
+    by which the stream is grouped in order, and `measure(item)` its document
+    id and token count; `measure` is called only for the items a source's
+    walk reaches. A shuffle permutes by position alone, so the items of a
+    source, whatever they are, are picked in the order its documents would be.
 
-    Raises MixError for spec sources without a stream and
-    InsufficientTokensError when a source cannot reach its share.
+    Raises InsufficientTokensError when a source, even one with no items,
+    cannot reach its share, and DuplicateIdError for an id picked twice.
     """
+    groups: Dict[str, List[T]] = {name: [] for name, _ in spec.entries}
+    for item in items:
+        group = groups.get(source_of(item))
+        if group is not None:
+            group.append(item)
     manifest = MixManifest(seed=spec.seed)
     mixed: List[T] = []
     seen_ids: set = set()
 
     for name, fraction in spec.entries:
-        if name not in sources:
-            raise MixError(f"spec source {name!r} has no input stream")
-        requested = spec.requested_tokens(name)
-        items = list(sources[name])
-        rng = random.Random(derive_seed(spec.seed, name))
-        rng.shuffle(items)
+        requested = round(fraction * spec.token_budget)
+        group = groups[name]
+        random.Random(derive_seed(spec.seed, name)).shuffle(group)
         selected_ids: List[str] = []
         realized = 0
-        for item in items:
+        for item in group:
             if realized >= requested:
                 break
             doc_id, tokens = measure(item)
             if doc_id in seen_ids:
-                raise DuplicateIdError(f"document id {doc_id!r} appears in more than one source")
+                raise DuplicateIdError(f"document id {doc_id!r} appears twice in the mix's inputs")
             seen_ids.add(doc_id)
             selected_ids.append(doc_id)
             mixed.append(item)

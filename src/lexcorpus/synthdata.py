@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .corpus import Document, SourceTag, write_documents, write_lines
-from .evaluation import EvalTask, closing_instruction, save_task
+from .evaluation import EvalTask, curated_template, save_task
 from .instruct import (
     LabeledExample,
     StubChatBackend,
@@ -270,16 +270,12 @@ def build_task_suite(seed: int = 0) -> List[EvalTask]:
         for _ in range(6):
             text = legal_paragraph(rng, sentences=2)
             instances.append((text, rng.choice(label_set)))
-        template = (
-            f"{preamble}\n\nAnswer the following question: {{text}}\n\n"
-            f"{closing_instruction(label_set)}"
-        )
         tasks.append(
             EvalTask(
                 name=name,
                 category=category,
                 label_set=list(label_set),
-                prompt_template=template,
+                prompt_template=curated_template(preamble, label_set),
                 instances=instances,
             )
         )

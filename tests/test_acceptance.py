@@ -186,15 +186,20 @@ def test_c05_dedup_recall_precision_and_closure():
 
 
 def test_c06_mix_audit_two_percent_replay():
-    sources = generate_mix_inputs(seed=5, token_budget=1_000_000)
+    docs = [doc for docs in generate_mix_inputs(seed=5, token_budget=1_000_000).values() for doc in docs]
     spec = MixSpec(entries=[("legal", 0.98), ("replay", 0.02)], token_budget=1_000_000, seed=42)
+
+    def source_of(doc):
+        return doc.source.name
 
     def measure(doc):
         return doc.id, len(doc.text.split())
 
-    mixed_a, man_a = assemble_mix(sources, spec, measure)
+    mixed_a, man_a = assemble_mix(docs, spec, source_of, measure)
     assert man_a.realized_fraction("replay") == pytest.approx(0.02, abs=0.005)
-    mixed_b, man_b = assemble_mix(sources, spec, measure)
+    for name, entry in man_a.per_source.items():
+        assert entry["documents"] == sum(doc.source.name == name for doc in mixed_a), name
+    mixed_b, man_b = assemble_mix(docs, spec, source_of, measure)
     assert man_a.to_json().encode() == man_b.to_json().encode()
     assert [d.id for d in mixed_a] == [d.id for d in mixed_b]
 

@@ -151,8 +151,9 @@ def test_a_source_of_any_name_reads_mixes_and_runs_the_pipeline(pipeline_inputs,
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"entries": [{"source": name, "fraction": 1.0}], "token_budget": 2000, "seed": 7}))
     manifest = tmp_path / "manifest.json"
-    assert _main("mix", "--spec", spec, "-i", f"{name}={renamed}", "-o", tmp_path / "mix.jsonl", "--manifest", manifest) == 0
+    assert _main("mix", "--spec", spec, "-i", renamed, "-o", tmp_path / "mix.jsonl", "--manifest", manifest) == 0
     assert json.loads(manifest.read_text())["per_source"][name]["realized_tokens"] >= 2000
+    assert {doc.source.name for doc in read_documents(tmp_path / "mix.jsonl")} == {name}
 
     cfg = _config_value(pipeline_inputs, tmp_path / "out")
     cfg["paths"]["corpus"] = str(renamed)
@@ -163,6 +164,54 @@ def test_a_source_of_any_name_reads_mixes_and_runs_the_pipeline(pipeline_inputs,
     assert _main("pipeline", "--config", config) == 0
     assert name in json.loads((tmp_path / "out" / "mix_manifest.json").read_text())["per_source"]
     assert capsys.readouterr().err == ""
+
+
+def _mix_spec(path: Path, entries, token_budget: int, seed: int = 7) -> Path:
+    entries = [{"source": name, "fraction": fraction} for name, fraction in entries]
+    path.write_text(json.dumps({"entries": entries, "token_budget": token_budget, "seed": seed}))
+    return path
+
+
+def test_mix_counts_each_record_under_its_own_source(pipeline_inputs, tmp_path):
+    """Two corpora, one of freelaw, wikipedia and instruction records and one
+    of freelaw records: each source's manifest entry counts the mixed records
+    whose own source it is, and only the spec's sources are mixed."""
+    spec = _mix_spec(tmp_path / "spec.json", [("freelaw", 0.8), ("wikipedia", 0.2)], 20_000)
+    out, manifest = tmp_path / "mix.jsonl", tmp_path / "manifest.json"
+    inputs = ["-i", pipeline_inputs / "corpus.jsonl", "-i", pipeline_inputs / "seed.jsonl"]
+    assert _main("mix", "--spec", spec, *inputs, "-o", out, "--manifest", manifest, "--tolerance", "0.05") == 0
+    mixed = list(read_documents(out, strict=True))
+    per_source = json.loads(manifest.read_text())["per_source"]
+    assert sorted(per_source) == sorted({doc.source.name for doc in mixed}) == ["freelaw", "wikipedia"]
+    for name, entry in per_source.items():
+        own = [doc for doc in mixed if doc.source.name == name]
+        assert entry["documents"] == len(own), name
+        assert entry["realized_tokens"] == sum(len(doc.text.split()) for doc in own), name
+    assert {doc.id for doc in mixed} & {doc.id for doc in read_documents(pipeline_inputs / "seed.jsonl")}
+
+
+def test_mix_skips_records_of_a_source_the_spec_does_not_name(pipeline_inputs, tmp_path):
+    """The fixture corpus's wikipedia and instruction records change nothing
+    in a mix of its freelaw records."""
+    spec = _mix_spec(tmp_path / "spec.json", [("freelaw", 1.0)], 5_000)
+    freelaw = tmp_path / "freelaw.jsonl"
+    write_documents((doc for doc in read_documents(pipeline_inputs / "corpus.jsonl") if doc.source.name == "freelaw"),
+                    freelaw)
+    for corpus, name in ((pipeline_inputs / "corpus.jsonl", "all"), (freelaw, "freelaw")):
+        argv = ["--spec", spec, "-i", corpus, "-o", tmp_path / f"{name}.mix", "--manifest", tmp_path / f"{name}.json"]
+        assert _main("mix", *argv) == 0
+    assert (tmp_path / "all.mix").read_bytes() == (tmp_path / "freelaw.mix").read_bytes()
+    assert (tmp_path / "all.json").read_bytes() == (tmp_path / "freelaw.json").read_bytes()
+
+
+def test_two_mix_inputs_sharing_an_id_exit_1_naming_it(tmp_path, capsys):
+    for name in ("a.jsonl", "b.jsonl"):
+        (tmp_path / name).write_text('{"id": "shared", "source": "freelaw", "text": "The court held."}\n')
+    spec = _mix_spec(tmp_path / "spec.json", [("freelaw", 1.0)], 6)
+    argv = ["-i", tmp_path / "a.jsonl", "-i", tmp_path / "b.jsonl", "-o", tmp_path / "mix.jsonl"]
+    assert _main("mix", "--spec", spec, *argv, "--manifest", tmp_path / "manifest.json") == 1
+    assert capsys.readouterr() == ("", "lexcorpus: document id 'shared' appears twice in the mix's inputs\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl", "spec.json"]
 
 
 def test_normalize_skips_or_names_a_record_nested_too_deep(tmp_path, capsys):
@@ -644,7 +693,7 @@ def test_insufficient_tokens_exit_1_from_mix_and_pipeline(pipeline_inputs, tmp_p
         {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 10**9, "seed": 7}
     ))
     result = run_cli(
-        "mix", "--spec", str(spec), "-i", f"freelaw={pipeline_inputs / 'corpus.jsonl'}",
+        "mix", "--spec", str(spec), "-i", str(pipeline_inputs / "corpus.jsonl"),
         "-o", str(tmp_path / "mix.jsonl"), "--manifest", str(tmp_path / "manifest.json"),
     )
     assert result.returncode == 1, result.stderr
@@ -916,7 +965,7 @@ def _argv(kind, broken, ppl_inputs, out):
         "rule file": ["filter-rules", "-i", corpus_path, "-o", out / "ruled.jsonl", "--ruleset", broken],
         "model": ["filter-ppl", "-i", corpus_path, "-o", out / "kept.jsonl", "--model", broken, "--threshold", "100"],
         "task file": ["eval", "--task-dir", broken.parent, "--report", out / "eval.json"],
-        "mix spec": ["mix", "--spec", broken, "-i", f"freelaw={corpus_path}", "-o", out / "mix.jsonl",
+        "mix spec": ["mix", "--spec", broken, "-i", corpus_path, "-o", out / "mix.jsonl",
                      "--manifest", out / "manifest.json"],
     }[kind]
 
@@ -1144,7 +1193,7 @@ def _one_read_argv(command, broken, pipeline_inputs, seed_lm, tmp_path):
     if command == "mix":
         spec = tmp_path / "spec.json"
         spec.write_text('{"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 1000, "seed": 3}')
-        return ["mix", "--spec", spec, "-i", f"freelaw={broken}", "-o", tmp_path / "mix.jsonl",
+        return ["mix", "--spec", spec, "-i", broken, "-o", tmp_path / "mix.jsonl",
                 "--manifest", tmp_path / "manifest.json"]
     return {
         "ppl-report": ["ppl-report", "--model", seed_lm, "--baseline-model", seed_lm, "--category", f"x={broken}",
@@ -1163,11 +1212,14 @@ def test_one_read_subcommands_report_malformed_records_once(pipeline_inputs, see
     assert capsys.readouterr().err == f"lexcorpus: skipped 1 malformed records in {broken}\n"
 
 
-@pytest.mark.parametrize("command, option, name", [("mix", "--input", "freelaw"), ("ppl-report", "--category", "x")])
-def test_a_name_given_twice_is_refused(pipeline_inputs, seed_lm, tmp_path, capsys, command, option, name):
+@pytest.mark.parametrize("command, option", [("mix", "--input"), ("ppl-report", "--category")])
+def test_a_name_given_twice_is_refused(pipeline_inputs, seed_lm, tmp_path, capsys, command, option):
+    """mix reads each --input path once, however it is spelled, and
+    ppl-report each --category NAME: a second one exits 1 before any output."""
     argv = _one_read_argv(command, pipeline_inputs / "corpus.jsonl", pipeline_inputs, seed_lm, tmp_path)
+    name = f"{pipeline_inputs}/./corpus.jsonl" if command == "mix" else "x"
     capsys.readouterr()
-    assert _main(*argv, option, f"{name}={os.devnull}") == 1
+    assert _main(*argv, option, name if command == "mix" else f"{name}={os.devnull}") == 1
     assert capsys.readouterr() == ("", f"lexcorpus: {option} names {name!r} twice\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["spec.json"] if command == "mix" else [])
 
@@ -1210,7 +1262,7 @@ def _multi_output_argv(command, pipeline_inputs, seed_lm, tmp_path):
         spec.write_text(json.dumps(
             {"entries": [{"source": "freelaw", "fraction": 1.0}], "token_budget": 100, "seed": 0}
         ))
-        return ["mix", "--spec", spec, "-i", f"freelaw={corpus}"], ["-o", "--manifest"]
+        return ["mix", "--spec", spec, "-i", corpus], ["-o", "--manifest"]
     return {
         "filter-ppl": (["filter-ppl", "-i", corpus, "--model", seed_lm, "--threshold", "1000"], ["-o"]),
         "dedup": (["dedup", "-i", corpus], ["-o"]),
@@ -1500,7 +1552,7 @@ def test_normalize_treats_a_lone_surrogate_outside_text_as_malformed(tmp_path, c
         ["filter-ppl", "-i", "{dir}", "-o", "{out}/p.jsonl", "--model", "{lm}", "--threshold", "1000"],
         ["filter-ppl", "-i", "{corpus}", "-o", "{out}/p.jsonl", "--model", "{lm}", "--calibration-corpus", "{dir}"],
         ["ppl-report", "--model", "{lm}", "--category", "x={dir}", "-o", "{out}/report.json"],
-        ["mix", "--spec", "{spec}", "-i", "freelaw={dir}", "-o", "{out}/mix.jsonl", "--manifest", "{out}/m.json"],
+        ["mix", "--spec", "{spec}", "-i", "{dir}", "-o", "{out}/mix.jsonl", "--manifest", "{out}/m.json"],
     ],
     ids=["normalize", "filter-rules", "mine-ngrams", "train-lm", "filter-ppl", "filter-ppl-calibration", "ppl-report",
          "mix"],
@@ -1709,14 +1761,12 @@ def test_normalize_count_covers_documents_that_filter_rules_changed_or_emptied(p
 
 
 def _mix_of(path: Path, spec) -> tuple:
-    """05_mix.jsonl and mix_manifest.json as assemble_mix makes them from the
-    decoded corpus at `path`."""
-    docs = list(read_documents(path))
-    sources = {name: [doc for doc in docs if doc.source.name == name] for name, _ in spec.entries}
-    mixed, manifest = mix.assemble_mix(sources, spec, lambda doc: (doc.id, len(doc.text.split())))
-    out = path.parent / "assembled.jsonl"
-    write_documents(mixed, out)
-    return out.read_bytes(), manifest.to_json() + "\n"
+    """The mix file and manifest text `lexcorpus mix` makes of the corpus at
+    `path` with `spec`."""
+    spec_path = _mix_spec(path.parent / "spec.json", spec.entries, spec.token_budget, spec.seed)
+    out, manifest = path.parent / "mixed.jsonl", path.parent / "manifest.json"
+    assert _main("mix", "--spec", spec_path, "-i", path, "-o", out, "--manifest", manifest) == 0
+    return out.read_bytes(), manifest.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("seed", [7, 11, 12345])

@@ -75,9 +75,8 @@ def demo_digests(root: Path) -> Dict[str, str]:
              "--category", "kept=pipeline/04_deduped.jsonl", "--category", "dropped=pipeline/03_dropped.jsonl",
              "-o", "ppl.json", demo=demo)
         Path("mixspec.json").write_text(_MIX_SPEC, encoding="utf-8")
-        _run("mix", "mix", "--spec", "mixspec.json", "-i", "freelaw=pipeline/04_deduped.jsonl", "-i",
-             f"wikipedia={demo}/seed.jsonl", "-o", "mix.jsonl", "--manifest", "mix_manifest.json", "--tolerance",
-             "0.05", demo=demo)
+        _run("mix", "mix", "--spec", "mixspec.json", "-i", "pipeline/04_deduped.jsonl", "-i", f"{demo}/seed.jsonl",
+             "-o", "mix.jsonl", "--manifest", "mix_manifest.json", "--tolerance", "0.05", demo=demo)
         Path("prompt.txt").write_text(_PROMPT, encoding="utf-8")
         _run("curate", "curate-prompts", "-i", "prompt.txt", "-o", "curated.txt", "--labels", "Yes", "No", demo=demo)
     finally:

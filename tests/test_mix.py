@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lexcorpus.corpus import report_json, write_lines
+from lexcorpus.corpus import DuplicateIdError, report_json, write_lines
 from lexcorpus.mix import (
     InsufficientTokensError,
     MixError,
@@ -22,6 +22,15 @@ from synth_fixtures import generate_mix_inputs
 def measure(tok):
     """A document's id and whitespace token count, as the mix subcommand measures it."""
     return lambda doc: (doc.id, len(tok.tokenize(doc.text)))
+
+
+def _source_of(doc):
+    return doc.source.name
+
+
+def _stream(sources):
+    """The documents of `sources`, a corpus per source name, as one stream."""
+    return [doc for docs in sources.values() for doc in docs]
 
 
 def _two_source_spec(budget=50_000, seed=7):
@@ -70,7 +79,7 @@ def test_derive_seed_stable_across_runs():
 def test_assemble_realizes_requested_fractions(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, manifest = assemble_mix(sources, spec, measure)
+    _, manifest = assemble_mix(_stream(sources), spec, _source_of, measure)
     assert manifest.realized_fraction("replay") == pytest.approx(0.02, abs=0.005)
     assert manifest.realized_fraction("legal") == pytest.approx(0.98, abs=0.005)
 
@@ -78,7 +87,7 @@ def test_assemble_realizes_requested_fractions(measure):
 def test_assemble_overshoot_bounded_by_one_document(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, manifest = assemble_mix(sources, spec, measure)
+    _, manifest = assemble_mix(_stream(sources), spec, _source_of, measure)
     for name, frac in spec.entries:
         requested = int(manifest.per_source[name]["requested_tokens"])
         realized = int(manifest.per_source[name]["realized_tokens"])
@@ -92,7 +101,7 @@ def test_assemble_reaches_each_share_of_the_spec_budget(measure):
     document more; counted from the mix, not from the manifest."""
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    mixed, _ = assemble_mix(sources, spec, measure)
+    mixed, _ = assemble_mix(_stream(sources), spec, _source_of, measure)
     for name, fraction in spec.entries:
         share = round(fraction * spec.token_budget)
         ids = {d.id for d in sources[name]}
@@ -104,34 +113,78 @@ def test_assemble_reaches_each_share_of_the_spec_budget(measure):
 def test_assemble_deterministic(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    mixed_a, man_a = assemble_mix(sources, spec, measure)
-    mixed_b, man_b = assemble_mix(sources, spec, measure)
+    mixed_a, man_a = assemble_mix(_stream(sources), spec, _source_of, measure)
+    mixed_b, man_b = assemble_mix(_stream(sources), spec, _source_of, measure)
     assert [d.id for d in mixed_a] == [d.id for d in mixed_b]
     assert man_a.to_json() == man_b.to_json()
 
 
 def test_different_seed_changes_selection(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
-    a, _ = assemble_mix(sources, _two_source_spec(seed=7), measure)
-    b, _ = assemble_mix(sources, _two_source_spec(seed=8), measure)
+    a, _ = assemble_mix(_stream(sources), _two_source_spec(seed=7), _source_of, measure)
+    b, _ = assemble_mix(_stream(sources), _two_source_spec(seed=8), _source_of, measure)
     assert [d.id for d in a] != [d.id for d in b]
 
 
 def test_insufficient_source_tokens_is_an_error(measure):
-    sources = {
-        "legal": generate_seed_corpus(seed=1, docs=50),
-        "replay": generate_seed_corpus(seed=2, docs=1, source="wikipedia"),
-    }
+    docs = generate_seed_corpus(seed=1, docs=50, source="legal") + generate_seed_corpus(seed=2, docs=1, source="replay")
     spec = MixSpec(entries=[("legal", 0.5), ("replay", 0.5)], token_budget=40_000, seed=0)
     with pytest.raises(InsufficientTokensError):
-        assemble_mix(sources, spec, measure)
+        assemble_mix(docs, spec, _source_of, measure)
 
 
 def test_unknown_source_in_spec_is_an_error(measure):
-    sources = {"legal": generate_seed_corpus(seed=1, docs=10)}
+    """A spec source with no documents in the stream is short of tokens."""
+    docs = generate_seed_corpus(seed=1, docs=10, source="legal")
     spec = MixSpec(entries=[("legal", 0.98), ("replay", 0.02)], token_budget=1000, seed=0)
-    with pytest.raises(MixError):
-        assemble_mix(sources, spec, measure)
+    with pytest.raises(InsufficientTokensError, match="'replay' exhausted at 0 tokens, 20 requested"):
+        assemble_mix(docs, spec, _source_of, measure)
+
+
+def test_documents_of_a_source_the_spec_does_not_name_are_skipped(measure):
+    """A third source in the stream neither enters the mix nor moves what
+    the spec's sources pick, and is never measured."""
+    sources = generate_mix_inputs(seed=5, token_budget=50_000)
+    spec = _two_source_spec()
+    expected, expected_manifest = assemble_mix(_stream(sources), spec, _source_of, measure)
+    other = generate_seed_corpus(seed=3, docs=20, source="wikipedia")
+    measured = []
+
+    def spy(doc):
+        measured.append(doc.source.name)
+        return measure(doc)
+
+    stream = [doc for pair in zip(other, _stream(sources)) for doc in pair] + _stream(sources)[len(other):]
+    mixed, manifest = assemble_mix(stream, spec, _source_of, spy)
+    assert [d.id for d in mixed] == [d.id for d in expected]
+    assert manifest.to_json() == expected_manifest.to_json()
+    assert "wikipedia" not in measured
+
+
+def test_only_the_documents_a_walk_reaches_are_measured(measure):
+    sources = generate_mix_inputs(seed=5, token_budget=50_000)
+    measured = []
+
+    def spy(doc):
+        measured.append(doc.id)
+        return measure(doc)
+
+    mixed, _ = assemble_mix(_stream(sources), _two_source_spec(), _source_of, spy)
+    assert sorted(measured) == sorted(d.id for d in mixed) and len(mixed) < len(_stream(sources))
+
+
+def test_per_source_counts_are_the_picked_documents_own_sources(measure):
+    sources = generate_mix_inputs(seed=5, token_budget=50_000)
+    mixed, manifest = assemble_mix(_stream(sources), _two_source_spec(), _source_of, measure)
+    for name, entry in manifest.per_source.items():
+        assert entry["documents"] == sum(d.source.name == name for d in mixed), name
+
+
+def test_an_id_picked_twice_is_named(measure):
+    docs = generate_seed_corpus(seed=1, docs=3, source="legal")
+    spec = MixSpec(entries=[("legal", 1.0)], token_budget=10**6, seed=0)
+    with pytest.raises(DuplicateIdError, match=f"document id '{docs[0].id}' appears twice in the mix's inputs"):
+        assemble_mix(docs + docs[:1], spec, _source_of, measure)
 
 
 @pytest.mark.parametrize("name", [5, ""])
@@ -143,7 +196,7 @@ def test_spec_source_name_must_be_a_non_empty_string(name):
 def test_validate_mix_tolerances(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, manifest = assemble_mix(sources, spec, measure)
+    _, manifest = assemble_mix(_stream(sources), spec, _source_of, measure)
     assert validate_mix(manifest, spec, tolerance=0.005).passed
     report = validate_mix(manifest, spec, tolerance=0.0)
     assert not report.passed
@@ -154,8 +207,8 @@ def test_validate_mix_tolerances(measure):
 def test_manifest_digest_tracks_document_identity(measure):
     sources = generate_mix_inputs(seed=5, token_budget=50_000)
     spec = _two_source_spec()
-    _, man_a = assemble_mix(sources, spec, measure)
-    _, man_b = assemble_mix(sources, _two_source_spec(seed=8), measure)
+    _, man_a = assemble_mix(_stream(sources), spec, _source_of, measure)
+    _, man_b = assemble_mix(_stream(sources), _two_source_spec(seed=8), _source_of, measure)
     assert (
         man_a.per_source["legal"]["ids_digest"]
         != man_b.per_source["legal"]["ids_digest"]
